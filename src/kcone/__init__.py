@@ -59,7 +59,7 @@ from .intersection import (
     parse_manifold,
     serialize_manifold,
 )
-from .metric import POSDEF_TOL, ConePoint, cone_point
+from .metric import POSDEF_TOL, ConePoint, Lefschetz, lefschetz
 from .paths import (
     GeodesicPath,
     LengthBound,
@@ -68,6 +68,7 @@ from .paths import (
     SplitReport,
     boundary_probe,
     integrate_geodesic,
+    integrate_geodesics,
     length_bound_check,
     path_length,
     pullback_isometry_check,

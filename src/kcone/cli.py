@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import isfinite
 
 import numpy as np
 
@@ -60,9 +61,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_scalar(text: str) -> float:
     try:
-        return float(Fraction(text)) if "/" in text else float(text)
-    except (ValueError, ZeroDivisionError):
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise _UsageError(f"bad number {text!r}")
+    if not isfinite(value):
+        raise _UsageError(f"non-finite number {text!r}")
+    return value
 
 
 def _parse_class(text: str) -> np.ndarray:
@@ -377,7 +381,7 @@ def _build_parser() -> _Parser:
     p.add_argument("form")
     p.add_argument("--at", default=None)
     p.add_argument("--v", required=True, help="initial velocity")
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--T", type=_parse_scalar, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--csv", default=None, help="write t,coords..,speed rows")
     p.set_defaults(handler=_cmd_geodesic)
@@ -386,8 +390,8 @@ def _build_parser() -> _Parser:
     p.add_argument("form")
     p.add_argument("--alpha", required=True)
     p.add_argument("--omega", required=True)
-    p.add_argument("--t-max", type=float, default=1.0, dest="t_max")
-    p.add_argument("--t-min", type=float, default=0.0, dest="t_min")
+    p.add_argument("--t-max", type=_parse_scalar, default=1.0, dest="t_max")
+    p.add_argument("--t-min", type=_parse_scalar, default=0.0, dest="t_min")
     p.add_argument("--halvings", type=int, default=12)
     p.set_defaults(handler=_cmd_probe)
 
@@ -408,7 +412,7 @@ def _build_parser() -> _Parser:
     p.add_argument("form_y")
     p.add_argument("form_x")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--degree", type=float, required=True)
+    p.add_argument("--degree", type=_parse_scalar, required=True)
     p.add_argument("--at", default=None, help="source cone point")
     p.set_defaults(handler=_cmd_pullback)
 

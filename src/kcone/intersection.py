@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, permutations
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -43,6 +43,8 @@ def _normalize_coeffs(coeffs, dim_n, rank_m):
         if idx[0] < 1 or idx[-1] > rank_m:
             raise ManifoldFormatError(f"index {list(idx)} out of range 1..{rank_m}")
         val = float(val)
+        if not isfinite(val):
+            raise ManifoldFormatError(f"non-finite value {val!r} for index {list(idx)}")
         if idx in out and out[idx] != val:
             raise ManifoldFormatError(
                 f"conflicting values for index {list(idx)}: {out[idx]} vs {val}"
@@ -134,14 +136,12 @@ class IntersectionForm:
 
 
 def _parse_value(v):
-    if isinstance(v, str):
-        try:
-            return float(Fraction(v))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ManifoldFormatError(f"bad rational value {v!r}") from exc
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    raise ManifoldFormatError(f"bad value {v!r}")
+    if type(v) not in (str, float, int):  # bool is an int subclass but not a number
+        raise ManifoldFormatError(f"bad value {v!r}")
+    try:
+        return float(Fraction(v)) if isinstance(v, str) else float(v)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ManifoldFormatError(f"bad value {v!r}") from exc
 
 
 def parse_manifold(text: str) -> IntersectionForm:
@@ -169,7 +169,7 @@ def parse_manifold(text: str) -> IntersectionForm:
     if not isinstance(name, str) or not name:
         raise ManifoldFormatError("name must be a nonempty string")
     dim, h11 = obj["dim"], obj["h11"]
-    if not isinstance(dim, int) or not isinstance(h11, int):
+    if type(dim) is not int or type(h11) is not int:
         raise ManifoldFormatError("dim and h11 must be integers")
     entries = obj["intersection"]
     if not isinstance(entries, list):
@@ -180,7 +180,7 @@ def parse_manifold(text: str) -> IntersectionForm:
         if not isinstance(entry, dict) or "index" not in entry or "value" not in entry:
             raise ManifoldFormatError(f"bad intersection entry {entry!r}")
         idx_raw = entry["index"]
-        if not isinstance(idx_raw, list) or not all(isinstance(i, int) for i in idx_raw):
+        if not isinstance(idx_raw, list) or not all(type(i) is int for i in idx_raw):
             raise ManifoldFormatError(f"bad index {idx_raw!r}")
         idx = tuple(sorted(idx_raw))
         val = _parse_value(entry["value"])

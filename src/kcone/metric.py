@@ -22,36 +22,74 @@ import numpy as np
 from .errors import IndefiniteMetric, NonPositiveVolume
 from .intersection import CohClass, IntersectionForm
 
-__all__ = ["POSDEF_TOL", "ConePoint", "cone_point"]
+__all__ = ["POSDEF_TOL", "ConePoint", "Lefschetz", "lefschetz", "admit"]
 
 # Relative eigenvalue floor separating genuine degeneracy from roundoff.
 POSDEF_TOL = 1e-10
 
 
-class _LefschetzData(NamedTuple):
-    vol: float
-    lam: np.ndarray          # Lam(e_i)
-    lam2: np.ndarray         # Lam2(e_i cup e_j)
-    lam3: Optional[np.ndarray]  # Lam3(e_i cup e_j cup e_k), None for n < 3
+class Lefschetz(NamedTuple):
+    """Divided-power contractions at each row x_b of a (B, m) batch.
 
-
-def _lefschetz_data(form: IntersectionForm, omega: np.ndarray) -> _LefschetzData:
-    """Contract the dense form with omega and normalize by divided powers.
-
-    Raises NonPositiveVolume when omega lies outside the volume cone.
+    stage3 is the form with n - 3 slots filled by x_b, so that
+    Lam3 = stage3 / ((n-3)! vol); its batch axis has length 1 when n = 3.
+    It stays unnormalized so that callers can contract it first.
     """
+
+    vol: np.ndarray                # (B,)
+    lam: np.ndarray                # (B, m)        Lam(e_i)
+    lam2: np.ndarray               # (B, m, m)     Lam2(e_i cup e_j)
+    gram: np.ndarray               # (B, m, m)     Lam(e_i) Lam(e_j) - Lam2(e_i cup e_j)
+    stage3: Optional[np.ndarray]   # (B, m, m, m), None for n < 3
+
+
+def lefschetz(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefschetz:
+    """Contract the dense form with each row of X and normalize by divided powers.
+
+    The first contraction is one matrix product over the whole batch, the
+    later ones are batched matrix-vector products.  Raises NonPositiveVolume
+    naming the first row outside the volume cone.
+    """
+    X = np.asarray(X, dtype=float)
     n, m = form.dim_n, form.rank_m
-    stages = [form._dense]
-    for _ in range(n):
-        t = stages[-1]
-        stages.append(np.tensordot(t, omega, axes=([t.ndim - 1], [0])))
-    vol = float(stages[n]) / factorial(n)
-    if not vol > 0.0:
-        raise NonPositiveVolume(f"volume {vol!r} at {omega.tolist()} is not positive")
-    lam = stages[n - 1] / (factorial(n - 1) * vol)
-    lam2 = stages[n - 2] / (factorial(n - 2) * vol) if n >= 2 else np.zeros((m, m))
-    lam3 = stages[n - 3] / (factorial(n - 3) * vol) if n >= 3 else None
-    return _LefschetzData(vol, lam, lam2, lam3)
+    B = len(X)
+    # filled[j]: the form with j slots filled by x_b, batch axis first
+    filled = [form._dense[None], X @ form._dense.reshape(-1, m).T]
+    for _ in range(n - 1):
+        filled.append(filled[-1].reshape(B, -1, m) @ X[:, :, None])
+    vol = filled[n].reshape(B) / factorial(n)
+    if not vol.min() > 0.0:
+        b = int(np.argmin(vol > 0.0))
+        raise NonPositiveVolume(
+            f"{what} {b} at {X[b].tolist()}: volume {float(vol[b])!r} is not positive"
+        )
+    lam = filled[n - 1].reshape(-1, m) / (factorial(n - 1) * vol)[:, None]
+    lam2 = np.zeros((B, m, m))
+    if n >= 2:
+        lam2 = filled[n - 2].reshape(-1, m, m) / (factorial(n - 2) * vol)[:, None, None]
+    gram = lam[:, :, None] * lam[:, None, :] - lam2
+    stage3 = filled[n - 3].reshape(-1, m, m, m) if n >= 3 else None
+    return Lefschetz(vol, lam, lam2, gram, stage3)
+
+
+def admit(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefschetz:
+    """The kernel plus ConePoint's admission check on every row of X.
+
+    Raises NonPositiveVolume or IndefiniteMetric naming the first
+    inadmissible row.
+    """
+    X = np.asarray(X, dtype=float)
+    data = lefschetz(form, X, what)
+    eig = np.linalg.eigvalsh(data.gram)
+    # also rejects eig_max <= 0, since then eig_min <= eig_max <= POSDEF_TOL * eig_max
+    ok = eig[:, 0] > POSDEF_TOL * eig[:, -1]
+    if not ok.all():
+        b = int(np.argmin(ok))
+        raise IndefiniteMetric(
+            f"Gram matrix of {what} {b} at {X[b].tolist()} is not positive definite "
+            f"(eigenvalues {eig[b].tolist()})"
+        )
+    return data
 
 
 class ConePoint:
@@ -70,20 +108,18 @@ class ConePoint:
             raise ValueError(
                 f"omega has shape {omega.shape}, expected ({form.rank_m},)"
             )
+        if not np.all(np.isfinite(omega)):
+            raise ValueError(f"omega {omega.tolist()} has non-finite entries")
         self.form = form
         self.omega = omega
-        data = _lefschetz_data(form, omega)
-        self.vol = data.vol
-        self._lam = data.lam
-        self._lam2 = data.lam2
-        self._lam3 = data.lam3
-        self.gram = np.outer(data.lam, data.lam) - data.lam2
-        eig = np.linalg.eigvalsh(self.gram)
-        if eig[-1] <= 0.0 or eig[0] <= POSDEF_TOL * eig[-1]:
-            raise IndefiniteMetric(
-                f"Gram matrix at {omega.tolist()} is not positive definite "
-                f"(eigenvalues {eig.tolist()})"
-            )
+        data = admit(form, omega[None], "point")
+        self.vol = float(data.vol[0])
+        self._lam = data.lam[0]
+        self._lam2 = data.lam2[0]
+        self._lam3 = None
+        if data.stage3 is not None:
+            self._lam3 = data.stage3[0] / (factorial(form.dim_n - 3) * self.vol)
+        self.gram = data.gram[0]
         self.gram_inv = np.linalg.inv(self.gram)
 
     @property
@@ -160,7 +196,3 @@ class ConePoint:
         rhs = -vec3 + lam2_uv * self._lam
         return self.gram_inv @ rhs
 
-
-def cone_point(form: IntersectionForm, omega: CohClass) -> ConePoint:
-    """Validate omega and return a ConePoint with caches populated."""
-    return ConePoint(form, omega)

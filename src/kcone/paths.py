@@ -15,18 +15,20 @@ bound fails on radial rays; length_bound_check reports both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, log, sqrt
+from functools import partial
+from math import factorial, isfinite, log, sqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import IndefiniteMetric, KConeError, LeftCone, NonPositiveVolume
 from .intersection import CohClass, IntersectionForm
-from .metric import POSDEF_TOL, ConePoint
+from .metric import ConePoint, admit, lefschetz
 
 __all__ = [
     "GeodesicPath",
     "integrate_geodesic",
+    "integrate_geodesics",
     "path_length",
     "LengthBound",
     "length_bound_check",
@@ -37,79 +39,32 @@ __all__ = [
     "SplitReport",
     "split_report",
     "PullbackReport",
+    "admissible_perturbations",
     "pullback_isometry_check",
 ]
 
 
-def _acceleration(form: IntersectionForm, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """-Gamma_x(v, v) = Lam(v) v - 1/2 Lam(v cup v).
+# Rejection samplers give up after this many draws in a row are rejected.
+SAMPLER_TRIES = 1000
+
+
+def _acceleration(form: IntersectionForm, x: np.ndarray, v: np.ndarray, data=None):
+    """-Gamma_x(v, v) = Lam(v) v - 1/2 Lam(v cup v) for each row of (x, v).
 
     Hot path of the integrator: checks only that the volume stays positive
     and the Gram matrix solvable; recorded samples get the full admission.
+    `data` is the kernel result at x when already known.
     """
-    n = form.dim_n
-    t = form._dense
-    for _ in range(n - 3):
-        t = t @ x
-    if n >= 3:
-        t3 = t
-        t2 = t3 @ x
-    else:
-        t3 = None
-        t2 = t if n == 2 else None
-    t1 = t2 @ x if t2 is not None else t
-    top = float(t1 @ x)
-    vol = top / factorial(n)
-    if not vol > 0.0:
-        raise NonPositiveVolume(f"volume {vol!r} is not positive")
-    lam = t1 / (factorial(n - 1) * vol)
-    lam_v = float(lam @ v)
-    if t2 is not None:
-        lam2 = t2 / (factorial(n - 2) * vol)
-        rhs = float(v @ lam2 @ v) * lam
-        gram = np.outer(lam, lam) - lam2
-    else:
-        rhs = 0.0 * lam
-        gram = np.outer(lam, lam)
-    if t3 is not None:
-        rhs = rhs - (v @ (t3 @ v)) / (factorial(n - 3) * vol)
-    lvv = np.linalg.solve(gram, rhs)
-    return lam_v * v - 0.5 * lvv
-
-
-def _admissible_grams(form: IntersectionForm, pts: np.ndarray, what: str = "sample"):
-    """Vectorized admission check; returns (volumes, Gram matrices).
-
-    Same criteria as ConePoint: positive volume and eigenvalue ratio above
-    POSDEF_TOL.  Raises on the first inadmissible point.
-    """
-    pts = np.asarray(pts, dtype=float)
+    if data is None:
+        data = lefschetz(form, x, "geodesic member")
     n, m = form.dim_n, form.rank_m
-    cur = np.broadcast_to(form._dense, (len(pts),) + form._dense.shape)
-    stages = [cur]
-    for _ in range(n):
-        cur = np.einsum("b...k,bk->b...", cur, pts)
-        stages.append(cur)
-    vols = stages[n] / factorial(n)
-    if not np.all(vols > 0.0):
-        bad = int(np.argmax(vols <= 0.0))
-        raise NonPositiveVolume(
-            f"inadmissible {what} {pts[bad].tolist()}: volume {vols[bad]!r}"
-        )
-    lam = stages[n - 1] / (factorial(n - 1) * vols[:, None])
-    if n >= 2:
-        lam2 = stages[n - 2] / (factorial(n - 2) * vols[:, None, None])
-    else:
-        lam2 = np.zeros((len(pts), m, m))
-    grams = np.einsum("bi,bj->bij", lam, lam) - lam2
-    eig = np.linalg.eigvalsh(grams)
-    ok = (eig[:, -1] > 0.0) & (eig[:, 0] > POSDEF_TOL * eig[:, -1])
-    if not np.all(ok):
-        bad = int(np.argmax(~ok))
-        raise IndefiniteMetric(
-            f"inadmissible {what} {pts[bad].tolist()}: Gram not positive definite"
-        )
-    return vols, grams
+    vc = v[:, :, None]
+    rhs = (v[:, None, :] @ data.lam2 @ vc) * data.lam[:, :, None]
+    if data.stage3 is not None:
+        t3vv = (data.stage3.reshape(-1, m * m, m) @ vc).reshape(-1, m, m) @ vc
+        rhs -= t3vv / (factorial(n - 3) * data.vol)[:, None, None]
+    lvv = np.linalg.solve(data.gram, rhs)
+    return ((data.lam[:, None, :] @ vc) * vc - 0.5 * lvv)[:, :, 0]
 
 
 @dataclass
@@ -122,58 +77,68 @@ class GeodesicPath:
     speeds: np.ndarray      # g(gamma', gamma') at each sample
     speed_drift: float      # max |speed - speed at t=0|
 
-    @property
-    def samples(self):
-        """Iterate (t, point, velocity) triples."""
-        return zip(self.ts, self.points, self.velocities)
 
+def integrate_geodesics(
+    P0: ConePoint, V0: np.ndarray, T: float, steps: int
+) -> list[GeodesicPath]:
+    """Classic fixed-step RK4 on (gamma, gamma') from P0, one geodesic per
+    row of the (B, m) initial velocities V0, all advanced together.
 
-def integrate_geodesic(
-    P0: ConePoint, v0: CohClass, T: float, steps: int
-) -> GeodesicPath:
-    """Classic fixed-step RK4 on (gamma, gamma').
-
-    Every recorded sample passes the full cone admission checks; if a step
-    leaves the admissible cone, LeftCone is raised with the parameter at
-    which admission failed.
+    Every recorded sample of every member passes the full cone admission
+    checks; the Gram matrix of that check is reused for the next step and
+    for the speed.  If a member leaves the admissible cone, LeftCone is
+    raised with the earliest parameter at which admission failed in the
+    batch, and the message names the member.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    v0 = np.asarray(v0, dtype=float)
-    if not np.any(v0):
+    V0 = np.asarray(V0, dtype=float)
+    if V0.ndim != 2 or V0.shape[1] != P0.rank_m or not len(V0):
+        raise ValueError(f"velocities have shape {V0.shape}, expected (B, {P0.rank_m})")
+    if not np.all(np.any(V0, axis=1)):
         raise ValueError("initial velocity must be nonzero")
     form = P0.form
     h = float(T) / steps
-    x = P0.omega.copy()
-    v = v0.copy()
+    x = np.repeat(P0.omega[None, :], len(V0), axis=0)
+    v = V0.copy()
     ts = np.linspace(0.0, float(T), steps + 1)
-    points = np.empty((steps + 1, P0.rank_m))
+    points = np.empty((steps + 1,) + V0.shape)
     velocities = np.empty_like(points)
-    speeds = np.empty(steps + 1)
-    points[0], velocities[0], speeds[0] = x, v, P0.inner(v0, v0)
-    for i in range(steps):
+    speeds = np.empty((steps + 1, len(V0)))
+    data = admit(form, x, "geodesic member")
+    for i in range(steps + 1):
+        points[i], velocities[i] = x, v
+        speeds[i] = (v[:, None, :] @ data.gram @ v[:, :, None])[:, 0, 0]
+        if i == steps:
+            break
         try:
-            k1x, k1v = v, _acceleration(form, x, v)
+            k1x, k1v = v, _acceleration(form, x, v, data)
             k2x = v + 0.5 * h * k1v
             k2v = _acceleration(form, x + 0.5 * h * k1x, k2x)
             k3x = v + 0.5 * h * k2v
             k3v = _acceleration(form, x + 0.5 * h * k2x, k3x)
             k4x = v + h * k3v
             k4v = _acceleration(form, x + h * k3x, k4x)
-        except (NonPositiveVolume, IndefiniteMetric, np.linalg.LinAlgError) as exc:
-            raise LeftCone(ts[i], f"step from t={ts[i]!r} failed: {exc}") from exc
+        except (NonPositiveVolume, np.linalg.LinAlgError) as exc:
+            raise LeftCone(ts[i], f"step from t={float(ts[i])!r} failed: {exc}") from exc
         x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         try:
-            P = ConePoint(form, x)
+            data = admit(form, x, "geodesic member")
         except (NonPositiveVolume, IndefiniteMetric) as exc:
-            raise LeftCone(ts[i + 1], str(exc)) from exc
-        points[i + 1], velocities[i + 1] = x, v
-        speeds[i + 1] = P.inner(v, v)
-    drift = float(np.abs(speeds - speeds[0]).max())
-    return GeodesicPath(
-        ts=ts, points=points, velocities=velocities, speeds=speeds, speed_drift=drift
-    )
+            raise LeftCone(ts[i + 1], f"t={float(ts[i + 1])!r}: {exc}") from exc
+    drift = np.abs(speeds - speeds[0]).max(axis=0)
+    return [
+        GeodesicPath(ts, points[:, b], velocities[:, b], speeds[:, b], float(drift[b]))
+        for b in range(len(V0))
+    ]
+
+
+def integrate_geodesic(
+    P0: ConePoint, v0: CohClass, T: float, steps: int
+) -> GeodesicPath:
+    """integrate_geodesics for the single initial velocity v0."""
+    return integrate_geodesics(P0, np.asarray(v0, dtype=float)[None, :], T, steps)[0]
 
 
 def path_length(form: IntersectionForm, samples: Sequence[CohClass]) -> float:
@@ -184,12 +149,11 @@ def path_length(form: IntersectionForm, samples: Sequence[CohClass]) -> float:
     approaches it from below on smooth curves, so paths that are nearly
     tight against a bound need fine sampling.
     """
-    pts = np.asarray([np.asarray(p, dtype=float) for p in samples])
+    pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or len(pts) < 2:
         raise ValueError("need at least two samples")
-    _admissible_grams(form, pts, what="sample")
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    _, grams = _admissible_grams(form, mids, what="segment midpoint")
+    admit(form, pts, "sample")
+    grams = admit(form, 0.5 * (pts[:-1] + pts[1:]), "segment midpoint").gram
     deltas = pts[1:] - pts[:-1]
     sq = np.einsum("bi,bij,bj->b", deltas, grams, deltas)
     return float(np.sqrt(np.maximum(sq, 0.0)).sum())
@@ -348,6 +312,32 @@ def split_report(P: ConePoint) -> SplitReport:
     )
 
 
+def draw_admissible(draw, check, what: str):
+    """The first draw() that check() accepts without NonPositiveVolume or
+    IndefiniteMetric; KConeError after SAMPLER_TRIES rejected draws."""
+    for _ in range(SAMPLER_TRIES):
+        cand = draw()
+        try:
+            check(cand)
+        except (NonPositiveVolume, IndefiniteMetric):
+            continue
+        return cand
+    raise KConeError(f"no admissible {what} in {SAMPLER_TRIES} draws")
+
+
+def admissible_perturbations(form, omega, count, scale=0.1, seed=0):
+    """Seeded admissible points omega + scale |omega| N(0, I) around the
+    point omega, which must itself be admissible."""
+    omega = ConePoint(form, omega).omega
+    rng = np.random.default_rng(seed)
+    spread = scale * np.linalg.norm(omega)
+
+    def draw():
+        return omega + spread * rng.standard_normal(form.rank_m)
+
+    return [draw_admissible(draw, partial(ConePoint, form), "point") for _ in range(count)]
+
+
 @dataclass
 class PullbackReport:
     max_vol_deviation: float
@@ -378,16 +368,10 @@ def pullback_isometry_check(
             f"matrix shape {mat.shape} does not map rank {form_y.rank_m} "
             f"into rank {form_x.rank_m}"
         )
+    if not (isfinite(degree) and degree != 0.0):
+        raise ValueError(f"degree must be finite and nonzero, got {degree!r}")
     base = np.asarray(base_point, dtype=float)
-    rng = np.random.default_rng(seed)
-    points = [base]
-    while len(points) < n_samples:
-        cand = base + scale * np.linalg.norm(base) * rng.standard_normal(form_y.rank_m)
-        try:
-            ConePoint(form_y, cand)
-        except (NonPositiveVolume, IndefiniteMetric):
-            continue
-        points.append(cand)
+    points = [base] + admissible_perturbations(form_y, base, n_samples - 1, scale, seed)
     max_vol = 0.0
     max_gram = 0.0
     for w in points:

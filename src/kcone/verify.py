@@ -23,7 +23,6 @@ from .curvature import (
     riemann_tensor,
     tautological_field,
 )
-from .errors import IndefiniteMetric, NonPositiveVolume
 from .fdcheck import (
     FDConfig,
     check_connection,
@@ -33,11 +32,12 @@ from .fdcheck import (
     check_primitive_field,
 )
 from .intersection import IntersectionForm
-from .metric import ConePoint
+from .metric import ConePoint, admit
 from .paths import (
-    _admissible_grams,
+    admissible_perturbations,
     boundary_probe,
-    integrate_geodesic,
+    draw_admissible,
+    integrate_geodesics,
     length_bound_check,
     pullback_isometry_check,
 )
@@ -48,20 +48,6 @@ _CFG = FDConfig()
 
 # entries whose derivation algebra dimension is pinned by the suite
 _DERIVATION_DIMS = {"P3": 0, "QUINTIC": 0, "P1XP1": 0, "LOR3": 1}
-
-
-def admissible_perturbations(form, omega, count, scale=0.1, seed=0):
-    """Seeded admissible points near omega, by rejection sampling."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        cand = omega + scale * np.linalg.norm(omega) * rng.standard_normal(form.rank_m)
-        try:
-            ConePoint(form, cand)
-        except (NonPositiveVolume, IndefiniteMetric):
-            continue
-        out.append(cand)
-    return out
 
 
 # -- criterion helpers ------------------------------------------------------
@@ -190,26 +176,20 @@ def flat_curvature_deviation(name: str) -> float:
     return float(np.abs(riemann_tensor(default_point(name)).entries).max())
 
 
-def radial_geodesic_deviation(name: str, steps: int = 1000) -> float:
-    """Criterion 9a: RK4 against the closed form e^{t/n} omega."""
+def geodesic_deviations(name: str, count: int = 10, steps: int = 1000):
+    """Criteria 9a and 9b from one batched integration: the radial ray
+    against its closed form e^{t/n} omega, and the worst speed drift over
+    seeded random initial data."""
     P = default_point(name)
     n = P.dim_n
-    path = integrate_geodesic(P, P.omega / n, 1.0, steps)
-    closed = np.exp(path.ts[:, None] / n) * P.omega[None, :]
-    return float(np.abs(path.points - closed).max())
-
-
-def speed_drift_deviation(name: str, count: int = 10, steps: int = 1000) -> float:
-    """Criterion 9b: speed conservation on seeded random initial data."""
-    P = default_point(name)
     rng = np.random.default_rng(42)
-    worst = 0.0
+    velocities = [P.omega / n]
     for _ in range(count):
         vr = rng.standard_normal(P.rank_m)
-        v0 = 0.25 * vr / sqrt(P.inner(vr, vr))
-        path = integrate_geodesic(P, v0, 1.0, steps)
-        worst = max(worst, path.speed_drift)
-    return worst
+        velocities.append(0.25 * vr / sqrt(P.inner(vr, vr)))
+    radial, *rest = integrate_geodesics(P, np.array(velocities), 1.0, steps)
+    closed = np.exp(radial.ts[:, None] / n) * P.omega[None, :]
+    return float(np.abs(radial.points - closed).max()), max(p.speed_drift for p in rest)
 
 
 def _random_piecewise_path(form, omega0, rng, waypoints=4, scale=0.15, subdiv=64):
@@ -220,25 +200,23 @@ def _random_piecewise_path(form, omega0, rng, waypoints=4, scale=0.15, subdiv=64
     criterion slack.
     """
     pts = [np.asarray(omega0, float)]
+    grid = np.linspace(0.0, 1.0, subdiv + 1)
+
+    def draw():
+        step = scale * np.linalg.norm(pts[-1]) * rng.standard_normal(form.rank_m)
+        return pts[-1] + step
+
+    def check_segment(cand):
+        seg = pts[-1][None, :] + grid[:, None] * (cand - pts[-1])[None, :]
+        admit(form, seg)
+        admit(form, 0.5 * (seg[:-1] + seg[1:]))
+
     while len(pts) < waypoints + 1:
-        cand = pts[-1] + scale * np.linalg.norm(pts[-1]) * rng.standard_normal(
-            form.rank_m
-        )
-        seg = pts[-1][None, :] + np.linspace(0.0, 1.0, subdiv + 1)[:, None] * (
-            cand - pts[-1]
-        )[None, :]
-        try:
-            _admissible_grams(form, seg)
-            _admissible_grams(form, 0.5 * (seg[:-1] + seg[1:]))
-        except (NonPositiveVolume, IndefiniteMetric):
-            continue
-        pts.append(cand)
-    fine = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        for t in np.linspace(0.0, 1.0, subdiv, endpoint=False):
-            fine.append(a + t * (b - a))
-    fine.append(pts[-1])
-    return np.asarray(fine)
+        pts.append(draw_admissible(draw, check_segment, "waypoint"))
+    a, b = np.array(pts[:-1]), np.array(pts[1:])
+    t = np.linspace(0.0, 1.0, subdiv, endpoint=False)
+    fine = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+    return np.concatenate([fine.reshape(-1, form.rank_m), pts[-1][None, :]])
 
 
 def length_bound_violation(name: str, count: int = 50) -> float:
@@ -417,8 +395,9 @@ def run_verification(names=None):
             )
         if CATALOG[name].rank_m == 1:
             add(f"{name}:flat_curvature", flat_curvature_deviation(name), 1e-14)
-        add(f"{name}:radial_geodesic", radial_geodesic_deviation(name), 1e-8)
-        add(f"{name}:geodesic_speed_drift", speed_drift_deviation(name), 1e-8)
+        radial_dev, drift_dev = geodesic_deviations(name)
+        add(f"{name}:radial_geodesic", radial_dev, 1e-8)
+        add(f"{name}:geodesic_speed_drift", drift_dev, 1e-8)
         add(f"{name}:length_lower_bound", length_bound_violation(name), 1e-9)
         add(f"{name}:radial_bound_tightness", radial_tightness_deviation(name), 1e-8)
         add(f"{name}:sqrt2_bound_violated", sqrt2_bound_violated(name), 0.0)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -145,6 +149,44 @@ def test_exit_code_inadmissible(capsys):
     code, out, _ = run_cli(capsys, "metric", "CY3GEN", "--at", "1,-1")
     assert code == 2
     assert json.loads(out)["error"] == "IndefiniteMetric"
+
+
+def test_pullback_inadmissible_base_exits_2_without_hanging():
+    # the base point has negative volume; sampling around it used to loop forever
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcone", "pullback", "P1XP1", "P1XP1",
+         "--matrix", "1,0;0,1", "--degree", "1", "--at", "1,-1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "NonPositiveVolume"
+
+
+def test_pullback_degree_zero_is_input_error(capsys):
+    code, out, err = run_cli(
+        capsys, "pullback", "P1XP1", "P1XP1", "--matrix", "1,0;0,1", "--degree", "0"
+    )
+    assert code == 1 and out == ""
+    assert "degree" in err
+
+
+def test_non_finite_point_is_input_error(capsys):
+    for at in ("inf,1", "nan,1", "1,-inf"):
+        code, out, err = run_cli(capsys, "metric", "P1XP1", "--at", at)
+        assert code == 1 and out == ""
+        assert "non-finite" in err
+
+
+def test_non_finite_coefficient_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"name": "X", "dim": 2, "h11": 2, '
+        '"intersection": [{"index": [1, 2], "value": Infinity}]}'
+    )
+    code, out, err = run_cli(capsys, "metric", str(path), "--at", "1,1")
+    assert code == 1 and out == ""
+    assert "non-finite" in err
 
 
 def test_exit_code_left_cone(capsys):

@@ -188,3 +188,26 @@ def test_pullback_dimension_mismatch():
 def test_direct_construction_normalizes_indices():
     form = IntersectionForm(name="X", dim_n=2, rank_m=2, coeffs={(2, 1): 3.0})
     assert form.coeffs == {(1, 2): 3.0}
+
+
+def test_parse_rejects_boolean_integers():
+    for field in ("dim", "h11"):
+        obj = json.loads(P1XP1_FILE)
+        obj[field] = True
+        with pytest.raises(ManifoldFormatError, match="integers"):
+            parse_manifold(json.dumps(obj))
+    obj = json.loads(P1XP1_FILE)
+    obj["intersection"][0]["index"] = [True, 2]
+    with pytest.raises(ManifoldFormatError, match="bad index"):
+        parse_manifold(json.dumps(obj))
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), "1e999", 10**400])
+def test_non_finite_coefficients_rejected(value):
+    obj = json.loads(P1XP1_FILE)
+    obj["intersection"][0]["value"] = value
+    with pytest.raises(ManifoldFormatError):
+        parse_manifold(json.dumps(obj))
+    if isinstance(value, float):
+        with pytest.raises(ManifoldFormatError, match="non-finite"):
+            IntersectionForm(name="X", dim_n=2, rank_m=2, coeffs={(1, 2): value})

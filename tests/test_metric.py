@@ -4,7 +4,7 @@ import pytest
 from kcone.catalog import CATALOG, catalog_names, default_point
 from kcone.errors import IndefiniteMetric, NonPositiveVolume
 from kcone.fdcheck import check_lambda_derivative
-from kcone.metric import ConePoint
+from kcone.metric import ConePoint, admit
 
 
 def test_cone_point_p1xp1():
@@ -28,6 +28,36 @@ def test_cone_point_rejects_indefinite_gram():
     # volume (8 - 12 + 6)/6 = 1/3 > 0 but the Gram matrix is indefinite
     with pytest.raises(IndefiniteMetric):
         ConePoint(CATALOG["CY3GEN"], np.array([1.0, -1.0]))
+
+
+def test_cone_point_rejects_non_finite_omega():
+    with pytest.raises(ValueError, match="non-finite"):
+        ConePoint(CATALOG["P1XP1"], np.array([np.inf, 1.0]))
+
+
+def test_lefschetz_batch_matches_cone_points():
+    # one batched kernel call agrees with per-point admission on every catalog form
+    rng = np.random.default_rng(4)
+    for name in catalog_names():
+        P = default_point(name)
+        X = P.omega * (1.0 + 0.01 * rng.standard_normal((5, 1)))
+        data = admit(P.form, X)
+        for b, x in enumerate(X):
+            Q = ConePoint(P.form, x)
+            assert abs(data.vol[b] - Q.vol) <= 1e-14 * Q.vol
+            assert np.abs(data.lam[b] - Q._lam).max() <= 1e-14
+            assert np.abs(data.gram[b] - Q.gram).max() <= 1e-14 * np.abs(Q.gram).max()
+            if Q._lam3 is not None:
+                lam3 = data.stage3[min(b, len(data.stage3) - 1)] / data.vol[b]
+                assert np.abs(lam3 - Q._lam3).max() <= 1e-14 * np.abs(Q._lam3).max()
+
+
+def test_admit_names_the_failing_row():
+    X = np.array([[1.0, 1.0], [1.0, -1.0]])
+    with pytest.raises(NonPositiveVolume, match="point 1"):
+        admit(CATALOG["P1XP1"], X)
+    with pytest.raises(IndefiniteMetric, match="point 1"):
+        admit(CATALOG["CY3GEN"], X)
 
 
 def test_cone_point_caches_consistent():

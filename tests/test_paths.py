@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from kcone import paths
 from kcone.catalog import CATALOG, catalog_names, default_omega, default_point
 from kcone.errors import KConeError, LeftCone, NonPositiveVolume
 from kcone.intersection import IntersectionForm
 from kcone.paths import (
+    admissible_perturbations,
     boundary_probe,
     integrate_geodesic,
+    integrate_geodesics,
     length_bound_check,
     path_length,
     pullback_isometry_check,
@@ -14,6 +17,7 @@ from kcone.paths import (
     split_report,
     unsplit,
 )
+from kcone.verify import _random_piecewise_path
 
 
 def test_radial_geodesic_matches_closed_form():
@@ -67,6 +71,44 @@ def test_geodesic_left_cone():
     assert 0.0 < err.value.t <= 1.0
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_integrate_geodesics_matches_single_calls(name):
+    P = default_point(name)
+    rng = np.random.default_rng(3)
+    V0 = [P.omega / P.dim_n]
+    for _ in range(3):
+        vr = rng.standard_normal(P.rank_m)
+        V0.append(0.25 * vr / np.sqrt(P.inner(vr, vr)))
+    V0 = np.array(V0)
+    batch = integrate_geodesics(P, V0, 1.0, 200)
+    assert len(batch) == len(V0)
+    for v0, path in zip(V0, batch):
+        single = integrate_geodesic(P, v0, 1.0, 200)
+        assert np.array_equal(path.ts, single.ts)
+        assert np.abs(path.points - single.points).max() <= 1e-14
+        assert np.abs(path.velocities - single.velocities).max() <= 1e-14
+        assert np.abs(path.speeds - single.speeds).max() <= 1e-14
+        assert abs(path.speed_drift - single.speed_drift) <= 1e-14
+
+
+def test_integrate_geodesics_mixed_batch_left_cone():
+    # member 0 runs into the wall where the Gram matrix degenerates
+    P = default_point("CY3GEN")
+    V0 = np.array([[0.0, -2.0], [0.1, 0.05]])
+    with pytest.raises(LeftCone, match="member 0") as err:
+        integrate_geodesics(P, V0, 1.0, 400)
+    assert 0.0 < err.value.t <= 1.0
+
+
+def test_integrate_geodesics_rejects_bad_batches():
+    P = default_point("P1XP1")
+    with pytest.raises(ValueError, match="nonzero"):
+        integrate_geodesics(P, np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0, 10)
+    for V0 in (np.ones(2), np.ones((1, 3)), np.empty((0, 2))):
+        with pytest.raises(ValueError, match="shape"):
+            integrate_geodesics(P, V0, 1.0, 10)
+
+
 def test_path_length_flat_log_metric():
     # on the product of lines g = diag(1/x^2, 1/y^2); the straight segment
     # (1,1) -> (2,2) has length sqrt(2) log 2
@@ -74,6 +116,42 @@ def test_path_length_flat_log_metric():
     ts = np.linspace(0.0, 1.0, 1025)
     pts = (1.0 + ts)[:, None] * np.ones(2)[None, :]
     assert path_length(form, pts) == pytest.approx(np.sqrt(2.0) * np.log(2.0), abs=1e-6)
+
+
+def test_path_length_list_and_array_agree():
+    form = CATALOG["CY3GEN"]
+    ts = np.linspace(0.0, 1.0, 33)
+    pts = np.array([1.0, 1.0]) + ts[:, None] * np.array([0.5, -0.3])
+    assert path_length(form, list(pts)) == path_length(form, pts)
+
+
+def test_random_piecewise_path_is_linear_between_waypoints():
+    form = CATALOG["CY3GEN"]
+    subdiv = 64
+    path = _random_piecewise_path(
+        form, default_omega("CY3GEN"), np.random.default_rng(5), subdiv=subdiv
+    )
+    waypoints = path[::subdiv]
+    expected = [
+        a + t * (b - a)
+        for a, b in zip(waypoints[:-1], waypoints[1:])
+        for t in np.linspace(0.0, 1.0, subdiv, endpoint=False)
+    ]
+    expected.append(waypoints[-1])
+    assert path.shape == (4 * subdiv + 1, 2)
+    assert np.array_equal(path, np.array(expected))
+
+
+def test_samplers_give_up_after_bounded_draws(monkeypatch):
+    monkeypatch.setattr(paths, "SAMPLER_TRIES", 0)
+    form = CATALOG["P1XP1"]
+    omega = default_omega("P1XP1")
+    with pytest.raises(KConeError, match="0 draws"):
+        admissible_perturbations(form, omega, 1)
+    with pytest.raises(KConeError, match="0 draws"):
+        pullback_isometry_check(form, form, np.eye(2), 1.0, omega)
+    with pytest.raises(KConeError, match="0 draws"):
+        _random_piecewise_path(form, omega, np.random.default_rng(5))
 
 
 def test_path_length_rejects_inadmissible_sample():
@@ -203,3 +281,16 @@ def test_pullback_isometry_shape_mismatch():
     form = CATALOG["P1XP1"]
     with pytest.raises(ValueError, match="matrix shape"):
         pullback_isometry_check(form, form, np.eye(3), 1.0, default_omega("P1XP1"))
+
+
+def test_pullback_rejects_inadmissible_base():
+    form = CATALOG["P1XP1"]
+    with pytest.raises(NonPositiveVolume):
+        pullback_isometry_check(form, form, np.eye(2), 1.0, np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("degree", [0.0, float("inf"), float("nan")])
+def test_pullback_rejects_bad_degree(degree):
+    form = CATALOG["P1XP1"]
+    with pytest.raises(ValueError, match="degree"):
+        pullback_isometry_check(form, form, np.eye(2), degree, default_omega("P1XP1"))
