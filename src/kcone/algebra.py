@@ -11,6 +11,9 @@ algebraic curvature tensor, decomposes as minus a sum of Kulkarni-Nomizu
 squares, and relates to the cone metric by
 
     riemann(u,v,z,w) = -R_alg(primitive parts).
+
+The structure constants are half of ConePoint.lambda_pairs, the single
+source of Lam(e_i cup e_j) that also feeds the connection and curvature.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import List
 
 import numpy as np
 
-from .curvature import CurvatureTensor
+from .curvature import CurvatureTensor, pair_curvature
 from .errors import KConeError
 from .intersection import CohClass
 from .metric import ConePoint
@@ -83,28 +86,15 @@ class AlgebraAtPoint:
 
     def __init__(self, base: ConePoint):
         self.base = base
-        m = base.rank_m
-        eye = np.eye(m)
-        s = np.empty((m, m, m))
-        for i in range(m):
-            for j in range(i, m):
-                s[i, j] = 0.5 * base.lambda_class(eye[i], eye[j])
-                s[j, i] = s[i, j]
-        self.structure = s
+        self.structure = 0.5 * base.lambda_pairs
 
     def product(self, u: CohClass, v: CohClass) -> CohClass:
         """u . v = 1/2 Lam(u cup v); commutative and bilinear."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return np.einsum("ijk,i,j->k", self.structure, u, v, optimize=True)
+        return 0.5 * self.base.lambda_class(u, v)
 
     def curvature_tensor(self) -> CurvatureTensor:
         """R_alg(x,y,z,w) = <x.w, y.z> - <x.z, y.w> on the basis."""
-        ip = np.einsum(
-            "ija,ab,klb->ijkl", self.structure, self.base.gram, self.structure,
-            optimize=True,
-        )
-        entries = np.einsum("iljk->ijkl", ip) - np.einsum("ikjl->ijkl", ip)
+        entries = -4.0 * pair_curvature(self.structure, self.base.gram)
         return CurvatureTensor(entries=entries, base_point=self.base)
 
     def bilinear_forms(self) -> BilinearFormSet:
@@ -117,11 +107,12 @@ class AlgebraAtPoint:
 
     def kn_reconstruction_residual(self) -> float:
         """Max deviation of R_alg + sum_l (b_l ^ b_l) from zero."""
-        fs = self.bilinear_forms()
-        total = np.zeros((self.base.rank_m,) * 4)
-        for b in fs.forms:
-            total += kn_product(b)
-        return float(np.abs(self.curvature_tensor().entries + total).max())
+        total = self.curvature_tensor().entries
+        f = self.bilinear_forms().forms
+        a = np.einsum("lik,ljm->ijkm", f, f, optimize=True)
+        total += a   # sum_l (b_l ^ b_l) = a - a.transpose(0, 1, 3, 2)
+        total -= a.transpose(0, 1, 3, 2)
+        return float(np.abs(total).max())
 
     def constant_curvature_test(self) -> ConstantCurvatureFit:
         """Best multiple of the induced S^2 inner product inside <x.y, z.w>.
@@ -168,17 +159,14 @@ class AlgebraAtPoint:
             raise ValueError("derivation analysis requires complex dimension >= 2")
         m = self.base.rank_m
         s = self.structure
-        rows = []
-        for i in range(m):
-            for j in range(i, m):
-                for c in range(m):
-                    row = np.zeros((m, m))
-                    row[c, :] += s[i, j, :]        # D applied to e_i . e_j
-                    row[:, i] -= s[:, j, c]        # (D e_i) . e_j
-                    row[:, j] -= s[i, :, c]        # e_i . (D e_j)
-                    rows.append(row.ravel())
-        system = np.array(rows)
-        _, sv, vh = np.linalg.svd(system)
+        eye = np.eye(m)
+        i, j = np.triu_indices(m)
+        # row (i <= j, c) holds the coefficients of D[p, q] in component c of
+        # D(e_i . e_j) - (D e_i) . e_j - e_i . (D e_j)
+        system = np.einsum("cp,rq->rcpq", eye, s[i, j])
+        system -= np.einsum("prc,rq->rcpq", s[:, j], eye[i])
+        system -= np.einsum("rpc,rq->rcpq", s[i], eye[j])
+        _, sv, vh = np.linalg.svd(system.reshape(-1, m * m), full_matrices=False)
         cutoff = NULL_TOL * (sv[0] if sv.size else 1.0)
         null = vh[np.sum(sv > cutoff):]
         out = []
@@ -193,7 +181,7 @@ class AlgebraAtPoint:
         d_omega = d @ P.omega
         if P.norm(d_omega) > tol:
             raise KConeError("derivation fails D omega = 0")
-        if max(abs(P.lambda_scalar([d[:, i]])) for i in range(P.rank_m)) > tol:
+        if np.abs(P._lam @ d).max() > tol:
             raise KConeError("derivation image is not primitive")
         adjoint = P.gram_inv @ d.T @ P.gram
         if float(np.linalg.norm(adjoint + d)) > tol:

@@ -224,6 +224,11 @@ def _cmd_probe(args):
     for _ in range(args.halvings + 1):
         if t < args.t_min:
             break
+        if t == 0.0 < args.t_max:
+            raise _UsageError(
+                f"--t-max {args.t_max!r} halved {args.halvings} times underflows "
+                "to 0; lower --halvings or raise --t-min"
+            )
         schedule.append(t)
         t /= 2.0
     rep = boundary_probe(form, alpha, omega, schedule)

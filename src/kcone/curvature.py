@@ -16,6 +16,10 @@ The curvature tensor, evaluated on primitive parts, is
 All four arguments are projected to their primitive parts first: the
 metric splits off a flat radial line, so the tensor degenerates to the
 primitive subspace and vanishes whenever a slot is omega.
+
+Gamma and R on the basis are whole-tensor expressions in ConePoint.lambda_pairs,
+the single source of Lam(e_i cup e_j).  fdcheck differentiates the Gram and
+Christoffel tensors once per basis direction: O(m) cone points per check.
 """
 
 from __future__ import annotations
@@ -34,12 +38,14 @@ __all__ = [
     "constant_field",
     "tautological_field",
     "primitive_projection_field",
+    "christoffel_tensor",
     "christoffel",
     "covariant_derivative",
     "riemann",
     "riemann_alt",
     "inner22",
     "CurvatureTensor",
+    "pair_curvature",
     "riemann_tensor",
     "DerivedCurvatures",
     "derived_curvatures",
@@ -96,18 +102,22 @@ def primitive_projection_field(u0: CohClass) -> VectorField:
     return VectorField(value_at=value, jacobian_at=jacobian)
 
 
-def christoffel(P: ConePoint, z: CohClass, u: CohClass) -> CohClass:
-    """Gamma(z, u) = -1/2 Lam(u) z - 1/2 Lam(z) u + 1/2 Lam(u cup z).
+def christoffel_tensor(P: ConePoint) -> np.ndarray:
+    """Gamma on the basis, shape (m, m, m): row (z, u) is nabla_z u for a
+    constant field u,
 
-    This is nabla_z u for a constant field u; symmetric and bilinear in
-    (z, u), hence torsion-free.  Note Gamma(z, omega) = -z, which exactly
-    cancels the jacobian of the tautological field.
+        Gamma(e_z, e_u) = -1/2 Lam(e_u) e_z - 1/2 Lam(e_z) e_u + 1/2 Lam(e_u cup e_z),
+
+    exactly symmetric in (z, u), hence torsion-free.  Gamma(z, omega) = -z
+    exactly cancels the jacobian of the tautological field.
     """
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    lam_u = P.lambda_scalar([u])
-    lam_z = P.lambda_scalar([z])
-    return -0.5 * (lam_u * z + lam_z * u) + 0.5 * P.lambda_class(u, z)
+    radial = np.einsum("zk,u->zuk", np.eye(P.rank_m), P._lam)
+    return 0.5 * P.lambda_pairs - 0.5 * (radial + radial.transpose(1, 0, 2))
+
+
+def christoffel(P: ConePoint, z: CohClass, u: CohClass) -> CohClass:
+    """Gamma(z, u): christoffel_tensor contracted with z and u."""
+    return np.asarray(z, dtype=float) @ (np.asarray(u, dtype=float) @ christoffel_tensor(P))
 
 
 def covariant_derivative(P: ConePoint, u: VectorField, z: CohClass) -> CohClass:
@@ -187,11 +197,10 @@ class CurvatureTensor:
     def omega_slot_deviation(self) -> float:
         """Max entry after inserting omega in any slot (metric tensor only)."""
         omega = self.base_point.omega
-        r = self.entries
-        devs = []
-        for axis in range(4):
-            devs.append(float(np.abs(np.tensordot(r, omega, axes=([axis], [0]))).max()))
-        return max(devs)
+        return max(
+            float(np.abs(np.tensordot(self.entries, omega, axes=([a], [0]))).max())
+            for a in range(4)
+        )
 
     def evaluate(self, u, v, z, w) -> float:
         return float(
@@ -199,19 +208,19 @@ class CurvatureTensor:
         )
 
 
+def pair_curvature(pairs: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """The 4-tensor 1/4 (<L_ik, L_jl> - <L_il, L_jk>) of a pair tensor
+    L[i, j] of shape (m, m, m), with inner products taken by gram."""
+    ip = np.einsum("ija,ab,klb->ijkl", pairs, gram, pairs, optimize=True)
+    return 0.25 * (np.einsum("ikjl->ijkl", ip) - np.einsum("iljk->ijkl", ip))
+
+
 def riemann_tensor(P: ConePoint) -> CurvatureTensor:
-    """Materialize R on the basis (arguments projected to primitive parts)."""
-    m = P.rank_m
-    basis = np.eye(m)
-    prim = np.array([P.primitive_part(basis[i]) for i in range(m)])
-    pairs = np.empty((m, m, m))
-    for i in range(m):
-        for j in range(i, m):
-            pairs[i, j] = P.lambda_class(prim[i], prim[j])
-            pairs[j, i] = pairs[i, j]
-    ip = np.einsum("ija,ab,klb->ijkl", pairs, P.gram, pairs, optimize=True)
-    entries = 0.25 * (np.einsum("ikjl->ijkl", ip) - np.einsum("iljk->ijkl", ip))
-    return CurvatureTensor(entries=entries, base_point=P)
+    """R on the basis: pair_curvature of the pair tensor with both slots
+    projected to primitive parts by Pi = I - omega Lam^T / n."""
+    pi = np.eye(P.rank_m) - np.outer(P.omega, P._lam) / P.dim_n
+    prim = np.einsum("ai,bj,abk->ijk", pi, pi, P.lambda_pairs, optimize=True)
+    return CurvatureTensor(entries=pair_curvature(prim, P.gram), base_point=P)
 
 
 class DerivedCurvatures(NamedTuple):

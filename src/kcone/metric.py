@@ -14,6 +14,7 @@ and Vol = int(omega^n)/n!.  The same quadratic form is the Hessian of
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import factorial
 from typing import NamedTuple, Optional, Sequence
 
@@ -177,22 +178,24 @@ class ConePoint:
         u = np.asarray(u, dtype=float)
         return u - (float(self._lam @ u) / self.dim_n) * self.omega
 
-    def lambda_class(self, u: CohClass, v: CohClass) -> CohClass:
-        """The (1,1)-class Lam(u cup v), the metric dual of
+    @cached_property
+    def lambda_pairs(self) -> np.ndarray:
+        """Lam(e_i cup e_j), shape (m, m, m): row (i, j) is the metric dual of
 
-            z |-> -Lam3(u cup v cup z) + Lam2(u cup v) Lam(z).
+            z |-> -Lam3(e_i cup e_j cup z) + Lam2(e_i cup e_j) Lam(z)
+
+        (no Lam3 term for n < 3), exactly symmetric in (i, j).  The single
+        source of Lam(u cup v) for the connection, curvature and algebra.
+        """
+        rhs = np.multiply.outer(self._lam2, self._lam)
+        if self._lam3 is not None:
+            rhs -= self._lam3
+        pairs = rhs @ self.gram_inv.T
+        return 0.5 * (pairs + pairs.transpose(1, 0, 2))
+
+    def lambda_class(self, u: CohClass, v: CohClass) -> CohClass:
+        """The (1,1)-class Lam(u cup v): lambda_pairs contracted with u and v.
 
         Symmetric and bilinear in (u, v).
         """
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self._lam3 is not None:
-            vec3 = np.tensordot(
-                np.tensordot(self._lam3, v, axes=([2], [0])), u, axes=([0], [0])
-            )
-        else:
-            vec3 = 0.0
-        lam2_uv = float(u @ self._lam2 @ v)
-        rhs = -vec3 + lam2_uv * self._lam
-        return self.gram_inv @ rhs
-
+        return np.asarray(u, dtype=float) @ (np.asarray(v, dtype=float) @ self.lambda_pairs)

@@ -121,6 +121,14 @@ def test_kn_decomposition_reconstructs_curvature():
         assert algebra_at(default_point(name)).kn_reconstruction_residual() <= 1e-10
 
 
+def test_kn_residual_matches_sum_of_kn_squares():
+    for name in ("BLP2", "LOR3", "CY3GEN"):
+        alg = algebra_at(default_point(name))
+        total = sum(kn_product(b) for b in alg.bilinear_forms().forms)
+        expect = float(np.abs(alg.curvature_tensor().entries + total).max())
+        assert abs(alg.kn_reconstruction_residual() - expect) <= 1e-14
+
+
 def test_constant_curvature_rank_one_trivial():
     fit = algebra_at(default_point("P3")).constant_curvature_test()
     assert fit.residual <= fit.tol

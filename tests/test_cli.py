@@ -78,6 +78,15 @@ def test_probe_divergent(capsys):
     assert rep["outputs"]["classification"] == "DIVERGENT"
 
 
+def test_probe_halvings_underflow_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "probe", "P1XP1", "--alpha", "1,0", "--omega", "1,1", "--halvings", "2000",
+    )
+    assert code == 1 and out == ""
+    assert "--t-max 1.0 halved 2000 times underflows to 0" in err
+
+
 def test_algebra_flags(capsys):
     code, out, _ = run_cli(
         capsys, "algebra", "LOR3", "--derivations", "--kn", "--constant-curvature"

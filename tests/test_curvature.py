@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from kcone.catalog import catalog_names, default_point
 from kcone.curvature import (
     christoffel,
+    christoffel_tensor,
     constant_field,
     covariant_derivative,
     derived_curvatures,
@@ -151,6 +154,32 @@ def test_riemann_alt_agrees():
                         a = riemann(P, eye[i], eye[j], eye[k], eye[l])
                         b = riemann_alt(P, eye[i], eye[j], eye[k], eye[l])
                         assert abs(a - b) <= 1e-10
+
+
+def test_quartic_curvature_closed_forms_agree(quartic_points):
+    # n = 4: the pair tensor's Lam3 is a contraction with omega, and inner22
+    # carries its Lam4 term
+    for P in quartic_points.values():
+        eye = np.eye(P.rank_m)
+        entries = riemann_tensor(P).entries
+        for idx in itertools.product(range(P.rank_m), repeat=4):
+            args = [eye[a] for a in idx]
+            r = riemann(P, *args)
+            assert abs(r - riemann_alt(P, *args)) <= 1e-15, (P, idx)
+            assert abs(r - entries[idx]) <= 1e-15, (P, idx)
+
+
+def test_christoffel_tensor_matches_formula(quartic_points):
+    points = [default_point(name) for name in catalog_names()]
+    for P in points + list(quartic_points.values()):
+        gamma = christoffel_tensor(P)
+        assert np.abs(gamma - gamma.transpose(1, 0, 2)).max() == 0.0
+        eye = np.eye(P.rank_m)
+        for z, u in itertools.product(range(P.rank_m), repeat=2):
+            expect = -0.5 * (
+                P.lambda_scalar([eye[u]]) * eye[z] + P.lambda_scalar([eye[z]]) * eye[u]
+            ) + 0.5 * P.lambda_class(eye[u], eye[z])
+            assert np.abs(gamma[z, u] - expect).max() <= 1e-14, (P, z, u)
 
 
 def test_curvature_tensor_symmetries():

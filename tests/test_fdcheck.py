@@ -1,8 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from kcone.catalog import CATALOG, default_point
-from kcone.fdcheck import FDConfig, check_hessian_metric, fd_directional, fd_hessian
+from kcone.curvature import christoffel, riemann_tensor
+from kcone.fdcheck import (
+    FDConfig,
+    check_connection,
+    check_curvature,
+    check_hessian_metric,
+    fd_directional,
+    fd_hessian,
+)
 from kcone.metric import ConePoint
 
 
@@ -80,3 +90,55 @@ def test_report_serialization():
     d = rep.as_dict()
     assert set(d) == {"name", "max_dev", "tol", "pass"}
     assert d["pass"] is True
+
+
+def test_fd_checks_pass_on_quartics(quartic_points):
+    for P in quartic_points.values():
+        assert check_hessian_metric(P).passed
+        assert check_connection(P).passed
+        assert check_curvature(P).passed
+
+
+def _connection_per_triple(P, cfg):
+    """Reference for check_connection: one FD probe per triple (z, u <= v)."""
+    form, eye = P.form, np.eye(P.rank_m)
+    max_dev = 0.0
+    for iz, iu, iv in itertools.product(range(P.rank_m), repeat=3):
+        if iu > iv:
+            continue
+        z, u, v = eye[iz], eye[iu], eye[iv]
+        fd = fd_directional(lambda w: ConePoint(form, w).inner(u, v), P.omega, z, cfg)
+        analytic = P.inner(christoffel(P, z, u), v) + P.inner(u, christoffel(P, z, v))
+        max_dev = max(max_dev, abs(fd - analytic) / max(1.0, abs(analytic)))
+    return max_dev
+
+
+def _curvature_per_triple(P, cfg):
+    """Reference for check_curvature: FD probes per triple (u < v, z)."""
+    form, m, eye = P.form, P.rank_m, np.eye(P.rank_m)
+    tensor = riemann_tensor(P).entries
+    scale = max(1.0, float(np.abs(tensor).max()))
+    max_dev = 0.0
+    for iu, iv, iz in itertools.product(range(m), repeat=3):
+        if iu >= iv:
+            continue
+        u, v, z = eye[iu], eye[iv], eye[iz]
+        d_u = fd_directional(lambda w: christoffel(ConePoint(form, w), v, z), P.omega, u, cfg)
+        d_v = fd_directional(lambda w: christoffel(ConePoint(form, w), u, z), P.omega, v, cfg)
+        vec = (
+            d_u
+            - d_v
+            + christoffel(P, u, christoffel(P, v, z))
+            - christoffel(P, v, christoffel(P, u, z))
+        )
+        dev = float(np.abs(P.gram @ vec - tensor[iu, iv, iz, :]).max())
+        max_dev = max(max_dev, dev / scale)
+    return max_dev
+
+
+@pytest.mark.parametrize("name", ["CY3GEN", "LOR3", "P1^4"])
+def test_whole_tensor_fd_checks_match_per_triple_loops(name, quartic_points):
+    P = quartic_points[name] if name in quartic_points else default_point(name)
+    cfg = FDConfig()
+    assert abs(check_connection(P, cfg).max_dev - _connection_per_triple(P, cfg)) <= 1e-9
+    assert abs(check_curvature(P, cfg).max_dev - _curvature_per_triple(P, cfg)) <= 1e-9

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,18 @@ def test_lambda_derivative_zero_direction():
     P = default_point("P1XP1")
     rep = check_lambda_derivative(P, [np.array([1.0, 0.0])], np.zeros(2))
     assert rep.max_dev == 0.0
+
+
+def test_lambda_pairs_symmetric_and_defining_equation(quartic_points):
+    # G Lam(e_i cup e_j) = -Lam3(e_i, e_j, .) + Lam2(e_i, e_j) Lam, entry by entry
+    points = [default_point(name) for name in catalog_names()]
+    for P in points + list(quartic_points.values()):
+        pairs = P.lambda_pairs
+        assert np.abs(pairs - pairs.transpose(1, 0, 2)).max() == 0.0
+        eye = np.eye(P.rank_m)
+        for i, j, k in itertools.product(range(P.rank_m), repeat=3):
+            rhs = -P.lambda_scalar([eye[i], eye[j], eye[k]]) + P.lambda_scalar(
+                [eye[i], eye[j]]
+            ) * P.lambda_scalar([eye[k]])
+            assert abs(P.gram[k] @ pairs[i, j] - rhs) <= 1e-12, (P, i, j, k)
+

@@ -142,6 +142,16 @@ def test_random_piecewise_path_is_linear_between_waypoints():
     assert np.array_equal(path, np.array(expected))
 
 
+def test_random_path_segment_lengths_sum_to_path_length():
+    form = CATALOG["CY3GEN"]
+    lengths = []
+    path = _random_piecewise_path(
+        form, default_omega("CY3GEN"), np.random.default_rng(5), lengths=lengths
+    )
+    assert len(lengths) == 4
+    assert sum(lengths) == pytest.approx(path_length(form, path), rel=1e-14)
+
+
 def test_samplers_give_up_after_bounded_draws(monkeypatch):
     monkeypatch.setattr(paths, "SAMPLER_TRIES", 0)
     form = CATALOG["P1XP1"]
