@@ -23,7 +23,7 @@ from math import isfinite
 import numpy as np
 
 from .algebra import algebra_at
-from .catalog import CATALOG, DEFAULT_OMEGA, default_omega
+from .catalog import CATALOG, default_omega
 from .curvature import christoffel, derived_curvatures, riemann_tensor
 from .errors import (
     DegeneratePlane,
@@ -91,12 +91,16 @@ def _resolve_form(token: str) -> IntersectionForm:
     )
 
 
-def _point(form: IntersectionForm, args) -> ConePoint:
-    if args.at is not None:
-        omega = _parse_class(args.at)
-    elif form.name in DEFAULT_OMEGA:
-        omega = default_omega(form.name)
-    else:
+def _default_omega(form: IntersectionForm):
+    """The default point of a catalog form, else None: a manifold file
+    that reuses a catalog name is another form and has none."""
+    return default_omega(form.name) if CATALOG.get(form.name) is form else None
+
+
+def _point(args) -> ConePoint:
+    form = _resolve_form(args.form)
+    omega = _parse_class(args.at) if args.at is not None else _default_omega(form)
+    if omega is None:
         raise _UsageError("--at is required for forms outside the catalog")
     return ConePoint(form, omega)
 
@@ -135,7 +139,7 @@ def _cmd_info(args):
                 "name": name,
                 "dim": f.dim_n,
                 "h11": f.rank_m,
-                "default_omega": list(DEFAULT_OMEGA[name]),
+                "default_omega": _default_omega(f),
                 "labels": list(f.labels),
             }
             for name, f in CATALOG.items()
@@ -145,26 +149,25 @@ def _cmd_info(args):
         ), 0
     form = _resolve_form(args.form)
     outputs = json.loads(serialize_manifold(form))
-    if form.name in DEFAULT_OMEGA:
-        outputs["default_omega"] = list(DEFAULT_OMEGA[form.name])
+    omega = _default_omega(form)
+    if omega is not None:
+        outputs["default_omega"] = omega
     return _report("info", form.name, {}, outputs), 0
 
 
 def _cmd_metric(args):
-    form = _resolve_form(args.form)
-    P = _point(form, args)
+    P = _point(args)
     outputs = {
         "vol": P.vol,
         "gram": P.gram,
         "gram_inv": P.gram_inv,
         "lambda_basis": P._lam,
     }
-    return _report("metric", form.name, {"at": P.omega}, outputs), 0
+    return _report("metric", P.form.name, {"at": P.omega}, outputs), 0
 
 
 def _cmd_curvature(args):
-    form = _resolve_form(args.form)
-    P = _point(form, args)
+    P = _point(args)
     tensor = riemann_tensor(P)
     outputs = {"tensor": tensor.entries}
     inputs = {"at": P.omega}
@@ -178,21 +181,19 @@ def _cmd_curvature(args):
             outputs["ricci"] = dc.ricci
         if args.scalar:
             outputs["scalar"] = dc.scalar
-    return _report("curvature", form.name, inputs, outputs), 0
+    return _report("curvature", P.form.name, inputs, outputs), 0
 
 
 def _cmd_connection(args):
-    form = _resolve_form(args.form)
-    P = _point(form, args)
+    P = _point(args)
     z = _parse_class(args.z)
     u = _parse_class(args.u)
     outputs = {"christoffel": christoffel(P, z, u)}
-    return _report("connection", form.name, {"at": P.omega, "z": z, "u": u}, outputs), 0
+    return _report("connection", P.form.name, {"at": P.omega, "z": z, "u": u}, outputs), 0
 
 
 def _cmd_geodesic(args):
-    form = _resolve_form(args.form)
-    P = _point(form, args)
+    P = _point(args)
     v0 = _parse_class(args.v)
     path = integrate_geodesic(P, v0, args.T, args.steps)
     if args.csv:
@@ -212,7 +213,7 @@ def _cmd_geodesic(args):
         "csv_written": args.csv,
     }
     inputs = {"at": P.omega, "v": v0, "T": float(args.T), "steps": int(args.steps)}
-    return _report("geodesic", form.name, inputs, outputs), 0
+    return _report("geodesic", P.form.name, inputs, outputs), 0
 
 
 def _cmd_probe(args):
@@ -252,8 +253,7 @@ def _cmd_probe(args):
 
 
 def _cmd_algebra(args):
-    form = _resolve_form(args.form)
-    P = _point(form, args)
+    P = _point(args)
     alg = algebra_at(P)
     outputs = {"structure_constants": alg.structure}
     if args.derivations:
@@ -274,12 +274,11 @@ def _cmd_algebra(args):
             "tol": fit.tol,
             "is_constant": fit.is_constant,
         }
-    return _report("algebra", form.name, {"at": P.omega}, outputs), 0
+    return _report("algebra", P.form.name, {"at": P.omega}, outputs), 0
 
 
 def _cmd_split(args):
-    form = _resolve_form(args.form)
-    P = _point(form, args)
+    P = _point(args)
     rep = split_report(P)
     outputs = {
         "t": rep.t,
@@ -289,18 +288,15 @@ def _cmd_split(args):
         "max_mixed_entry": rep.max_mixed_entry,
         "primitive_block": rep.primitive_block,
     }
-    return _report("split", form.name, {"at": P.omega}, outputs), 0
+    return _report("split", P.form.name, {"at": P.omega}, outputs), 0
 
 
 def _cmd_pullback(args):
     form_y = _resolve_form(args.form_y)
     form_x = _resolve_form(args.form_x)
     matrix = _parse_matrix(args.matrix)
-    if args.at is not None:
-        base = _parse_class(args.at)
-    elif form_y.name in DEFAULT_OMEGA:
-        base = default_omega(form_y.name)
-    else:
+    base = _parse_class(args.at) if args.at is not None else _default_omega(form_y)
+    if base is None:
         raise _UsageError("--at is required for source forms outside the catalog")
     rep = pullback_isometry_check(form_y, form_x, matrix, args.degree, base)
     dev = max(rep.max_vol_deviation, rep.max_gram_deviation)
@@ -328,19 +324,15 @@ def _cmd_pullback(args):
 
 
 def _cmd_verify(args):
-    names = None
-    if args.forms:
-        names = []
-        for token in args.forms:
-            if token.upper() not in CATALOG:
-                raise _UsageError(f"verify only runs on catalog forms, not {token!r}")
-            names.append(token.upper())
+    tokens = args.forms or []
+    for token in tokens:
+        if token.upper() not in CATALOG:
+            raise _UsageError(f"verify only runs on catalog forms, not {token!r}")
+    names = [token.upper() for token in tokens] or list(CATALOG)
     checks, all_pass = run_verification(names)
-    label = ",".join(names) if names else ",".join(CATALOG)
     outputs = {"all_pass": all_pass, "checks_run": len(checks)}
-    return _report("verify", label, {"forms": names or list(CATALOG)}, outputs, checks), (
-        0 if all_pass else 3
-    )
+    code = 0 if all_pass else 3
+    return _report("verify", ",".join(names), {"forms": names}, outputs, checks), code
 
 
 # -- parser -----------------------------------------------------------------

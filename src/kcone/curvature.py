@@ -217,8 +217,8 @@ def pair_curvature(pairs: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 def riemann_tensor(P: ConePoint) -> CurvatureTensor:
     """R on the basis: pair_curvature of the pair tensor with both slots
-    projected to primitive parts by Pi = I - omega Lam^T / n."""
-    pi = np.eye(P.rank_m) - np.outer(P.omega, P._lam) / P.dim_n
+    projected to primitive parts by P.primitive_projector."""
+    pi = P.primitive_projector
     prim = np.einsum("ai,bj,abk->ijk", pi, pi, P.lambda_pairs, optimize=True)
     return CurvatureTensor(entries=pair_curvature(prim, P.gram), base_point=P)
 

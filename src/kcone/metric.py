@@ -156,15 +156,10 @@ class ConePoint:
             return float(self._lam @ cls[0])
         if k == 2:
             return float(cls[0] @ self._lam2 @ cls[1])
-        if k == 3 and self._lam3 is not None:
+        if k == 3:
             t = np.tensordot(self._lam3, cls[2], axes=([2], [0]))
             return float(cls[0] @ t @ cls[1])
-        t = self.form._dense
-        for a in cls:
-            t = np.tensordot(t, a, axes=([t.ndim - 1], [0]))
-        for _ in range(n - k):
-            t = np.tensordot(t, self.omega, axes=([t.ndim - 1], [0]))
-        return float(t) / (factorial(n - k) * self.vol)
+        return self.form.evaluate(*cls, *[self.omega] * (n - k)) / (factorial(n - k) * self.vol)
 
     def inner(self, u: CohClass, v: CohClass) -> float:
         """The metric g(u, v) = u^T Gram v."""
@@ -177,6 +172,11 @@ class ConePoint:
         """u minus its component along omega: u - (Lam(u)/n) omega."""
         u = np.asarray(u, dtype=float)
         return u - (float(self._lam @ u) / self.dim_n) * self.omega
+
+    @property
+    def primitive_projector(self) -> np.ndarray:
+        """Pi = I - omega Lam^T / n, so that Pi @ u is the primitive part of u."""
+        return np.eye(self.rank_m) - np.outer(self.omega, self._lam) / self.dim_n
 
     @cached_property
     def lambda_pairs(self) -> np.ndarray:

@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from kcone.algebra import algebra_at, kn_product, orthonormal_basis
 from kcone.catalog import catalog_names, default_point
 from kcone.curvature import riemann_tensor
+from kcone.intersection import IntersectionForm
+from kcone.metric import ConePoint
 
 
 def test_product_omega_squared():
@@ -149,6 +153,48 @@ def test_constant_curvature_fails_on_lor3():
     # frozen diagnostics: best-fit multiple and residual of the fit
     assert fit.lam == pytest.approx(1.0 / 6.0, abs=1e-9)
     assert fit.residual == pytest.approx(0.9428090415820634, abs=1e-9)
+
+
+def _constant_curvature_24(P):
+    """Reference for constant_curvature_test: (lam, residual, |t|) with the
+    full 24-permutation symmetrization."""
+    basis = orthonormal_basis(P)
+    vec = np.einsum("ijc,ia,jb->abc", algebra_at(P).structure, basis, basis)
+    comp = np.einsum("abc,cd,dl->abl", vec, P.gram, basis)
+    t = np.einsum("abl,cdl->abcd", comp, comp)
+    eye = np.eye(P.rank_m)
+    s = 0.5 * (np.einsum("ac,bd->abcd", eye, eye) + np.einsum("ad,bc->abcd", eye, eye))
+
+    def nonsym(x):
+        return x - sum(np.transpose(x, p) for p in itertools.permutations(range(4))) / 24.0
+
+    nt, ns = nonsym(t), nonsym(s)
+    denom = 2.0 * float(np.sum(ns * ns))
+    lam = float(np.sum(nt * ns)) / denom if denom > 0.0 else 0.0
+    return lam, float(np.linalg.norm(nt - 2.0 * lam * ns)), float(np.linalg.norm(t))
+
+
+def _perturbed_cubic_point(m=6):
+    # kappa_111 = 6, kappa_1jj = -1 plus seeded noise on every sorted triple,
+    # admissible at e_1 and far from constant curvature
+    rng = np.random.default_rng(3)
+    coeffs = {}
+    for idx in itertools.combinations_with_replacement(range(1, m + 1), 3):
+        base = 6.0 if idx == (1, 1, 1) else (-1.0 if idx[0] == 1 and idx[1] == idx[2] else 0.0)
+        coeffs[idx] = base + 0.05 * rng.standard_normal()
+    return ConePoint(IntersectionForm(name="CUBIC6", dim_n=3, rank_m=m, coeffs=coeffs),
+                     np.eye(m)[0])
+
+
+def test_constant_curvature_three_pairings_match_24_permutations(quartic_points):
+    points = [default_point(name) for name in catalog_names()]
+    points += list(quartic_points.values()) + [_perturbed_cubic_point()]
+    for P in points:
+        fit = algebra_at(P).constant_curvature_test()
+        lam, residual, t_norm = _constant_curvature_24(P)
+        assert fit.lam == pytest.approx(lam, rel=1e-12, abs=1e-15)
+        assert fit.residual == pytest.approx(residual, rel=1e-12, abs=1e-12 * t_norm)
+        assert fit.is_constant == (residual <= 1e-8 * t_norm)
 
 
 def test_derivation_dimensions():

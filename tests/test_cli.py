@@ -220,3 +220,32 @@ def test_report_determinism(capsys):
     _, out1, _ = run_cli(capsys, "curvature", "LOR3", "--ricci", "--scalar")
     _, out2, _ = run_cli(capsys, "curvature", "LOR3", "--ricci", "--scalar")
     assert out1 == out2
+
+
+def test_file_reusing_a_catalog_name_has_no_default_point(capsys, tmp_path):
+    # a file named after a catalog entry is another form: it must not pick up
+    # that entry's default point, whether it would be admissible or not
+    def write(name, dim, h11, entries):
+        path = tmp_path / f"{name}.json"
+        intersection = [{"index": list(k), "value": v} for k, v in entries.items()]
+        path.write_text(json.dumps(
+            {"name": name, "dim": dim, "h11": h11, "intersection": intersection}
+        ))
+        return str(path)
+
+    lor3 = write("LOR3", 2, 3, {(1, 1): 1, (2, 2): -1, (3, 3): -4})
+    p3 = write("P3", 3, 2, {(1, 1, 1): 1, (1, 2, 2): -1})
+    for argv in (
+        ["metric", lor3],
+        ["metric", p3],
+        ["pullback", lor3, lor3, "--matrix", "1,0,0;0,1,0;0,0,1", "--degree", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "--at is required" in err
+    code, out, _ = run_cli(capsys, "metric", lor3, "--at", "1,0,0")
+    assert code == 0 and json.loads(out)["outputs"]["vol"] == 0.5
+    code, out, _ = run_cli(capsys, "info", lor3)
+    rep = json.loads(out)
+    assert code == 0 and rep["form"] == "LOR3"
+    assert "default_omega" not in rep["outputs"]

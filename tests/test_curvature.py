@@ -24,6 +24,8 @@ from kcone.fdcheck import (
     check_hessian_metric,
     with_fd_jacobian,
 )
+from kcone.intersection import IntersectionForm
+from kcone.metric import ConePoint
 
 
 def test_christoffel_p1xp1_example():
@@ -209,8 +211,6 @@ def test_derived_curvatures_rank_one():
 def test_lor3_curvature_constant_across_cone():
     # the cone is homogeneous: primitive sectional curvature is -1/2 at
     # every admissible point, not just the default one
-    from kcone.metric import ConePoint
-
     form = default_point("LOR3").form
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -244,3 +244,41 @@ def test_fd_metric_compatibility():
 def test_fd_curvature_commutator():
     for name in ("BLP2", "LOR3", "CY3GEN"):
         assert check_curvature(default_point(name)).max_dev <= 1e-5
+
+
+def _product_point(P, Q):
+    """The cone point (omega_X, omega_Y) of X x Y, whose intersection number
+    on the index (I, J + m_X) is kappa_X(I) kappa_Y(J)."""
+    coeffs = {
+        i + tuple(j + P.rank_m for j in jj): a * b
+        for i, a in P.form.coeffs.items()
+        for jj, b in Q.form.coeffs.items()
+    }
+    form = IntersectionForm(
+        name=f"{P.form.name}x{Q.form.name}",
+        dim_n=P.dim_n + Q.dim_n,
+        rank_m=P.rank_m + Q.rank_m,
+        coeffs=coeffs,
+    )
+    return ConePoint(form, np.concatenate([P.omega, Q.omega]))
+
+
+def _block_sum(a, b):
+    out = np.zeros((len(a) + len(b),) * 2)
+    out[: len(a), : len(a)], out[len(a):, len(a):] = a, b
+    return out
+
+
+@pytest.mark.parametrize("x, y", [("P1XP1", "LOR3"), ("P3", "P1XP1"), ("CY3GEN", "BLP2")])
+def test_product_manifold_is_a_riemannian_product(x, y):
+    # Vol multiplies, so -log Vol and its Hessian metric split: the Gram and
+    # Ricci matrices are block sums and the scalar curvatures add
+    P, Q = default_point(x), default_point(y)
+    PQ = _product_point(P, Q)
+    assert PQ.dim_n == P.dim_n + Q.dim_n >= 4
+    dp, dq, dpq = (derived_curvatures(R) for R in (P, Q, PQ))
+    close = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(PQ.vol, P.vol * Q.vol, **close)
+    np.testing.assert_allclose(PQ.gram, _block_sum(P.gram, Q.gram), **close)
+    np.testing.assert_allclose(dpq.ricci, _block_sum(dp.ricci, dq.ricci), **close)
+    np.testing.assert_allclose(dpq.scalar, dp.scalar + dq.scalar, **close)

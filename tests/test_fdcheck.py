@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from kcone.catalog import CATALOG, default_point
-from kcone.curvature import christoffel, riemann_tensor
+from kcone.curvature import (
+    christoffel,
+    covariant_derivative,
+    primitive_projection_field,
+    riemann_tensor,
+)
 from kcone.fdcheck import (
     FDConfig,
     check_connection,
     check_curvature,
     check_hessian_metric,
+    check_primitive_field,
     fd_directional,
     fd_hessian,
+    with_fd_jacobian,
 )
 from kcone.metric import ConePoint
 
@@ -136,9 +143,22 @@ def _curvature_per_triple(P, cfg):
     return max_dev
 
 
+def _primitive_field_per_pair(P, cfg):
+    """Reference for check_primitive_field: one FD-jacobian field per basis
+    class, differentiated along each basis direction."""
+    eye = np.eye(P.rank_m)
+    max_dev = 0.0
+    for u0, z in itertools.product(eye, eye):
+        field = with_fd_jacobian(primitive_projection_field(u0), P.form, cfg)
+        max_dev = max(max_dev, abs(P.lambda_scalar([covariant_derivative(P, field, z)])))
+    return max_dev
+
+
 @pytest.mark.parametrize("name", ["CY3GEN", "LOR3", "P1^4"])
 def test_whole_tensor_fd_checks_match_per_triple_loops(name, quartic_points):
     P = quartic_points[name] if name in quartic_points else default_point(name)
     cfg = FDConfig()
     assert abs(check_connection(P, cfg).max_dev - _connection_per_triple(P, cfg)) <= 1e-9
     assert abs(check_curvature(P, cfg).max_dev - _curvature_per_triple(P, cfg)) <= 1e-9
+    prim = check_primitive_field(P, cfg).max_dev
+    assert abs(prim - _primitive_field_per_pair(P, cfg)) <= 1e-9
