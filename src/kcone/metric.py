@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import factorial
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,16 +32,21 @@ POSDEF_TOL = 1e-10
 class Lefschetz(NamedTuple):
     """Divided-power contractions at each row x_b of a (B, m) batch.
 
-    stage3 is the form with n - 3 slots filled by x_b, so that
-    Lam3 = stage3 / ((n-3)! vol); its batch axis has length 1 when n = 3.
-    It stays unnormalized so that callers can contract it first.
+    stages[k] is the form with n - k slots filled by x_b, of shape
+    (B,) + (m,) * k (batch axis of length 1 for k = n), so that
+    Lam^k = stages[k] / ((n-k)! vol); callers contract a stage first.
     """
 
-    vol: np.ndarray                # (B,)
-    lam: np.ndarray                # (B, m)        Lam(e_i)
-    lam2: np.ndarray               # (B, m, m)     Lam2(e_i cup e_j)
-    gram: np.ndarray               # (B, m, m)     Lam(e_i) Lam(e_j) - Lam2(e_i cup e_j)
-    stage3: Optional[np.ndarray]   # (B, m, m, m), None for n < 3
+    vol: np.ndarray      # (B,)
+    lam: np.ndarray      # (B, m)        Lam(e_i)
+    lam2: np.ndarray     # (B, m, m)     Lam2(e_i cup e_j)
+    gram: np.ndarray     # (B, m, m)     Lam(e_i) Lam(e_j) - Lam2(e_i cup e_j)
+    stages: list         # stages[0..n]
+
+
+def _divisor(n: int, k: int, vol):
+    """(n - k)! Vol, the divided-power factor of Lam^k; Vol = stages[0] / n!."""
+    return factorial(n - k) * vol
 
 
 def lefschetz(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefschetz:
@@ -58,19 +63,18 @@ def lefschetz(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lef
     filled = [form._dense[None], X @ form._dense.reshape(-1, m).T]
     for _ in range(n - 1):
         filled.append(filled[-1].reshape(B, -1, m) @ X[:, :, None])
-    vol = filled[n].reshape(B) / factorial(n)
+    # stages[k]: filled[n - k] with its k free slots as axes (filled[0] has them)
+    stages = [filled[n - k].reshape((-1,) + (m,) * k) for k in range(n)] + [filled[0]]
+    vol = stages[0] / factorial(n)
     if not vol.min() > 0.0:
         b = int(np.argmin(vol > 0.0))
         raise NonPositiveVolume(
             f"{what} {b} at {X[b].tolist()}: volume {float(vol[b])!r} is not positive"
         )
-    lam = filled[n - 1].reshape(-1, m) / (factorial(n - 1) * vol)[:, None]
-    lam2 = np.zeros((B, m, m))
-    if n >= 2:
-        lam2 = filled[n - 2].reshape(-1, m, m) / (factorial(n - 2) * vol)[:, None, None]
+    lam = stages[1] / _divisor(n, 1, vol)[:, None]
+    lam2 = stages[2] / _divisor(n, 2, vol)[:, None, None] if n >= 2 else np.zeros((B, m, m))
     gram = lam[:, :, None] * lam[:, None, :] - lam2
-    stage3 = filled[n - 3].reshape(-1, m, m, m) if n >= 3 else None
-    return Lefschetz(vol, lam, lam2, gram, stage3)
+    return Lefschetz(vol, lam, lam2, gram, stages)
 
 
 def admit(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefschetz:
@@ -104,12 +108,8 @@ class ConePoint:
     """
 
     def __init__(self, form: IntersectionForm, omega: CohClass):
-        omega = np.asarray(omega, dtype=float)
-        if omega.shape != (form.rank_m,):
-            raise ValueError(
-                f"omega has shape {omega.shape}, expected ({form.rank_m},)"
-            )
-        if not np.all(np.isfinite(omega)):
+        omega = form._check_class(omega)
+        if not np.isfinite(omega).all():
             raise ValueError(f"omega {omega.tolist()} has non-finite entries")
         self.form = form
         self.omega = omega
@@ -117,9 +117,7 @@ class ConePoint:
         self.vol = float(data.vol[0])
         self._lam = data.lam[0]
         self._lam2 = data.lam2[0]
-        self._lam3 = None
-        if data.stage3 is not None:
-            self._lam3 = data.stage3[0] / (factorial(form.dim_n - 3) * self.vol)
+        self._stages = [stage[0] for stage in data.stages]
         self.gram = data.gram[0]
         self.gram_inv = np.linalg.inv(self.gram)
 
@@ -151,15 +149,10 @@ class ConePoint:
             return 0.0
         if k == 0:
             raise ValueError("need at least one class")
-        cls = [self.form._check_class(a) for a in classes]
-        if k == 1:
-            return float(self._lam @ cls[0])
-        if k == 2:
-            return float(cls[0] @ self._lam2 @ cls[1])
-        if k == 3:
-            t = np.tensordot(self._lam3, cls[2], axes=([2], [0]))
-            return float(cls[0] @ t @ cls[1])
-        return self.form.evaluate(*cls, *[self.omega] * (n - k)) / (factorial(n - k) * self.vol)
+        t = self._stages[k]
+        for a in classes:
+            t = t @ self.form._check_class(a)
+        return float(t) / _divisor(n, k, self.vol)
 
     def inner(self, u: CohClass, v: CohClass) -> float:
         """The metric g(u, v) = u^T Gram v."""
@@ -188,8 +181,8 @@ class ConePoint:
         source of Lam(u cup v) for the connection, curvature and algebra.
         """
         rhs = np.multiply.outer(self._lam2, self._lam)
-        if self._lam3 is not None:
-            rhs -= self._lam3
+        if self.dim_n >= 3:
+            rhs -= self._stages[3] / _divisor(self.dim_n, 3, self.vol)
         pairs = rhs @ self.gram_inv.T
         return 0.5 * (pairs + pairs.transpose(1, 0, 2))
 

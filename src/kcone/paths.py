@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import factorial, isfinite, log, sqrt
+from math import isfinite, log, sqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import IndefiniteMetric, KConeError, LeftCone, NonPositiveVolume
 from .intersection import CohClass, IntersectionForm
-from .metric import ConePoint, admit, lefschetz
+from .metric import ConePoint, _divisor, admit, lefschetz
 
 __all__ = [
     "GeodesicPath",
@@ -60,9 +60,9 @@ def _acceleration(form: IntersectionForm, x: np.ndarray, v: np.ndarray, data=Non
     n, m = form.dim_n, form.rank_m
     vc = v[:, :, None]
     rhs = (v[:, None, :] @ data.lam2 @ vc) * data.lam[:, :, None]
-    if data.stage3 is not None:
-        t3vv = (data.stage3.reshape(-1, m * m, m) @ vc).reshape(-1, m, m) @ vc
-        rhs -= t3vv / (factorial(n - 3) * data.vol)[:, None, None]
+    if n >= 3:
+        t3vv = (data.stages[3].reshape(-1, m * m, m) @ vc).reshape(-1, m, m) @ vc
+        rhs -= t3vv / _divisor(n, 3, data.vol)[:, None, None]
     lvv = np.linalg.solve(data.gram, rhs)
     return ((data.lam[:, None, :] @ vc) * vc - 0.5 * lvv)[:, :, 0]
 
@@ -141,6 +141,15 @@ def integrate_geodesic(
     return integrate_geodesics(P0, np.asarray(v0, dtype=float)[None, :], T, steps)[0]
 
 
+def _chord_lengths(form: IntersectionForm, pts: np.ndarray) -> np.ndarray:
+    """sqrt(g_mid(delta, delta)) of each segment of the polyline pts, with
+    g_mid the Gram matrix at the segment midpoint, which must be admissible."""
+    grams = admit(form, 0.5 * (pts[:-1] + pts[1:]), "segment midpoint").gram
+    deltas = pts[1:] - pts[:-1]
+    sq = np.einsum("bi,bij,bj->b", deltas, grams, deltas)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
 def path_length(form: IntersectionForm, samples: Sequence[CohClass]) -> float:
     """Trapezoidal length: sum of sqrt(g_mid(delta, delta)) over segments.
 
@@ -153,10 +162,7 @@ def path_length(form: IntersectionForm, samples: Sequence[CohClass]) -> float:
     if pts.ndim != 2 or len(pts) < 2:
         raise ValueError("need at least two samples")
     admit(form, pts, "sample")
-    grams = admit(form, 0.5 * (pts[:-1] + pts[1:]), "segment midpoint").gram
-    deltas = pts[1:] - pts[:-1]
-    sq = np.einsum("bi,bij,bj->b", deltas, grams, deltas)
-    return float(np.sqrt(np.maximum(sq, 0.0)).sum())
+    return float(_chord_lengths(form, pts).sum())
 
 
 class LengthBound(NamedTuple):
@@ -221,19 +227,20 @@ def boundary_probe(
     halving), CONVERGENT when the final increment (the successive tail
     difference) is below conv_tol.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    omega = np.asarray(omega, dtype=float)
+    alpha, omega = form._check_class(alpha), form._check_class(omega)
+    if not np.isfinite([alpha, omega]).all():
+        raise ValueError(f"alpha {alpha.tolist()} or omega {omega.tolist()} is non-finite")
     ts = np.asarray(list(t_schedule), dtype=float)
     if ts.ndim != 1 or len(ts) < 2:
         raise ValueError("schedule needs at least two points")
     if np.any(ts <= 0) or np.any(np.diff(ts) >= 0):
         raise ValueError("schedule must be strictly decreasing and positive")
-    ConePoint(form, omega)
-    vols = np.array([form.volume(alpha + t * omega) for t in ts])
-    increments = np.empty(len(ts) - 1)
-    for j, (t_hi, t_lo) in enumerate(zip(ts[:-1], ts[1:])):
-        sub = np.linspace(t_hi, t_lo, substeps + 1)
-        increments[j] = path_length(form, alpha[None, :] + sub[:, None] * omega[None, :])
+    # each interval is cut into `substeps` chords; neighbours share their end sample
+    sub = np.linspace(ts[:-1], ts[1:], substeps, endpoint=False, axis=1)
+    pts = alpha[None, :] + np.append(sub, ts[-1])[:, None] * omega[None, :]
+    # row 0 is omega itself, which must be a cone point
+    vols = admit(form, np.vstack([omega, pts]), "probe point").vol[1::substeps]
+    increments = _chord_lengths(form, pts).reshape(-1, substeps).sum(axis=1)
     cumulative = np.concatenate([[0.0], np.cumsum(increments)])
     threshold = 0.9 * log(2.0) / sqrt(form.dim_n)
     if len(increments) >= 5 and np.all(increments[-5:] >= threshold):
@@ -288,20 +295,18 @@ class SplitReport:
 
 def split_report(P: ConePoint) -> SplitReport:
     t, omega1 = split(P)
-    n, m = P.dim_n, P.rank_m
+    n = P.dim_n
     radial = P.omega / n
     # primitive directions push forward with the homothety factor e^{t/n}
     scale = float(np.exp(t / n))
-    prim = np.array([P.primitive_part(np.eye(m)[i]) for i in range(m)])
-    u, s, _ = np.linalg.svd(prim.T, full_matrices=False)
+    # column i of the projector is the primitive part of e_i
+    u, s, _ = np.linalg.svd(P.primitive_projector, full_matrices=False)
     # projections of unit vectors: anything below 1e-10 is roundoff residue,
     # not a primitive direction (the primitive space has dimension m - 1)
     rank = int(np.sum(s > 1e-10))
     basis = u[:, :rank] * scale
-    mixed = np.array([P.inner(radial, basis[:, a]) for a in range(rank)])
-    block = np.array(
-        [[P.inner(basis[:, a], basis[:, b]) for b in range(rank)] for a in range(rank)]
-    )
+    mixed = radial @ P.gram @ basis
+    block = basis.T @ P.gram @ basis
     return SplitReport(
         t=t,
         omega1=omega1,
@@ -371,20 +376,15 @@ def pullback_isometry_check(
     if not (isfinite(degree) and degree != 0.0):
         raise ValueError(f"degree must be finite and nonzero, got {degree!r}")
     base = np.asarray(base_point, dtype=float)
-    points = [base] + admissible_perturbations(form_y, base, n_samples - 1, scale, seed)
-    max_vol = 0.0
-    max_gram = 0.0
-    for w in points:
-        py = ConePoint(form_y, w)
-        px = ConePoint(form_x, mat @ w)
-        vol_dev = abs(px.vol - degree * py.vol) / abs(degree * py.vol)
-        pulled = mat.T @ px.gram @ mat
-        gram_dev = float(np.abs(pulled - py.gram).max() / np.abs(py.gram).max())
-        max_vol = max(max_vol, vol_dev)
-        max_gram = max(max_gram, gram_dev)
+    points = np.array([base] + admissible_perturbations(form_y, base, n_samples - 1, scale, seed))
+    ys = admit(form_y, points, "source point")
+    xs = admit(form_x, points @ mat.T, "image point")
+    vol_dev = np.abs(xs.vol - degree * ys.vol) / np.abs(degree * ys.vol)
+    pulled = mat.T @ xs.gram @ mat
+    gram_dev = np.abs(pulled - ys.gram).max(axis=(1, 2)) / np.abs(ys.gram).max(axis=(1, 2))
     return PullbackReport(
-        max_vol_deviation=max_vol,
-        max_gram_deviation=max_gram,
+        max_vol_deviation=float(vol_dev.max()),
+        max_gram_deviation=float(gram_dev.max()),
         points_checked=len(points),
         degree=float(degree),
     )

@@ -1,4 +1,5 @@
 import itertools
+from math import factorial
 
 import numpy as np
 import pytest
@@ -49,9 +50,12 @@ def test_lefschetz_batch_matches_cone_points():
             assert abs(data.vol[b] - Q.vol) <= 1e-14 * Q.vol
             assert np.abs(data.lam[b] - Q._lam).max() <= 1e-14
             assert np.abs(data.gram[b] - Q.gram).max() <= 1e-14 * np.abs(Q.gram).max()
-            if Q._lam3 is not None:
-                lam3 = data.stage3[min(b, len(data.stage3) - 1)] / data.vol[b]
-                assert np.abs(lam3 - Q._lam3).max() <= 1e-14 * np.abs(Q._lam3).max()
+            n = P.dim_n
+            for k in range(1, n + 1):   # Lam^k from the batch row and from the point
+                stage = data.stages[k]
+                lam_k = stage[min(b, len(stage) - 1)] / (factorial(n - k) * data.vol[b])
+                ref = Q._stages[k] / (factorial(n - k) * Q.vol)
+                assert np.abs(lam_k - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_admit_names_the_failing_row():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from kcone import paths
-from kcone.catalog import CATALOG, catalog_names, default_omega, default_point
+from kcone.catalog import CATALOG, ENTRIES, catalog_names, default_omega, default_point
 from kcone.errors import KConeError, LeftCone, NonPositiveVolume
 from kcone.intersection import IntersectionForm
+from kcone.metric import admit
 from kcone.paths import (
     admissible_perturbations,
     boundary_probe,
@@ -228,6 +229,50 @@ def test_boundary_probe_interior_trivial():
     omega = np.array([1.0, 1.0])
     rep = boundary_probe(form, omega, omega, [1.0 / 2**j for j in range(12)])
     assert rep.classification == "CONVERGENT"
+
+
+def _probe_by_interval(form, alpha, omega, ts, substeps=64):
+    """Reference for boundary_probe: volumes by form.volume and one
+    path_length per schedule interval."""
+    vols = np.array([form.volume(alpha + t * omega) for t in ts])
+    increments = np.array([
+        path_length(form, alpha + np.linspace(hi, lo, substeps + 1)[:, None] * omega)
+        for hi, lo in zip(ts[:-1], ts[1:])
+    ])
+    return vols, increments
+
+
+def test_boundary_probe_matches_per_interval_lengths(monkeypatch):
+    calls = []
+
+    def counting_admit(form, X, what):
+        calls.append(what)
+        return admit(form, X, what)
+
+    monkeypatch.setattr(paths, "admit", counting_admit)
+    for name in ("P1XP1", "BLP2"):
+        probe, P = ENTRIES[name].probe, default_point(name)
+        alpha = np.array(probe.alpha)
+        for halvings in (1, probe.halvings):
+            calls.clear()
+            rep = boundary_probe(P.form, alpha, P.omega, [2.0**-j for j in range(halvings + 1)])
+            assert calls == ["probe point", "segment midpoint"]
+            vols, increments = _probe_by_interval(P.form, alpha, P.omega, rep.ts)
+            assert np.abs(rep.vols - vols).max() <= 1e-14 * vols.max()
+            assert np.abs(rep.increments - increments).max() <= 1e-14 * increments.max()
+            assert np.array_equal(rep.cumulative_lengths[1:], np.cumsum(rep.increments))
+
+
+def test_boundary_probe_validates_omega():
+    # the path (2 + t, 2 - t/2) stays in the cone, but omega = (1, -1/2) is not in it
+    form = CATALOG["P1XP1"]
+    alpha, schedule = np.array([2.0, 2.0]), [1.0, 0.5]
+    with pytest.raises(NonPositiveVolume, match="point 0"):
+        boundary_probe(form, alpha, np.array([1.0, -0.5]), schedule)
+    with pytest.raises(ValueError, match="non-finite"):
+        boundary_probe(form, alpha, np.array([np.inf, 1.0]), schedule)
+    with pytest.raises(ValueError, match="shape"):
+        boundary_probe(form, alpha, np.ones(3), schedule)
 
 
 def test_boundary_probe_bad_schedule():

@@ -1,0 +1,71 @@
+"""Property tests over random admissible forms with n in 2..5 and h11 in 1..4.
+
+Each form is kappa_{1..1} = 1 and kappa_{1..1jj} = -1 for j >= 2 (admissible
+at e_1 for every such n and h11: Gram diag(n, n(n-1), ..)) plus bounded
+random coefficients; a draw is kept when ConePoint admits e_1.
+"""
+
+from itertools import combinations_with_replacement
+from math import factorial
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from kcone.errors import IndefiniteMetric, NonPositiveVolume
+from kcone.intersection import IntersectionForm
+from kcone.metric import ConePoint, admit
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@st.composite
+def points_at_e1(draw):
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    coeffs = {(1,) * n: 1.0}
+    coeffs.update({(1,) * (n - 2) + (j, j): -1.0 for j in range(2, m + 1)})
+    indices = list(combinations_with_replacement(range(1, m + 1), n))
+    terms = draw(st.dictionaries(st.sampled_from(indices), st.floats(-0.3, 0.3), max_size=6))
+    for idx, val in terms.items():
+        coeffs[idx] = coeffs.get(idx, 0.0) + val
+    form = IntersectionForm(name="RANDOM", dim_n=n, rank_m=m, coeffs=coeffs)
+    try:
+        return ConePoint(form, np.eye(m)[0])
+    except (NonPositiveVolume, IndefiniteMetric):
+        assume(False)
+
+
+@SETTINGS
+@given(points_at_e1(), st.integers(0, 2**32 - 1))
+def test_lambda_scalar_is_the_divided_power_contraction(P, seed):
+    # Lam^k(u_1..u_k) = form(u_1..u_k, omega..omega) / ((n-k)! Vol) for every k,
+    # to 1e-12 of the same contraction taken over absolute values
+    form, n, omega = P.form, P.dim_n, P.omega
+    abs_form = IntersectionForm(
+        name="ABS", dim_n=n, rank_m=P.rank_m, coeffs={k: abs(v) for k, v in form.coeffs.items()}
+    )
+    rng = np.random.default_rng(seed)
+    for k in range(1, n + 1):
+        us = list(rng.uniform(-1.0, 1.0, (k, P.rank_m)))
+        ref = form.evaluate(*us, *[omega] * (n - k)) / (factorial(n - k) * P.vol)
+        scale = abs_form.evaluate(*np.abs(us), *[omega] * (n - k)) / (factorial(n - k) * P.vol)
+        assert abs(P.lambda_scalar(us) - ref) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(points_at_e1(), st.integers(0, 2**32 - 1))
+def test_admit_rows_match_cone_points(P, seed):
+    rng = np.random.default_rng(seed)
+    X = P.omega + 1e-3 * rng.standard_normal((4, P.rank_m))
+    try:
+        data = admit(P.form, X)
+    except (NonPositiveVolume, IndefiniteMetric):
+        assume(False)
+    n = P.dim_n
+    for b, x in enumerate(X):
+        Q = ConePoint(P.form, x)
+        assert abs(data.vol[b] - Q.vol) <= 1e-14 * Q.vol
+        assert np.abs(data.gram[b] - Q.gram).max() <= 1e-14 * np.abs(Q.gram).max()
+        for k in range(1, n + 1):
+            stage = data.stages[k][min(b, len(data.stages[k]) - 1)]
+            assert np.abs(stage - Q._stages[k]).max() <= 1e-14 * np.abs(Q._stages[k]).max()
