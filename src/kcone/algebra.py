@@ -128,23 +128,21 @@ class AlgebraAtPoint:
         vec = np.einsum("ijc,ia,jb->abc", self.structure, basis, basis, optimize=True)
         comp = np.einsum("abc,cd,dl->abl", vec, self.base.gram, basis, optimize=True)
         t = np.einsum("abl,cdl->abcd", comp, comp, optimize=True)
-        eye = np.eye(m)
-        s = 0.5 * (
-            np.einsum("ac,bd->abcd", eye, eye) + np.einsum("ad,bc->abcd", eye, eye)
-        )
-
-        def nonsym(x):
-            # t and s are invariant under the 8 pair symmetries (t up to
-            # roundoff), so the 24-term symmetrization is the mean over the
-            # 3 pairings {ab|cd}, {ac|bd}, {ad|bc}
-            return x - (x + x.transpose(0, 2, 1, 3) + x.transpose(0, 3, 2, 1)) / 3.0
-
-        nt, ns = nonsym(t), nonsym(s)
-        denom = 2.0 * float(np.sum(ns * ns))
-        lam = float(np.sum(nt * ns)) / denom if denom > 0.0 else 0.0
-        residual = float(np.linalg.norm(nt - 2.0 * lam * ns))
         tol = 1e-8 * float(np.linalg.norm(t))
-        return ConstantCurvatureFit(lam=lam, residual=residual, tol=tol)
+        # t is invariant under the 8 pair symmetries (up to roundoff), so its
+        # non-symmetric part is t minus the mean over the 3 pairings {ab|cd},
+        # {ac|bd}, {ad|bc}; those fix the first slot, so t[a] is done in place
+        for block in t:
+            block -= (block + block.transpose(1, 0, 2) + block.transpose(2, 1, 0)) / 3.0
+        # the non-symmetric part of S is (d_ac d_bd + d_ad d_bc)/6 - d_ab d_cd/3:
+        # nonzero only on three index sets with a != b, and 2 |ns|^2 = (m^2 - m)/3
+        a, b = np.nonzero(~np.eye(m, dtype=bool))
+        ns = (((a, b, a, b), 1.0 / 6.0), ((a, b, b, a), 1.0 / 6.0), ((a, a, b, b), -1.0 / 3.0))
+        inner = sum(w * float(t[idx].sum()) for idx, w in ns)
+        lam = 3.0 * inner / (m * m - m) if m > 1 else 0.0
+        for idx, w in ns:
+            t[idx] -= 2.0 * lam * w
+        return ConstantCurvatureFit(lam=lam, residual=float(np.linalg.norm(t)), tol=tol)
 
     def derivations(self) -> List[np.ndarray]:
         """Basis of the derivation algebra: maps D with D(x.y) = Dx.y + x.Dy.
@@ -167,7 +165,10 @@ class AlgebraAtPoint:
         system = np.einsum("cp,rq->rcpq", eye, s[i, j])
         system -= np.einsum("prc,rq->rcpq", s[:, j], eye[i])
         system -= np.einsum("rpc,rq->rcpq", s[i], eye[j])
-        _, sv, vh = np.linalg.svd(system.reshape(-1, m * m), full_matrices=False)
+        # the SVD of the square QR factor R has the singular values and right
+        # singular vectors of the tall system, at a fraction of the cost
+        r = np.linalg.qr(system.reshape(-1, m * m), mode="r")
+        _, sv, vh = np.linalg.svd(r, full_matrices=False)
         cutoff = NULL_TOL * (sv[0] if sv.size else 1.0)
         null = vh[np.sum(sv > cutoff):]
         out = []

@@ -215,12 +215,17 @@ def pair_curvature(pairs: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return 0.25 * (np.einsum("ikjl->ijkl", ip) - np.einsum("iljk->ijkl", ip))
 
 
-def riemann_tensor(P: ConePoint) -> CurvatureTensor:
-    """R on the basis: pair_curvature of the pair tensor with both slots
-    projected to primitive parts by P.primitive_projector."""
+def _primitive_pairs(P: ConePoint) -> np.ndarray:
+    """The pair tensor with both slots projected to primitive parts by
+    P.primitive_projector, shape (m, m, m), symmetric in its first two slots."""
     pi = P.primitive_projector
-    prim = np.einsum("ai,bj,abk->ijk", pi, pi, P.lambda_pairs, optimize=True)
-    return CurvatureTensor(entries=pair_curvature(prim, P.gram), base_point=P)
+    return np.einsum("ai,bj,abk->ijk", pi, pi, P.lambda_pairs, optimize=True)
+
+
+def riemann_tensor(P: ConePoint) -> CurvatureTensor:
+    """R on the basis as a dense m^4 array: pair_curvature of the primitive
+    pair tensor.  derived_curvatures contracts the pair tensor directly."""
+    return CurvatureTensor(entries=pair_curvature(_primitive_pairs(P), P.gram), base_point=P)
 
 
 class DerivedCurvatures(NamedTuple):
@@ -230,15 +235,19 @@ class DerivedCurvatures(NamedTuple):
 
 
 def derived_curvatures(P: ConePoint) -> DerivedCurvatures:
-    """Sectional curvature function, Ricci matrix and scalar curvature.
+    """Sectional curvature function, Ricci matrix and scalar curvature from
+    the primitive pair tensor L, without the m^4 array of riemann_tensor:
 
-    sectional(u, v) = R(u,v,v,u) / (g(u,u) g(v,v) - g(u,v)^2);
-    Ric(u, v) contracts the first and last slots over a g-orthonormal
-    basis, which is the same as contracting with the inverse Gram matrix.
+        Ric_ij = 1/4 (sum_q <(L G)_iq, M_jq> - <L_ij, T>),  M_jq = sum_p g^pq L_pj,
+        T = sum_pq g^pq L_pq, one (m, m^2) x (m^2, m) matmul;  scalar = <G^-1, Ric>;
+        sectional(u, v) = R(u,v,v,u) / (g(u,u) g(v,v) - g(u,v)^2), O(m^3) per plane,
+        R(u,v,v,u) = 1/4 (<L(u,v), L(u,v)> - <L(u,u), L(v,v)>).
     """
-    tensor = riemann_tensor(P)
-    r = tensor.entries
-    ricci = np.einsum("pq,pijq->ij", P.gram_inv, r, optimize=True)
+    m, pairs = P.rank_m, _primitive_pairs(P)
+    k = (pairs @ P.gram).reshape(m, m * m)
+    mt = np.einsum("pq,pja->jqa", P.gram_inv, pairs, optimize=True).reshape(m, m * m)
+    trace = np.einsum("pq,pqa->a", P.gram_inv, pairs, optimize=True)
+    ricci = 0.25 * (k @ mt.T - pairs @ (P.gram @ trace))
     scalar = float(np.einsum("ij,ij->", P.gram_inv, ricci))
 
     def sectional(u: CohClass, v: CohClass) -> float:
@@ -250,7 +259,8 @@ def derived_curvatures(P: ConePoint) -> DerivedCurvatures:
         den = guu * gvv - guv * guv
         if den <= 1e-12 * guu * gvv or den <= 0.0:
             raise DegeneratePlane(f"degenerate plane: |u^v|^2 = {den!r}")
-        num = float(np.einsum("ijkl,i,j,k,l->", r, u, v, v, u, optimize=True))
+        luv, luu, lvv = v @ (u @ pairs), u @ (u @ pairs), v @ (v @ pairs)
+        num = 0.25 * (P.inner(luv, luv) - P.inner(luu, lvv))
         return num / den
 
     return DerivedCurvatures(sectional=sectional, ricci=ricci, scalar=scalar)

@@ -318,21 +318,20 @@ def split_report(P: ConePoint) -> SplitReport:
 
 
 def draw_admissible(draw, check, what: str):
-    """The first draw() that check() accepts without NonPositiveVolume or
-    IndefiniteMetric; KConeError after SAMPLER_TRIES rejected draws."""
+    """check(draw()) for the first draw that check() accepts without
+    NonPositiveVolume or IndefiniteMetric; KConeError after SAMPLER_TRIES
+    rejected draws."""
     for _ in range(SAMPLER_TRIES):
-        cand = draw()
         try:
-            check(cand)
+            return check(draw())
         except (NonPositiveVolume, IndefiniteMetric):
             continue
-        return cand
     raise KConeError(f"no admissible {what} in {SAMPLER_TRIES} draws")
 
 
 def admissible_perturbations(form, omega, count, scale=0.1, seed=0):
-    """Seeded admissible points omega + scale |omega| N(0, I) around the
-    point omega, which must itself be admissible."""
+    """ConePoints at seeded admissible omega + scale |omega| N(0, I) around
+    the point omega, which must itself be admissible."""
     omega = ConePoint(form, omega).omega
     rng = np.random.default_rng(seed)
     spread = scale * np.linalg.norm(omega)
@@ -376,7 +375,8 @@ def pullback_isometry_check(
     if not (isfinite(degree) and degree != 0.0):
         raise ValueError(f"degree must be finite and nonzero, got {degree!r}")
     base = np.asarray(base_point, dtype=float)
-    points = np.array([base] + admissible_perturbations(form_y, base, n_samples - 1, scale, seed))
+    others = admissible_perturbations(form_y, base, n_samples - 1, scale, seed)
+    points = np.array([base] + [P.omega for P in others])
     ys = admit(form_y, points, "source point")
     xs = admit(form_x, points @ mat.T, "image point")
     vol_dev = np.abs(xs.vol - degree * ys.vol) / np.abs(degree * ys.vol)

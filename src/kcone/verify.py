@@ -58,8 +58,7 @@ __all__ = ["run_verification"]
 def hessian_deviation(P: ConePoint) -> FDReport:
     """Criterion 1: FD Hessian of -log Vol vs Gram at P and three seeded
     admissible perturbations; the worst report."""
-    others = admissible_perturbations(P.form, P.omega, 3, seed=1)
-    points = [P] + [ConePoint(P.form, w) for w in others]
+    points = [P] + admissible_perturbations(P.form, P.omega, 3, seed=1)
     return max((check_hessian_metric(Q) for Q in points), key=attrgetter("max_dev"))
 
 
@@ -140,6 +139,7 @@ def _random_piecewise_path(form, omega0, rng, waypoints=4, scale=0.15, subdiv=64
     def check_segment(cand):
         seg = pts[-1][None, :] + grid[:, None] * (cand - pts[-1])[None, :]
         lengths.append(path_length(form, seg))
+        return cand
 
     while len(pts) < waypoints + 1:
         pts.append(draw_admissible(draw, check_segment, "waypoint"))

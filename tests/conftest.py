@@ -9,6 +9,8 @@ if str(SRC) not in sys.path:
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from kcone.curvature import derived_curvatures, riemann_tensor  # noqa: E402
+from kcone.errors import DegeneratePlane  # noqa: E402
 from kcone.intersection import IntersectionForm  # noqa: E402
 from kcone.metric import ConePoint  # noqa: E402
 
@@ -28,3 +30,36 @@ def quartic_points():
         "P1^4": ConePoint(p1_4, np.array([1.0, 1.0, 1.0, 1.3])),
         "QUARTIC3": ConePoint(quartic, np.array([1.0, 0.1, 0.05])),
     }
+
+
+def _check_against_dense_curvature(P, planes):
+    """derived_curvatures (pair path) against contractions of the dense m^4
+    tensor riemann_tensor(P).entries: Ricci, scalar and sectional(u, v) for
+    each non-degenerate (u, v) in planes, each to 1e-12 of the same dense
+    contraction taken over absolute values (flat forms read roundoff only)."""
+    dc = derived_curvatures(P)
+    r = riemann_tensor(P).entries
+    pi = P.primitive_projector
+    pairs = np.einsum("ai,bj,abk->ijk", pi, pi, P.lambda_pairs)
+    ip = np.abs(np.einsum("ija,ab,klb->ijkl", pairs, P.gram, pairs))
+    r_abs = 0.25 * (np.einsum("ikjl->ijkl", ip) + np.einsum("iljk->ijkl", ip))
+    ginv, ginv_abs = P.gram_inv, np.abs(P.gram_inv)
+    ricci = np.einsum("pq,pijq->ij", ginv, r)
+    ricci_abs = np.einsum("pq,pijq->ij", ginv_abs, r_abs)
+    assert np.all(np.abs(dc.ricci - ricci) <= 1e-12 * ricci_abs), P
+    scalar = np.einsum("ij,ij->", ginv, ricci)
+    assert abs(dc.scalar - scalar) <= 1e-12 * np.einsum("ij,ij->", ginv_abs, ricci_abs), P
+    for u, v in planes:
+        try:
+            k = dc.sectional(u, v)
+        except DegeneratePlane:
+            continue
+        den = P.inner(u, u) * P.inner(v, v) - P.inner(u, v) ** 2
+        num = np.einsum("ijkl,i,j,k,l->", r, u, v, v, u)
+        num_abs = np.einsum("ijkl,i,j,k,l->", r_abs, *np.abs([u, v, v, u]))
+        assert abs(k - num / den) <= 1e-12 * num_abs / den, (P, u, v)
+
+
+@pytest.fixture(scope="session")
+def dense_curvature_check():
+    return _check_against_dense_curvature

@@ -192,6 +192,17 @@ def test_curvature_tensor_symmetries():
         assert tensor.omega_slot_deviation() <= 1e-12
 
 
+def test_derived_curvatures_match_dense_tensor(quartic_points, dense_curvature_check):
+    # Ricci, scalar and sectional come from the pair tensor without the m^4
+    # array; the dense contractions stay as the reference
+    rng = np.random.default_rng(11)
+    points = [default_point(name) for name in catalog_names()]
+    for P in points + list(quartic_points.values()):
+        planes = list(rng.standard_normal((10, 2, P.rank_m)))
+        planes += [(P.primitive_part(u), v) for u, v in planes[:3]]
+        dense_curvature_check(P, planes)
+
+
 def test_derived_curvatures_lor3():
     P = default_point("LOR3")
     dc = derived_curvatures(P)

@@ -69,3 +69,10 @@ def test_admit_rows_match_cone_points(P, seed):
         for k in range(1, n + 1):
             stage = data.stages[k][min(b, len(data.stages[k]) - 1)]
             assert np.abs(stage - Q._stages[k]).max() <= 1e-14 * np.abs(Q._stages[k]).max()
+
+
+@SETTINGS
+@given(points_at_e1(), st.integers(0, 2**32 - 1))
+def test_derived_curvatures_match_dense_tensor(dense_curvature_check, P, seed):
+    rng = np.random.default_rng(seed)
+    dense_curvature_check(P, rng.uniform(-1.0, 1.0, (4, 2, P.rank_m)))
