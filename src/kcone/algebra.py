@@ -34,6 +34,7 @@ __all__ = [
     "BilinearFormSet",
     "kn_product",
     "ConstantCurvatureFit",
+    "derivation_defects",
 ]
 
 # Singular values below this relative threshold count as zero when
@@ -171,23 +172,23 @@ class AlgebraAtPoint:
         _, sv, vh = np.linalg.svd(r, full_matrices=False)
         cutoff = NULL_TOL * (sv[0] if sv.size else 1.0)
         null = vh[np.sum(sv > cutoff):]
-        out = []
-        for flat in null:
-            d = flat.reshape(m, m)
-            self._check_derivation(d)
-            out.append(d)
+        out = [flat.reshape(m, m) for flat in null]
+        for d in out:
+            for message, dev in derivation_defects(self.base, d).items():
+                if dev > 1e-8:
+                    raise KConeError(message)
         return out
 
-    def _check_derivation(self, d: np.ndarray, tol: float = 1e-8):
-        P = self.base
-        d_omega = d @ P.omega
-        if P.norm(d_omega) > tol:
-            raise KConeError("derivation fails D omega = 0")
-        if np.abs(P._lam @ d).max() > tol:
-            raise KConeError("derivation image is not primitive")
-        adjoint = P.gram_inv @ d.T @ P.gram
-        if float(np.linalg.norm(adjoint + d)) > tol:
-            raise KConeError("derivation is not g-antisymmetric")
+
+def derivation_defects(P: ConePoint, d: np.ndarray) -> dict:
+    """The structural consequences every derivation D at P satisfies, each
+    as its deviation keyed by the message of its failure: D omega = 0,
+    Lam(D x) = 0 for every x, and g-antisymmetry of D."""
+    return {
+        "derivation fails D omega = 0": P.norm(d @ P.omega),
+        "derivation image is not primitive": float(np.abs(P._lam @ d).max()),
+        "derivation is not g-antisymmetric": float(np.linalg.norm(P.gram_inv @ d.T @ P.gram + d)),
+    }
 
 
 def algebra_at(P: ConePoint) -> AlgebraAtPoint:

@@ -4,7 +4,8 @@ The catalog is a test corpus: entries are small, hand-checkable forms
 (products of lines, projective space, a quintic-type cubic, a blown-up
 surface, a Lorentzian rank-3 surface and a synthetic two-parameter
 threefold).  Each entry carries its form, a documented admissible default
-point and the values the verification suite pins at that point.
+point and the values the verification suite pins at that point; PULLBACKS
+lists the pullback isometry cases the suite checks from entries.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from .intersection import IntersectionForm
 from .metric import ConePoint
 
-__all__ = ["CATALOG", "ENTRIES", "CatalogEntry", "CurvatureValues", "Probe",
-           "catalog_names", "get_form", "default_omega", "default_point"]
+__all__ = ["CATALOG", "ENTRIES", "PULLBACKS", "CatalogEntry", "CurvatureValues", "Probe",
+           "Pullback", "catalog_names", "get_form", "default_omega", "default_point"]
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,34 @@ ENTRIES = {
 }
 
 CATALOG = {name: entry.form for name, entry in ENTRIES.items()}
+
+
+@dataclass(frozen=True)
+class Pullback:
+    """A pullback isometry case: `matrix` maps the cone of the `source`
+    entry, sampled around its default point, into the cone of `target`
+    with volumes scaled by `degree`."""
+
+    tag: str
+    source: CatalogEntry
+    target: IntersectionForm
+    matrix: tuple
+    degree: float
+
+
+# the cases the verification suite checks, in report order
+PULLBACKS = (
+    Pullback("identity", ENTRIES["P1XP1"], CATALOG["P1XP1"], ((1.0, 0.0), (0.0, 1.0)), 1.0),
+    Pullback(
+        "degree_scaling",
+        ENTRIES["QUINTIC"],
+        # QUINTIC with its coefficient doubled
+        IntersectionForm(name="QUINTIC_doubled", dim_n=3, rank_m=1, coeffs={(1, 1, 1): 10.0}),
+        ((1.0,),),
+        2.0,
+    ),
+    Pullback("basis_swap", ENTRIES["P1XP1"], CATALOG["P1XP1"], ((0.0, 1.0), (1.0, 0.0)), 1.0),
+)
 
 
 def catalog_names():

@@ -7,13 +7,15 @@ Every subcommand prints a single JSON object on stdout:
 
 Floats are rendered with the shortest round-trip representation (at most 17
 significant digits), so identical inputs produce byte-identical reports.
-Exit codes: 0 success, 1 usage or input error, 2 inadmissible point (the
-JSON "error" field carries the error name), 3 verification failure.
+Exit codes: 0 success, 1 usage or input error, 2 inadmissible point or
+degenerate sectional plane (the JSON "error" field carries the error name),
+3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -33,6 +35,7 @@ from .errors import (
     ManifoldFormatError,
     NonPositiveVolume,
 )
+from .fdcheck import FDReport
 from .intersection import IntersectionForm, load_manifold, serialize_manifold
 from .metric import ConePoint
 from .paths import (
@@ -97,12 +100,17 @@ def _default_omega(form: IntersectionForm):
     return default_omega(form.name) if CATALOG.get(form.name) is form else None
 
 
-def _point(args) -> ConePoint:
-    form = _resolve_form(args.form)
+def _at(args, form: IntersectionForm) -> np.ndarray:
+    """--at, else the default point of a catalog form."""
     omega = _parse_class(args.at) if args.at is not None else _default_omega(form)
     if omega is None:
         raise _UsageError("--at is required for forms outside the catalog")
-    return ConePoint(form, omega)
+    return omega
+
+
+def _point(args) -> ConePoint:
+    form = _resolve_form(args.form)
+    return ConePoint(form, _at(args, form))
 
 
 def _jsonable(x):
@@ -240,16 +248,7 @@ def _cmd_probe(args):
         "t_min": float(args.t_min),
         "halvings": int(args.halvings),
     }
-    outputs = {
-        "classification": rep.classification,
-        "ts": rep.ts,
-        "vols": rep.vols,
-        "cumulative_lengths": rep.cumulative_lengths,
-        "increments": rep.increments,
-        "growth_threshold": rep.growth_threshold,
-        "conv_tol": rep.conv_tol,
-    }
-    return _report("probe", form.name, inputs, outputs), 0
+    return _report("probe", form.name, inputs, dataclasses.asdict(rep)), 0
 
 
 def _cmd_algebra(args):
@@ -279,15 +278,7 @@ def _cmd_algebra(args):
 
 def _cmd_split(args):
     P = _point(args)
-    rep = split_report(P)
-    outputs = {
-        "t": rep.t,
-        "omega1": rep.omega1,
-        "dt2_coefficient": rep.dt2_coefficient,
-        "expected_dt2": rep.expected_dt2,
-        "max_mixed_entry": rep.max_mixed_entry,
-        "primitive_block": rep.primitive_block,
-    }
+    outputs = dataclasses.asdict(split_report(P))
     return _report("split", P.form.name, {"at": P.omega}, outputs), 0
 
 
@@ -295,32 +286,18 @@ def _cmd_pullback(args):
     form_y = _resolve_form(args.form_y)
     form_x = _resolve_form(args.form_x)
     matrix = _parse_matrix(args.matrix)
-    base = _parse_class(args.at) if args.at is not None else _default_omega(form_y)
-    if base is None:
-        raise _UsageError("--at is required for source forms outside the catalog")
+    base = _at(args, form_y)
     rep = pullback_isometry_check(form_y, form_x, matrix, args.degree, base)
-    dev = max(rep.max_vol_deviation, rep.max_gram_deviation)
-    checks = [
-        {
-            "name": "pullback_isometry",
-            "max_dev": float(dev),
-            "tol": 1e-10,
-            "pass": bool(dev <= 1e-10),
-        }
-    ]
+    check = FDReport("pullback_isometry", rep.max_dev, 1e-10)
     inputs = {
         "target_form": form_x.name,
         "matrix": matrix,
         "degree": float(args.degree),
         "at": base,
     }
-    outputs = {
-        "max_vol_deviation": rep.max_vol_deviation,
-        "max_gram_deviation": rep.max_gram_deviation,
-        "points_checked": rep.points_checked,
-    }
-    code = 0 if checks[0]["pass"] else 3
-    return _report("pullback", form_y.name, inputs, outputs, checks), code
+    outputs = dataclasses.asdict(rep)
+    code = 0 if check.passed else 3
+    return _report("pullback", form_y.name, inputs, outputs, [check.as_dict()]), code
 
 
 def _cmd_verify(args):

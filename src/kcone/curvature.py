@@ -117,7 +117,8 @@ def christoffel_tensor(P: ConePoint) -> np.ndarray:
 
 def christoffel(P: ConePoint, z: CohClass, u: CohClass) -> CohClass:
     """Gamma(z, u): christoffel_tensor contracted with z and u."""
-    return np.asarray(z, dtype=float) @ (np.asarray(u, dtype=float) @ christoffel_tensor(P))
+    z, u = P.form._check_class(z), P.form._check_class(u)
+    return z @ (u @ christoffel_tensor(P))
 
 
 def covariant_derivative(P: ConePoint, u: VectorField, z: CohClass) -> CohClass:
@@ -215,17 +216,10 @@ def pair_curvature(pairs: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return 0.25 * (np.einsum("ikjl->ijkl", ip) - np.einsum("iljk->ijkl", ip))
 
 
-def _primitive_pairs(P: ConePoint) -> np.ndarray:
-    """The pair tensor with both slots projected to primitive parts by
-    P.primitive_projector, shape (m, m, m), symmetric in its first two slots."""
-    pi = P.primitive_projector
-    return np.einsum("ai,bj,abk->ijk", pi, pi, P.lambda_pairs, optimize=True)
-
-
 def riemann_tensor(P: ConePoint) -> CurvatureTensor:
     """R on the basis as a dense m^4 array: pair_curvature of the primitive
     pair tensor.  derived_curvatures contracts the pair tensor directly."""
-    return CurvatureTensor(entries=pair_curvature(_primitive_pairs(P), P.gram), base_point=P)
+    return CurvatureTensor(entries=pair_curvature(P.primitive_pairs, P.gram), base_point=P)
 
 
 class DerivedCurvatures(NamedTuple):
@@ -243,7 +237,7 @@ def derived_curvatures(P: ConePoint) -> DerivedCurvatures:
         sectional(u, v) = R(u,v,v,u) / (g(u,u) g(v,v) - g(u,v)^2), O(m^3) per plane,
         R(u,v,v,u) = 1/4 (<L(u,v), L(u,v)> - <L(u,u), L(v,v)>).
     """
-    m, pairs = P.rank_m, _primitive_pairs(P)
+    m, pairs = P.rank_m, P.primitive_pairs
     k = (pairs @ P.gram).reshape(m, m * m)
     mt = np.einsum("pq,pja->jqa", P.gram_inv, pairs, optimize=True).reshape(m, m * m)
     trace = np.einsum("pq,pqa->a", P.gram_inv, pairs, optimize=True)
@@ -251,8 +245,7 @@ def derived_curvatures(P: ConePoint) -> DerivedCurvatures:
     scalar = float(np.einsum("ij,ij->", P.gram_inv, ricci))
 
     def sectional(u: CohClass, v: CohClass) -> float:
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        u, v = P.form._check_class(u), P.form._check_class(v)
         guu = P.inner(u, u)
         gvv = P.inner(v, v)
         guv = P.inner(u, v)

@@ -186,6 +186,14 @@ class ConePoint:
         pairs = rhs @ self.gram_inv.T
         return 0.5 * (pairs + pairs.transpose(1, 0, 2))
 
+    @cached_property
+    def primitive_pairs(self) -> np.ndarray:
+        """lambda_pairs with both slots projected to primitive parts by
+        primitive_projector, shape (m, m, m), symmetric in its first two
+        slots: the one source of the curvature tensor and its contractions."""
+        pi = self.primitive_projector
+        return np.einsum("ai,bj,abk->ijk", pi, pi, self.lambda_pairs, optimize=True)
+
     def lambda_class(self, u: CohClass, v: CohClass) -> CohClass:
         """The (1,1)-class Lam(u cup v): lambda_pairs contracted with u and v.
 

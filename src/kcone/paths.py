@@ -202,11 +202,11 @@ def length_bound_check(
 class ProbeReport:
     """Lengths accumulated along gamma(t) = alpha + t omega as t decreases."""
 
+    classification: str             # DIVERGENT | CONVERGENT | INCONCLUSIVE
     ts: np.ndarray
     vols: np.ndarray
     cumulative_lengths: np.ndarray  # length from t_max down to each t
     increments: np.ndarray          # length of each schedule interval
-    classification: str             # DIVERGENT | CONVERGENT | INCONCLUSIVE
     growth_threshold: float
     conv_tol: float
 
@@ -250,11 +250,11 @@ def boundary_probe(
     else:
         classification = "INCONCLUSIVE"
     return ProbeReport(
+        classification=classification,
         ts=ts,
         vols=vols,
         cumulative_lengths=cumulative,
         increments=increments,
-        classification=classification,
         growth_threshold=threshold,
         conv_tol=conv_tol,
     )
@@ -329,17 +329,16 @@ def draw_admissible(draw, check, what: str):
     raise KConeError(f"no admissible {what} in {SAMPLER_TRIES} draws")
 
 
-def admissible_perturbations(form, omega, count, scale=0.1, seed=0):
+def admissible_perturbations(P: ConePoint, count, scale=0.1, seed=0):
     """ConePoints at seeded admissible omega + scale |omega| N(0, I) around
-    the point omega, which must itself be admissible."""
-    omega = ConePoint(form, omega).omega
+    the cone point P."""
     rng = np.random.default_rng(seed)
-    spread = scale * np.linalg.norm(omega)
+    spread = scale * np.linalg.norm(P.omega)
 
     def draw():
-        return omega + spread * rng.standard_normal(form.rank_m)
+        return P.omega + spread * rng.standard_normal(P.rank_m)
 
-    return [draw_admissible(draw, partial(ConePoint, form), "point") for _ in range(count)]
+    return [draw_admissible(draw, partial(ConePoint, P.form), "point") for _ in range(count)]
 
 
 @dataclass
@@ -347,7 +346,10 @@ class PullbackReport:
     max_vol_deviation: float
     max_gram_deviation: float
     points_checked: int
-    degree: float
+
+    @property
+    def max_dev(self) -> float:
+        return max(self.max_vol_deviation, self.max_gram_deviation)
 
 
 def pullback_isometry_check(
@@ -365,6 +367,8 @@ def pullback_isometry_check(
     At sampled admissible points omega of the source cone this verifies
     Vol_X(M omega) = degree * Vol_Y(omega) and M^T Gram_X M = Gram_Y; both
     hold because the Lefschetz contractions are volume-normalized ratios.
+    The source points are admitted once, as ConePoints; the image points
+    are admitted as one batch.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.shape != (form_x.rank_m, form_y.rank_m):
@@ -374,17 +378,16 @@ def pullback_isometry_check(
         )
     if not (isfinite(degree) and degree != 0.0):
         raise ValueError(f"degree must be finite and nonzero, got {degree!r}")
-    base = np.asarray(base_point, dtype=float)
-    others = admissible_perturbations(form_y, base, n_samples - 1, scale, seed)
-    points = np.array([base] + [P.omega for P in others])
-    ys = admit(form_y, points, "source point")
-    xs = admit(form_x, points @ mat.T, "image point")
-    vol_dev = np.abs(xs.vol - degree * ys.vol) / np.abs(degree * ys.vol)
+    base = ConePoint(form_y, base_point)
+    ys = [base] + admissible_perturbations(base, n_samples - 1, scale, seed)
+    xs = admit(form_x, np.array([P.omega for P in ys]) @ mat.T, "image point")
+    y_vol = np.array([P.vol for P in ys])
+    y_gram = np.array([P.gram for P in ys])
+    vol_dev = np.abs(xs.vol - degree * y_vol) / np.abs(degree * y_vol)
     pulled = mat.T @ xs.gram @ mat
-    gram_dev = np.abs(pulled - ys.gram).max(axis=(1, 2)) / np.abs(ys.gram).max(axis=(1, 2))
+    gram_dev = np.abs(pulled - y_gram).max(axis=(1, 2)) / np.abs(y_gram).max(axis=(1, 2))
     return PullbackReport(
         max_vol_deviation=float(vol_dev.max()),
         max_gram_deviation=float(gram_dev.max()),
-        points_checked=len(points),
-        degree=float(degree),
+        points_checked=len(ys),
     )

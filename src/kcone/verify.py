@@ -16,8 +16,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .algebra import algebra_at
-from .catalog import CATALOG, ENTRIES, Probe, default_omega, default_point
+from .algebra import algebra_at, derivation_defects
+from .catalog import CATALOG, ENTRIES, PULLBACKS, Probe, default_point
 from .curvature import (
     CurvatureTensor,
     christoffel_tensor,
@@ -36,7 +36,6 @@ from .fdcheck import (
     check_lambda_derivative,
     check_primitive_field,
 )
-from .intersection import IntersectionForm
 from .metric import ConePoint
 from .paths import (
     LengthBound,
@@ -58,7 +57,7 @@ __all__ = ["run_verification"]
 def hessian_deviation(P: ConePoint) -> FDReport:
     """Criterion 1: FD Hessian of -log Vol vs Gram at P and three seeded
     admissible perturbations; the worst report."""
-    points = [P] + admissible_perturbations(P.form, P.omega, 3, seed=1)
+    points = [P] + admissible_perturbations(P, 3, seed=1)
     return max((check_hessian_metric(Q) for Q in points), key=attrgetter("max_dev"))
 
 
@@ -197,43 +196,6 @@ def algebra_identity_deviation(P: ConePoint) -> float:
     return dev
 
 
-def derivation_conclusion_deviation(P: ConePoint, derivations) -> float:
-    """Criterion 12d: D omega = 0, primitivity of the image, antisymmetry."""
-    devs = [0.0]
-    for d in derivations:
-        devs.append(P.norm(d @ P.omega))
-        devs.append(float(np.abs(P._lam @ d).max()))   # Lam of every image column
-        devs.append(float(np.linalg.norm(P.gram_inv @ d.T @ P.gram + d)))
-    return max(devs)
-
-
-def pullback_case_deviations() -> dict:
-    """Criterion 13: identity, degree-2 scaling and basis-swap embeddings."""
-    p1 = CATALOG["P1XP1"]
-    quintic = CATALOG["QUINTIC"]
-    doubled = IntersectionForm(
-        name="QUINTIC_doubled",
-        dim_n=3,
-        rank_m=1,
-        coeffs={k: 2.0 * v for k, v in quintic.coeffs.items()},
-    )
-    cases = {
-        "identity": pullback_isometry_check(
-            p1, p1, np.eye(2), 1.0, default_omega("P1XP1")
-        ),
-        "degree_scaling": pullback_isometry_check(
-            quintic, doubled, np.eye(1), 2.0, default_omega("QUINTIC")
-        ),
-        "basis_swap": pullback_isometry_check(
-            p1, p1, np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, default_omega("P1XP1")
-        ),
-    }
-    return {
-        tag: max(rep.max_vol_deviation, rep.max_gram_deviation)
-        for tag, rep in cases.items()
-    }
-
-
 # -- assembled suite --------------------------------------------------------
 
 
@@ -242,18 +204,14 @@ def run_verification(names=None):
 
     checks is an ordered list of {"name", "max_dev", "tol", "pass"} dicts.
     Each named entry (default: the whole catalog) runs the same sequence at
-    its default point; the three pullback cases always run.
+    its default point; the catalog.PULLBACKS cases always run.
     """
     if names is None:
         names = list(CATALOG)
     checks = []
 
     def add(check, dev, tol):   # named after the entry in scope
-        dev = float(dev)
-        checks.append(
-            {"name": f"{name}:{check}", "max_dev": dev, "tol": float(tol),
-             "pass": bool(dev <= tol)}
-        )
+        checks.append(FDReport(f"{name}:{check}", dev, tol).as_dict())
 
     def add_fd(check, report):   # at the tolerance the FD oracle pins
         add(check, report.max_dev, report.tol)
@@ -299,11 +257,16 @@ def run_verification(names=None):
         add("algebra_product_identities", algebra_identity_deviation(P), 1e-10)
         add("kn_reconstruction", alg.kn_reconstruction_residual(), 1e-10)
         derivations = alg.derivations()
-        add("derivation_conclusions", derivation_conclusion_deviation(P, derivations), 1e-8)
+        # Criterion 12d: D omega = 0, primitivity of the image, antisymmetry
+        defects = [0.0] + [v for d in derivations for v in derivation_defects(P, d).values()]
+        add("derivation_conclusions", max(defects), 1e-8)
         if entry.derivation_dim is not None:   # Criterion 12c
             add("derivation_dimension", abs(len(derivations) - entry.derivation_dim), 0.0)
     name = "pullback"
-    for tag, dev in pullback_case_deviations().items():
-        add(tag, dev, 1e-10)
+    for case in PULLBACKS:   # Criterion 13
+        rep = pullback_isometry_check(
+            case.source.form, case.target, case.matrix, case.degree, case.source.omega
+        )
+        add(case.tag, rep.max_dev, 1e-10)
     all_pass = all(c["pass"] for c in checks)
     return checks, all_pass

@@ -76,6 +76,10 @@ def test_probe_divergent(capsys):
     rep = json.loads(out)
     assert code == 0
     assert rep["outputs"]["classification"] == "DIVERGENT"
+    assert list(rep["outputs"]) == [
+        "classification", "ts", "vols", "cumulative_lengths", "increments",
+        "growth_threshold", "conv_tol",
+    ]
 
 
 def test_probe_halvings_underflow_is_usage_error(capsys):
@@ -104,6 +108,10 @@ def test_split_output(capsys):
     assert code == 0
     assert abs(rep["outputs"]["t"] - np.log(5.0 / 6.0)) <= 1e-12
     assert abs(rep["outputs"]["dt2_coefficient"] - 1.0 / 3.0) <= 1e-8
+    assert list(rep["outputs"]) == [
+        "t", "omega1", "dt2_coefficient", "expected_dt2", "max_mixed_entry",
+        "primitive_block",
+    ]
 
 
 def test_pullback_swap(capsys):
@@ -113,6 +121,7 @@ def test_pullback_swap(capsys):
     rep = json.loads(out)
     assert code == 0
     assert rep["checks"][0]["pass"] is True
+    assert list(rep["outputs"]) == ["max_vol_deviation", "max_gram_deviation", "points_checked"]
 
 
 def test_info_catalog_and_form(capsys):
@@ -158,6 +167,16 @@ def test_exit_code_inadmissible(capsys):
     code, out, _ = run_cli(capsys, "metric", "CY3GEN", "--at", "1,-1")
     assert code == 2
     assert json.loads(out)["error"] == "IndefiniteMetric"
+
+
+def test_wrong_length_class_argument_is_input_error(capsys):
+    for argv in (
+        ["curvature", "P1XP1", "--sectional", "1,0,0", "2,0"],
+        ["connection", "P1XP1", "--z", "1,0,0", "--u", "1,0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "class has shape (3,), expected (2,)" in err
 
 
 def test_pullback_inadmissible_base_exits_2_without_hanging():

@@ -5,7 +5,7 @@ from kcone import paths
 from kcone.catalog import CATALOG, ENTRIES, catalog_names, default_omega, default_point
 from kcone.errors import KConeError, LeftCone, NonPositiveVolume
 from kcone.intersection import IntersectionForm
-from kcone.metric import admit
+from kcone.metric import ConePoint, admit
 from kcone.paths import (
     admissible_perturbations,
     boundary_probe,
@@ -158,7 +158,7 @@ def test_samplers_give_up_after_bounded_draws(monkeypatch):
     form = CATALOG["P1XP1"]
     omega = default_omega("P1XP1")
     with pytest.raises(KConeError, match="0 draws"):
-        admissible_perturbations(form, omega, 1)
+        admissible_perturbations(ConePoint(form, omega), 1)
     with pytest.raises(KConeError, match="0 draws"):
         pullback_isometry_check(form, form, np.eye(2), 1.0, omega)
     with pytest.raises(KConeError, match="0 draws"):
@@ -330,6 +330,33 @@ def test_pullback_isometry_basis_swap():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     rep = pullback_isometry_check(form, form, swap, 1.0, default_omega("P1XP1"))
     assert max(rep.max_vol_deviation, rep.max_gram_deviation) <= 1e-10
+
+
+def test_pullback_admits_each_point_once(monkeypatch):
+    admits, points = [], []
+
+    def counting_admit(form, X, what):
+        admits.append(what)
+        return admit(form, X, what)
+
+    def counting_point(form, omega):
+        points.append(np.array(omega, dtype=float))
+        return ConePoint(form, omega)
+
+    monkeypatch.setattr(paths, "admit", counting_admit)
+    monkeypatch.setattr(paths, "ConePoint", counting_point)
+    form = CATALOG["P1XP1"]
+    rep = pullback_isometry_check(form, form, np.eye(2), 1.0, default_omega("P1XP1"))
+    # the source points are the ConePoints already built; only the images are batched
+    assert admits == ["image point"]
+    assert np.array_equal(points[0], default_omega("P1XP1"))
+    assert rep.points_checked == 4
+    points.clear()
+    P = default_point("CY3GEN")
+    others = admissible_perturbations(P, 3, seed=1)
+    # one ConePoint per draw, none for the already admitted centre
+    assert len(points) >= 3 and not any(np.array_equal(x, P.omega) for x in points)
+    assert [Q.omega.tolist() for Q in others] == [x.tolist() for x in points[-3:]]
 
 
 def test_pullback_isometry_shape_mismatch():
