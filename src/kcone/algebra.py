@@ -106,13 +106,20 @@ class AlgebraAtPoint:
         return BilinearFormSet(forms=forms, basis=basis)
 
     def kn_reconstruction_residual(self) -> float:
-        """Max deviation of R_alg + sum_l (b_l ^ b_l) from zero."""
-        total = self.curvature_tensor().entries
-        f = self.bilinear_forms().forms
-        a = np.einsum("lik,ljm->ijkm", f, f, optimize=True)
-        total += a   # sum_l (b_l ^ b_l) = a - a.transpose(0, 1, 3, 2)
-        total -= a.transpose(0, 1, 3, 2)
-        return float(np.abs(total).max())
+        """Max deviation of R_alg + sum_l (b_l ^ b_l) from zero.
+
+        Both terms antisymmetrize Gram matrices of the products e_i.e_k: the
+        sum is D[i,k,j,l] - D[i,l,j,k] with D = F^T F - S G S^T (F the forms
+        as (m, m^2), S the structure as (m^2, m)), built one i at a time."""
+        m = self.base.rank_m
+        f, s = self.bilinear_forms().forms, self.structure
+        fmat = f.reshape(m, m * m)
+        gst = self.base.gram @ s.reshape(m * m, m).T
+        worst = 0.0
+        for i in range(m):
+            d = (f[:, i].T @ fmat - s[i] @ gst).reshape(m, m, m)   # [k, j, l] = D[i, k, j, l]
+            worst = max(worst, float(np.abs(d - d.transpose(2, 1, 0)).max()))
+        return worst
 
     def constant_curvature_test(self) -> ConstantCurvatureFit:
         """Best multiple of the induced S^2 inner product inside <x.y, z.w>.

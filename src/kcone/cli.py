@@ -9,7 +9,8 @@ Floats are rendered with the shortest round-trip representation (at most 17
 significant digits), so identical inputs produce byte-identical reports.
 Exit codes: 0 success, 1 usage or input error, 2 inadmissible point or
 degenerate sectional plane (the JSON "error" field carries the error name),
-3 verification failure.
+3 a check in the report failed, or the library raised another KConeError
+(for example a sampler gave up).
 """
 
 from __future__ import annotations
@@ -113,31 +114,9 @@ def _point(args) -> ConePoint:
     return ConePoint(form, _at(args, form))
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
-def _report(command, form_name, inputs, outputs, checks=()):
-    return {
-        "command": command,
-        "form": form_name,
-        "inputs": _jsonable(inputs),
-        "outputs": _jsonable(outputs),
-        "checks": _jsonable(list(checks)),
-    }
-
-
 # -- subcommand handlers ----------------------------------------------------
+# Each returns (form name, inputs, outputs) and, if it runs checks, their
+# records; main builds the report and the exit code from them.
 
 
 def _cmd_info(args):
@@ -152,15 +131,13 @@ def _cmd_info(args):
             }
             for name, f in CATALOG.items()
         ]
-        return _report(
-            "info", "*", {}, {"catalog": entries, "file_schema": _FILE_SCHEMA}
-        ), 0
+        return "*", {}, {"catalog": entries, "file_schema": _FILE_SCHEMA}
     form = _resolve_form(args.form)
     outputs = json.loads(serialize_manifold(form))
     omega = _default_omega(form)
     if omega is not None:
         outputs["default_omega"] = omega
-    return _report("info", form.name, {}, outputs), 0
+    return form.name, {}, outputs
 
 
 def _cmd_metric(args):
@@ -171,7 +148,7 @@ def _cmd_metric(args):
         "gram_inv": P.gram_inv,
         "lambda_basis": P._lam,
     }
-    return _report("metric", P.form.name, {"at": P.omega}, outputs), 0
+    return P.form.name, {"at": P.omega}, outputs
 
 
 def _cmd_curvature(args):
@@ -189,7 +166,7 @@ def _cmd_curvature(args):
             outputs["ricci"] = dc.ricci
         if args.scalar:
             outputs["scalar"] = dc.scalar
-    return _report("curvature", P.form.name, inputs, outputs), 0
+    return P.form.name, inputs, outputs
 
 
 def _cmd_connection(args):
@@ -197,7 +174,7 @@ def _cmd_connection(args):
     z = _parse_class(args.z)
     u = _parse_class(args.u)
     outputs = {"christoffel": christoffel(P, z, u)}
-    return _report("connection", P.form.name, {"at": P.omega, "z": z, "u": u}, outputs), 0
+    return P.form.name, {"at": P.omega, "z": z, "u": u}, outputs
 
 
 def _cmd_geodesic(args):
@@ -221,7 +198,7 @@ def _cmd_geodesic(args):
         "csv_written": args.csv,
     }
     inputs = {"at": P.omega, "v": v0, "T": float(args.T), "steps": int(args.steps)}
-    return _report("geodesic", P.form.name, inputs, outputs), 0
+    return P.form.name, inputs, outputs
 
 
 def _cmd_probe(args):
@@ -248,7 +225,7 @@ def _cmd_probe(args):
         "t_min": float(args.t_min),
         "halvings": int(args.halvings),
     }
-    return _report("probe", form.name, inputs, dataclasses.asdict(rep)), 0
+    return form.name, inputs, dataclasses.asdict(rep)
 
 
 def _cmd_algebra(args):
@@ -273,13 +250,12 @@ def _cmd_algebra(args):
             "tol": fit.tol,
             "is_constant": fit.is_constant,
         }
-    return _report("algebra", P.form.name, {"at": P.omega}, outputs), 0
+    return P.form.name, {"at": P.omega}, outputs
 
 
 def _cmd_split(args):
     P = _point(args)
-    outputs = dataclasses.asdict(split_report(P))
-    return _report("split", P.form.name, {"at": P.omega}, outputs), 0
+    return P.form.name, {"at": P.omega}, dataclasses.asdict(split_report(P))
 
 
 def _cmd_pullback(args):
@@ -295,21 +271,17 @@ def _cmd_pullback(args):
         "degree": float(args.degree),
         "at": base,
     }
-    outputs = dataclasses.asdict(rep)
-    code = 0 if check.passed else 3
-    return _report("pullback", form_y.name, inputs, outputs, [check.as_dict()]), code
+    return form_y.name, inputs, dataclasses.asdict(rep), [check.as_dict()]
 
 
 def _cmd_verify(args):
-    tokens = args.forms or []
-    for token in tokens:
+    for token in args.forms:   # nargs="*" gives [] when no form is named
         if token.upper() not in CATALOG:
             raise _UsageError(f"verify only runs on catalog forms, not {token!r}")
-    names = [token.upper() for token in tokens] or list(CATALOG)
+    names = [token.upper() for token in args.forms] or list(CATALOG)
     checks, all_pass = run_verification(names)
     outputs = {"all_pass": all_pass, "checks_run": len(checks)}
-    code = 0 if all_pass else 3
-    return _report("verify", ",".join(names), {"forms": names}, outputs, checks), code
+    return ",".join(names), {"forms": names}, outputs, checks
 
 
 # -- parser -----------------------------------------------------------------
@@ -391,7 +363,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_pullback)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("forms", nargs="*", default=None)
+    p.add_argument("forms", nargs="*")
     p.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -407,7 +379,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        report, code = args.handler(args)
+        form, inputs, outputs, *rest = args.handler(args)
     except (NonPositiveVolume, IndefiniteMetric, LeftCone, DegeneratePlane) as exc:
         report = {
             "command": args.command,
@@ -422,8 +394,12 @@ def main(argv=None) -> int:
     except KConeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(report, indent=2))
-    return code
+    checks = rest[0] if rest else []
+    report = {"command": args.command, "form": form, "inputs": inputs,
+              "outputs": outputs, "checks": checks}
+    # numpy arrays, ints and bools go through tolist(); np.float64 is a float
+    print(json.dumps(report, indent=2, default=lambda x: x.tolist()))
+    return 3 if any(not c["pass"] for c in checks) else 0
 
 
 if __name__ == "__main__":

@@ -131,6 +131,15 @@ def with_fd_jacobian(field: VectorField, form: IntersectionForm, cfg: FDConfig =
     return VectorField(value_at=field.value_at, jacobian_at=jacobian)
 
 
+def _fd_basis(P: ConePoint, quantity, cfg: FDConfig) -> np.ndarray:
+    """FD derivative of quantity(ConePoint) at P along every basis direction,
+    stacked on a leading axis: out[z] = d_z quantity."""
+    return np.array([
+        fd_directional(lambda w: quantity(ConePoint(P.form, w)), P.omega, e, cfg)
+        for e in np.eye(P.rank_m)
+    ])
+
+
 def check_hessian_metric(P: ConePoint, cfg: FDConfig = None) -> FDReport:
     """FD Hessian of -log Vol against the analytic Gram matrix."""
     cfg = cfg or FDConfig()
@@ -170,14 +179,10 @@ def check_connection(P: ConePoint, cfg: FDConfig = None) -> FDReport:
     is differentiated whole, once per basis direction z.
     """
     cfg = cfg or FDConfig()
-    form, m = P.form, P.rank_m
-    fd = np.array([
-        fd_directional(lambda w: ConePoint(form, w).gram, P.omega, e, cfg)
-        for e in np.eye(m)
-    ])
+    fd = _fd_basis(P, lambda Q: Q.gram, cfg)
     lowered = christoffel_tensor(P) @ P.gram   # [z, u, v] = g(Gamma(z,u), v)
     analytic = lowered + lowered.transpose(0, 2, 1)
-    iu, iv = np.triu_indices(m)   # g is symmetric in (u, v)
+    iu, iv = np.triu_indices(P.rank_m)   # g is symmetric in (u, v)
     fd, analytic = fd[:, iu, iv], analytic[:, iu, iv]
     max_dev = float((np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))).max())
     return FDReport("metric_compatibility", max_dev, cfg.tol_compatibility)
@@ -196,19 +201,15 @@ def check_curvature(P: ConePoint, cfg: FDConfig = None) -> FDReport:
     basis direction.
     """
     cfg = cfg or FDConfig()
-    form, m = P.form, P.rank_m
     tensor = riemann_tensor(P).entries
     scale = max(1.0, float(np.abs(tensor).max()))
     gamma = christoffel_tensor(P)
     # d_gamma[u, v, z] = d_u Gamma(v, z)
-    d_gamma = np.array([
-        fd_directional(lambda w: christoffel_tensor(ConePoint(form, w)), P.omega, e, cfg)
-        for e in np.eye(m)
-    ])
+    d_gamma = _fd_basis(P, christoffel_tensor, cfg)
     # nested[u, v, z] = Gamma(u, Gamma(v, z))
     nested = np.einsum("ubk,vzb->uvzk", gamma, gamma, optimize=True)
     vec = d_gamma - d_gamma.transpose(1, 0, 2, 3) + nested - nested.transpose(1, 0, 2, 3)
-    iu, iv = np.triu_indices(m, 1)
+    iu, iv = np.triu_indices(P.rank_m, 1)
     max_dev = float(np.abs(vec[iu, iv] @ P.gram - tensor[iu, iv]).max(initial=0.0)) / scale
     return FDReport("curvature_vs_fd", max_dev, cfg.tol_curvature)
 
@@ -221,12 +222,8 @@ def check_primitive_field(P: ConePoint, cfg: FDConfig = None) -> FDReport:
     so the check is independent of the analytic jacobian of the field.
     """
     cfg = cfg or FDConfig()
-    form, m = P.form, P.rank_m
     # d_pi[z] = d_z Pi, so nabla_{e_z} of field i is d_pi[z][:, i] + Gamma(e_z, Pi[:, i])
-    d_pi = np.array([
-        fd_directional(lambda w: ConePoint(form, w).primitive_projector, P.omega, e, cfg)
-        for e in np.eye(m)
-    ])
+    d_pi = _fd_basis(P, lambda Q: Q.primitive_projector, cfg)
     gamma_pi = np.einsum("ui,zuk->zki", P.primitive_projector, christoffel_tensor(P))
     max_dev = float(np.abs(P._lam @ (d_pi + gamma_pi)).max())
     return FDReport("primitive_field_stays_primitive", max_dev, cfg.tol_primitive)

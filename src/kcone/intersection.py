@@ -32,9 +32,10 @@ CohClass = np.ndarray
 
 
 def _normalize_coeffs(coeffs, dim_n, rank_m):
-    """Sort indices, merge duplicates, drop zeros; reject inconsistencies."""
+    """Sort indices, merge duplicates, drop zeros; reject inconsistencies.
+    coeffs is a mapping or (index, value) pairs, as a file lists them."""
     out = {}
-    for idx, val in coeffs.items():
+    for idx, val in coeffs.items() if isinstance(coeffs, dict) else coeffs:
         idx = tuple(sorted(int(i) for i in idx))
         if len(idx) != dim_n:
             raise ManifoldFormatError(
@@ -86,9 +87,10 @@ class IntersectionForm:
     def _dense(self) -> np.ndarray:
         """Dense fully symmetric coefficient array of shape (m,)*n."""
         t = np.zeros((self.rank_m,) * self.dim_n)
-        for idx, val in self.coeffs.items():
-            for perm in set(permutations(tuple(i - 1 for i in idx))):
-                t[perm] = val
+        idx = np.array(list(self.coeffs)).T - 1   # row a holds slot a of every index
+        vals = np.array(list(self.coeffs.values()))
+        for perm in permutations(range(self.dim_n)):
+            t[tuple(idx[list(perm)])] = vals
         return t
 
     def _check_class(self, a) -> np.ndarray:
@@ -125,11 +127,10 @@ class IntersectionForm:
         for _ in range(self.dim_n):
             # contract the leading axis with M; axes cycle back into place
             t = np.tensordot(t, mat, axes=([0], [0]))
-        coeffs = {}
-        for idx in combinations_with_replacement(range(m_new), self.dim_n):
-            val = float(t[idx])
-            if val != 0.0:
-                coeffs[tuple(i + 1 for i in idx)] = val
+        coeffs = [
+            (tuple(i + 1 for i in idx), t[idx])
+            for idx in combinations_with_replacement(range(m_new), self.dim_n)
+        ]
         return IntersectionForm(
             name=f"{self.name}_pullback", dim_n=self.dim_n, rank_m=m_new, coeffs=coeffs
         )
@@ -174,22 +175,14 @@ def parse_manifold(text: str) -> IntersectionForm:
     entries = obj["intersection"]
     if not isinstance(entries, list):
         raise ManifoldFormatError("intersection must be a list")
-    coeffs = {}
-    seen = {}
+    coeffs = []
     for entry in entries:
         if not isinstance(entry, dict) or "index" not in entry or "value" not in entry:
             raise ManifoldFormatError(f"bad intersection entry {entry!r}")
-        idx_raw = entry["index"]
-        if not isinstance(idx_raw, list) or not all(type(i) is int for i in idx_raw):
-            raise ManifoldFormatError(f"bad index {idx_raw!r}")
-        idx = tuple(sorted(idx_raw))
-        val = _parse_value(entry["value"])
-        if idx in seen and seen[idx] != val:
-            raise ManifoldFormatError(
-                f"conflicting values for index {list(idx)}: {seen[idx]} vs {val}"
-            )
-        seen[idx] = val
-        coeffs[idx] = val
+        idx = entry["index"]
+        if not isinstance(idx, list) or not all(type(i) is int for i in idx):
+            raise ManifoldFormatError(f"bad index {idx!r}")
+        coeffs.append((idx, _parse_value(entry["value"])))
     labels = tuple(obj.get("labels") or ())
     return IntersectionForm(
         name=name, dim_n=dim, rank_m=h11, coeffs=coeffs, labels=labels

@@ -1,4 +1,5 @@
 import sys
+from itertools import permutations
 from pathlib import Path
 
 # allow running the suite from a fresh checkout without installing
@@ -63,3 +64,19 @@ def _check_against_dense_curvature(P, planes):
 @pytest.fixture(scope="session")
 def dense_curvature_check():
     return _check_against_dense_curvature
+
+
+def _dense_by_permutations(form):
+    """The dense array of a form filled one coefficient and one distinct
+    permutation of its index at a time: the reference for
+    IntersectionForm._dense."""
+    t = np.zeros((form.rank_m,) * form.dim_n)
+    for idx, val in form.coeffs.items():
+        for perm in set(permutations(tuple(i - 1 for i in idx))):
+            t[perm] = val
+    return t
+
+
+@pytest.fixture(scope="session")
+def dense_by_permutations():
+    return _dense_by_permutations

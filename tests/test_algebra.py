@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from kcone.algebra import algebra_at, kn_product, orthonormal_basis
+from kcone.algebra import BilinearFormSet, algebra_at, kn_product, orthonormal_basis
 from kcone.catalog import catalog_names, default_point
 from kcone.curvature import riemann_tensor
 from kcone.intersection import IntersectionForm
@@ -131,6 +131,23 @@ def test_kn_residual_matches_sum_of_kn_squares():
         total = sum(kn_product(b) for b in alg.bilinear_forms().forms)
         expect = float(np.abs(alg.curvature_tensor().entries + total).max())
         assert abs(alg.kn_reconstruction_residual() - expect) <= 1e-14
+
+
+def test_kn_residual_matches_sum_of_kn_squares_away_from_zero(monkeypatch, quartic_points):
+    # perturbed forms no longer cancel R_alg, so the residual is far from
+    # roundoff and must still equal the dense sum of Kulkarni-Nomizu squares
+    rng = np.random.default_rng(5)
+    points = [default_point(name) for name in ("BLP2", "LOR3", "CY3GEN")]
+    for P in points + list(quartic_points.values()):
+        alg = algebra_at(P)
+        fs = alg.bilinear_forms()
+        noise = 0.1 * rng.standard_normal(fs.forms.shape)
+        bent = BilinearFormSet(forms=fs.forms + noise, basis=fs.basis)
+        monkeypatch.setattr(alg, "bilinear_forms", lambda: bent)
+        total = sum(kn_product(b) for b in bent.forms)
+        expect = float(np.abs(alg.curvature_tensor().entries + total).max())
+        assert expect > 1e-3
+        assert abs(alg.kn_reconstruction_residual() - expect) <= 1e-12 * expect
 
 
 def test_constant_curvature_rank_one_trivial():

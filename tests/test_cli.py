@@ -124,6 +124,25 @@ def test_pullback_swap(capsys):
     assert list(rep["outputs"]) == ["max_vol_deviation", "max_gram_deviation", "points_checked"]
 
 
+def test_failing_pullback_check_exits_3(capsys):
+    # degree 2 does not match the identity map, so the isometry check fails
+    code, out, _ = run_cli(
+        capsys, "pullback", "P1XP1", "P1XP1", "--matrix", "1,0;0,1", "--degree", "2"
+    )
+    rep = json.loads(out)
+    assert code == 3
+    assert rep["command"] == "pullback" and rep["checks"][0]["pass"] is False
+
+
+def test_failing_verify_check_exits_3(capsys, monkeypatch):
+    failing = {"name": "P3:stub", "max_dev": 1.0, "tol": 0.0, "pass": False}
+    monkeypatch.setattr("kcone.cli.run_verification", lambda names: ([failing], False))
+    code, out, _ = run_cli(capsys, "verify", "P3")
+    rep = json.loads(out)
+    assert code == 3
+    assert rep["checks"] == [failing] and rep["outputs"]["all_pass"] is False
+
+
 def test_info_catalog_and_form(capsys):
     code, out, _ = run_cli(capsys, "info")
     rep = json.loads(out)

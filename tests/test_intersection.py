@@ -56,19 +56,21 @@ def test_parse_symmetric_duplicates_merge():
 
 
 def test_parse_conflicting_duplicates():
-    text = json.dumps(
-        {
-            "name": "X",
-            "dim": 2,
-            "h11": 2,
-            "intersection": [
-                {"index": [2, 1], "value": 1},
-                {"index": [1, 2], "value": 2},
-            ],
-        }
-    )
-    with pytest.raises(ManifoldFormatError, match="conflicting"):
-        parse_manifold(text)
+    # the same index given twice, in another order and then verbatim
+    for first in ([2, 1], [1, 2]):
+        text = json.dumps(
+            {
+                "name": "X",
+                "dim": 2,
+                "h11": 2,
+                "intersection": [
+                    {"index": first, "value": 1},
+                    {"index": [1, 2], "value": 2},
+                ],
+            }
+        )
+        with pytest.raises(ManifoldFormatError, match="conflicting"):
+            parse_manifold(text)
 
 
 def test_parse_index_out_of_range():
@@ -211,3 +213,8 @@ def test_non_finite_coefficients_rejected(value):
     if isinstance(value, float):
         with pytest.raises(ManifoldFormatError, match="non-finite"):
             IntersectionForm(name="X", dim_n=2, rank_m=2, coeffs={(1, 2): value})
+
+
+def test_dense_matches_permutation_loop(dense_by_permutations):
+    for form in CATALOG.values():
+        assert np.array_equal(form._dense, dense_by_permutations(form))

@@ -76,3 +76,9 @@ def test_admit_rows_match_cone_points(P, seed):
 def test_derived_curvatures_match_dense_tensor(dense_curvature_check, P, seed):
     rng = np.random.default_rng(seed)
     dense_curvature_check(P, rng.uniform(-1.0, 1.0, (4, 2, P.rank_m)))
+
+
+@SETTINGS
+@given(points_at_e1())
+def test_dense_matches_permutation_loop(dense_by_permutations, P):
+    assert np.array_equal(P.form._dense, dense_by_permutations(P.form))
