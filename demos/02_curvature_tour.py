@@ -10,12 +10,10 @@ import numpy as np
 from kcone import (
     check_curvature,
     christoffel,
-    covariant_derivative,
     derived_curvatures,
     riemann,
     riemann_alt,
     riemann_tensor,
-    tautological_field,
 )
 from kcone.catalog import default_point
 
@@ -25,10 +23,10 @@ print("point:", P)
 
 # The connection: Gamma(z, u) is the covariant derivative of a constant
 # field.  The class omega itself, seen as the tautological field, is
-# parallel: its jacobian cancels Gamma(z, omega) = -z exactly.
+# parallel: its jacobian, the identity, cancels Gamma(z, omega) = -z exactly.
 print("\nGamma(e2, e2) =", christoffel(P, e2, e2))
 print("Gamma(e2, omega) =", christoffel(P, e2, P.omega))
-nabla_omega = covariant_derivative(P, tautological_field(), e2)
+nabla_omega = e2 + christoffel(P, e2, P.omega)
 print("nabla_{e2} omega =", nabla_omega, " (parallel)")
 
 # Curvature: the closed form, its space-form-perturbation variant, and an

@@ -20,17 +20,12 @@ from .catalog import CATALOG, catalog_names, default_omega, default_point, get_f
 from .curvature import (
     CurvatureTensor,
     DerivedCurvatures,
-    VectorField,
     christoffel,
-    constant_field,
-    covariant_derivative,
     derived_curvatures,
     inner22,
-    primitive_projection_field,
     riemann,
     riemann_alt,
     riemann_tensor,
-    tautological_field,
 )
 from .errors import (
     DegeneratePlane,
@@ -41,7 +36,6 @@ from .errors import (
     NonPositiveVolume,
 )
 from .fdcheck import (
-    FDConfig,
     FDReport,
     check_connection,
     check_curvature,
@@ -50,7 +44,6 @@ from .fdcheck import (
     check_primitive_field,
     fd_directional,
     fd_hessian,
-    with_fd_jacobian,
 )
 from .intersection import (
     CohClass,

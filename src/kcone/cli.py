@@ -388,7 +388,7 @@ def main(argv=None) -> int:
         }
         print(json.dumps(report, indent=2))
         return 2
-    except (_UsageError, ManifoldFormatError, ValueError) as exc:
+    except (_UsageError, ManifoldFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KConeError as exc:

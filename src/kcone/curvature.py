@@ -25,7 +25,7 @@ Christoffel tensors once per basis direction: O(m) cone points per check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,13 +34,8 @@ from .intersection import CohClass
 from .metric import ConePoint
 
 __all__ = [
-    "VectorField",
-    "constant_field",
-    "tautological_field",
-    "primitive_projection_field",
     "christoffel_tensor",
     "christoffel",
-    "covariant_derivative",
     "riemann",
     "riemann_alt",
     "inner22",
@@ -50,56 +45,6 @@ __all__ = [
     "DerivedCurvatures",
     "derived_curvatures",
 ]
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """A tangent field as a (value, directional jacobian) pair.
-
-    `jacobian_at(P, z)` returns the directional derivative d_z u at P; it
-    may be None, in which case the finite-difference oracle can synthesize
-    one (see fdcheck.with_fd_jacobian).
-    """
-
-    value_at: Callable[[ConePoint], CohClass]
-    jacobian_at: Optional[Callable[[ConePoint, CohClass], CohClass]] = None
-
-
-def constant_field(u0: CohClass) -> VectorField:
-    u0 = np.asarray(u0, dtype=float)
-    return VectorField(
-        value_at=lambda P: u0,
-        jacobian_at=lambda P, z: np.zeros_like(u0),
-    )
-
-
-def tautological_field() -> VectorField:
-    """The field omega |-> omega; its jacobian is the identity."""
-    return VectorField(
-        value_at=lambda P: P.omega,
-        jacobian_at=lambda P, z: np.asarray(z, dtype=float),
-    )
-
-
-def primitive_projection_field(u0: CohClass) -> VectorField:
-    """The field omega |-> primitive part of u0 at omega.
-
-    The analytic jacobian uses the derivative rule for Lam applied to a
-    constant class: d_z Lam(u0) = -Lam(z) Lam(u0) + Lam2(u0 cup z).
-    """
-    u0 = np.asarray(u0, dtype=float)
-
-    def value(P: ConePoint) -> CohClass:
-        return P.primitive_part(u0)
-
-    def jacobian(P: ConePoint, z: CohClass) -> CohClass:
-        z = np.asarray(z, dtype=float)
-        n = P.dim_n
-        lam_u = P.lambda_scalar([u0])
-        dlam = -P.lambda_scalar([z]) * lam_u + P.lambda_scalar([u0, z])
-        return -(dlam / n) * P.omega - (lam_u / n) * z
-
-    return VectorField(value_at=value, jacobian_at=jacobian)
 
 
 def christoffel_tensor(P: ConePoint) -> np.ndarray:
@@ -119,16 +64,6 @@ def christoffel(P: ConePoint, z: CohClass, u: CohClass) -> CohClass:
     """Gamma(z, u): christoffel_tensor contracted with z and u."""
     z, u = P.form._check_class(z), P.form._check_class(u)
     return z @ (u @ christoffel_tensor(P))
-
-
-def covariant_derivative(P: ConePoint, u: VectorField, z: CohClass) -> CohClass:
-    """nabla_z u = d_z u + Gamma(z, u(P))."""
-    if u.jacobian_at is None:
-        raise ValueError(
-            "field has no jacobian; wrap it with fdcheck.with_fd_jacobian"
-        )
-    z = np.asarray(z, dtype=float)
-    return u.jacobian_at(P, z) + christoffel(P, z, u.value_at(P))
 
 
 def riemann(P: ConePoint, u, v, z, w) -> float:

@@ -183,9 +183,11 @@ def parse_manifold(text: str) -> IntersectionForm:
         if not isinstance(idx, list) or not all(type(i) is int for i in idx):
             raise ManifoldFormatError(f"bad index {idx!r}")
         coeffs.append((idx, _parse_value(entry["value"])))
-    labels = tuple(obj.get("labels") or ())
+    labels = obj.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        raise ManifoldFormatError(f"labels must be a list of strings, got {labels!r}")
     return IntersectionForm(
-        name=name, dim_n=dim, rank_m=h11, coeffs=coeffs, labels=labels
+        name=name, dim_n=dim, rank_m=h11, coeffs=coeffs, labels=tuple(labels)
     )
 
 

@@ -21,12 +21,10 @@ from .catalog import CATALOG, ENTRIES, PULLBACKS, Probe, default_point
 from .curvature import (
     CurvatureTensor,
     christoffel_tensor,
-    covariant_derivative,
     derived_curvatures,
     riemann,
     riemann_alt,
     riemann_tensor,
-    tautological_field,
 )
 from .fdcheck import (
     FDReport,
@@ -80,12 +78,9 @@ def torsion_deviation(P: ConePoint) -> float:
 
 
 def parallel_kahler_deviation(P: ConePoint) -> float:
-    """Criterion 4a: nabla omega = 0 for the tautological field, computed
-    through christoffel: z + christoffel(z, omega) over all basis z."""
-    field = tautological_field()
-    return max(
-        float(np.abs(covariant_derivative(P, field, e)).max()) for e in np.eye(P.rank_m)
-    )
+    """Criterion 4a: nabla omega = 0 for the tautological field omega |-> omega,
+    whose jacobian is the identity: z + Gamma(z, omega) over all basis z."""
+    return float(np.abs(np.eye(P.rank_m) + P.omega @ christoffel_tensor(P)).max())
 
 
 def curvature_agreement_deviation(P: ConePoint) -> float:
@@ -118,18 +113,18 @@ def geodesic_deviations(P: ConePoint, count: int = 10, steps: int = 1000):
     return float(np.abs(radial.points - closed).max()), max(p.speed_drift for p in rest)
 
 
-def _random_piecewise_path(form, omega0, rng, waypoints=4, scale=0.15, subdiv=64,
-                           lengths=None):
-    """Seeded piecewise-linear admissible path, finely subdivided.
+def _random_piecewise_path(form, omega0, rng, waypoints=4, scale=0.15, subdiv=64):
+    """Seeded piecewise-linear admissible path: returns its waypoints, shape
+    (waypoints + 1, m), and the length of each segment.
 
-    Each segment is admitted once, by path_length, and its length appended
-    to `lengths` when that is a list.  Rank-one cones only contain radial
-    (bound-tight) paths, so they get a much finer subdivision to keep the
-    discretization error below the criterion slack.
+    Each segment is measured once, by path_length over subdiv intervals,
+    which also admits it.  Rank-one cones only contain radial (bound-tight)
+    paths, so they get a much finer subdivision to keep the discretization
+    error below the criterion slack.
     """
     pts = [np.asarray(omega0, float)]
     grid = np.linspace(0.0, 1.0, subdiv + 1)
-    lengths = [] if lengths is None else lengths
+    lengths = []
 
     def draw():
         step = scale * np.linalg.norm(pts[-1]) * rng.standard_normal(form.rank_m)
@@ -142,10 +137,7 @@ def _random_piecewise_path(form, omega0, rng, waypoints=4, scale=0.15, subdiv=64
 
     while len(pts) < waypoints + 1:
         pts.append(draw_admissible(draw, check_segment, "waypoint"))
-    a, b = np.array(pts[:-1]), np.array(pts[1:])
-    t = np.linspace(0.0, 1.0, subdiv, endpoint=False)
-    fine = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-    return np.concatenate([fine.reshape(-1, form.rank_m), pts[-1][None, :]])
+    return np.array(pts), lengths
 
 
 def length_bound_violation(P: ConePoint, count: int = 50) -> float:
@@ -158,9 +150,8 @@ def length_bound_violation(P: ConePoint, count: int = 50) -> float:
     rng = np.random.default_rng(5)
     worst = -np.inf
     for _ in range(count):
-        lengths = []
-        path = _random_piecewise_path(form, P.omega, rng, subdiv=subdiv, lengths=lengths)
-        dlv = abs(log(form.volume(path[-1])) - log(form.volume(path[0])))
+        pts, lengths = _random_piecewise_path(form, P.omega, rng, subdiv=subdiv)
+        dlv = abs(log(form.volume(pts[-1])) - log(form.volume(pts[0])))
         worst = max(worst, dlv / sqrt(form.dim_n) - sum(lengths))
     return max(worst, 0.0)
 

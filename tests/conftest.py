@@ -80,3 +80,18 @@ def _dense_by_permutations(form):
 @pytest.fixture(scope="session")
 def dense_by_permutations():
     return _dense_by_permutations
+
+
+def _projector_derivative(P):
+    """Analytic d_z Pi at P, shape (m, m, m) with out[z] = d_z Pi: column i
+    is the jacobian of the primitive field omega |-> Pi(omega) e_i, from
+    Pi = 1 - omega Lam^T / n and d_z Lam(e_i) = -Lam(z) Lam(e_i) + Lam2(e_i cup z)."""
+    lam, n = P._lam, P.dim_n
+    d_lam = P._lam2 - np.outer(lam, lam)   # [z, i] = d_z Lam(e_i)
+    return -(np.einsum("zk,i->zki", np.eye(P.rank_m), lam)
+             + np.einsum("k,zi->zki", P.omega, d_lam)) / n
+
+
+@pytest.fixture(scope="session")
+def projector_derivative():
+    return _projector_derivative

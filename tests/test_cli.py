@@ -236,6 +236,21 @@ def test_non_finite_coefficient_is_input_error(capsys, tmp_path):
     assert "non-finite" in err
 
 
+def test_directory_as_form_is_input_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "info", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_unwritable_csv_is_input_error(capsys, tmp_path):
+    csv = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(
+        capsys, "geodesic", "P1XP1", "--v", "1,0", "--T", "0.1", "--steps", "2", "--csv", str(csv)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
 def test_exit_code_left_cone(capsys):
     code, out, _ = run_cli(
         capsys, "geodesic", "CY3GEN", "--v", "0,-2", "--T", "1", "--steps", "400"

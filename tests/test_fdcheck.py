@@ -4,21 +4,15 @@ import numpy as np
 import pytest
 
 from kcone.catalog import CATALOG, default_point
-from kcone.curvature import (
-    christoffel,
-    covariant_derivative,
-    primitive_projection_field,
-    riemann_tensor,
-)
+from kcone.curvature import christoffel, riemann_tensor
 from kcone.fdcheck import (
-    FDConfig,
+    _central_difference,
     check_connection,
     check_curvature,
     check_hessian_metric,
     check_primitive_field,
     fd_directional,
     fd_hessian,
-    with_fd_jacobian,
 )
 from kcone.metric import ConePoint
 
@@ -53,9 +47,8 @@ def test_richardson_order_two_witness():
     z = np.ones(1)
     analytic = P.lambda_scalar([z]) * P.vol
     e = []
-    for scale in (1e-2, 5e-3):
-        cfg = FDConfig(step_scale=scale, richardson=False)
-        e.append(abs(fd_directional(P.form.volume, P.omega, z, cfg) - analytic))
+    for h in (1e-2, 5e-3):
+        e.append(abs(_central_difference(P.form.volume, P.omega, z, h) - analytic))
     ratio = e[0] / e[1]
     assert 3.5 <= ratio <= 4.5
 
@@ -70,26 +63,14 @@ def test_fd_hessian_matches_gram_and_is_scale_invariant():
     assert check_hessian_metric(default_point("LOR3")).max_dev <= 1e-6
 
 
-def test_fd_config_validation():
-    with pytest.raises(ValueError):
-        FDConfig(step_scale=0.0)
-    with pytest.raises(ValueError):
-        FDConfig(hessian_step_scale=0.5)
-
-
-def test_fd_jacobian_matches_analytic():
-    from kcone.curvature import primitive_projection_field
-    from kcone.fdcheck import with_fd_jacobian
-
+def test_fd_jacobian_matches_analytic(projector_derivative):
+    # the primitive fields omega |-> Pi(omega) e_i, differentiated whole
     P = default_point("CY3GEN")
-    u0 = np.array([1.0, 0.0])
-    analytic = primitive_projection_field(u0)
-    numeric = with_fd_jacobian(primitive_projection_field(u0), P.form)
-    for i in range(2):
-        z = np.eye(2)[i]
-        a = analytic.jacobian_at(P, z)
-        b = numeric.jacobian_at(P, z)
-        assert np.abs(a - b).max() <= 1e-9
+    fd = np.array([
+        fd_directional(lambda w: ConePoint(P.form, w).primitive_projector, P.omega, e)
+        for e in np.eye(2)
+    ])
+    assert np.abs(fd - projector_derivative(P)).max() <= 1e-9
 
 
 def test_report_serialization():
@@ -106,7 +87,7 @@ def test_fd_checks_pass_on_quartics(quartic_points):
         assert check_curvature(P).passed
 
 
-def _connection_per_triple(P, cfg):
+def _connection_per_triple(P):
     """Reference for check_connection: one FD probe per triple (z, u <= v)."""
     form, eye = P.form, np.eye(P.rank_m)
     max_dev = 0.0
@@ -114,13 +95,13 @@ def _connection_per_triple(P, cfg):
         if iu > iv:
             continue
         z, u, v = eye[iz], eye[iu], eye[iv]
-        fd = fd_directional(lambda w: ConePoint(form, w).inner(u, v), P.omega, z, cfg)
+        fd = fd_directional(lambda w: ConePoint(form, w).inner(u, v), P.omega, z)
         analytic = P.inner(christoffel(P, z, u), v) + P.inner(u, christoffel(P, z, v))
         max_dev = max(max_dev, abs(fd - analytic) / max(1.0, abs(analytic)))
     return max_dev
 
 
-def _curvature_per_triple(P, cfg):
+def _curvature_per_triple(P):
     """Reference for check_curvature: FD probes per triple (u < v, z)."""
     form, m, eye = P.form, P.rank_m, np.eye(P.rank_m)
     tensor = riemann_tensor(P).entries
@@ -130,8 +111,8 @@ def _curvature_per_triple(P, cfg):
         if iu >= iv:
             continue
         u, v, z = eye[iu], eye[iv], eye[iz]
-        d_u = fd_directional(lambda w: christoffel(ConePoint(form, w), v, z), P.omega, u, cfg)
-        d_v = fd_directional(lambda w: christoffel(ConePoint(form, w), u, z), P.omega, v, cfg)
+        d_u = fd_directional(lambda w: christoffel(ConePoint(form, w), v, z), P.omega, u)
+        d_v = fd_directional(lambda w: christoffel(ConePoint(form, w), u, z), P.omega, v)
         vec = (
             d_u
             - d_v
@@ -143,22 +124,22 @@ def _curvature_per_triple(P, cfg):
     return max_dev
 
 
-def _primitive_field_per_pair(P, cfg):
-    """Reference for check_primitive_field: one FD-jacobian field per basis
-    class, differentiated along each basis direction."""
+def _primitive_field_per_pair(P):
+    """Reference for check_primitive_field: the primitive part of each basis
+    class as a field, FD-differentiated along each basis direction and
+    corrected by Gamma."""
     eye = np.eye(P.rank_m)
     max_dev = 0.0
     for u0, z in itertools.product(eye, eye):
-        field = with_fd_jacobian(primitive_projection_field(u0), P.form, cfg)
-        max_dev = max(max_dev, abs(P.lambda_scalar([covariant_derivative(P, field, z)])))
+        d_z = fd_directional(lambda w: ConePoint(P.form, w).primitive_part(u0), P.omega, z)
+        nabla = d_z + christoffel(P, z, P.primitive_part(u0))
+        max_dev = max(max_dev, abs(P.lambda_scalar([nabla])))
     return max_dev
 
 
 @pytest.mark.parametrize("name", ["CY3GEN", "LOR3", "P1^4"])
 def test_whole_tensor_fd_checks_match_per_triple_loops(name, quartic_points):
     P = quartic_points[name] if name in quartic_points else default_point(name)
-    cfg = FDConfig()
-    assert abs(check_connection(P, cfg).max_dev - _connection_per_triple(P, cfg)) <= 1e-9
-    assert abs(check_curvature(P, cfg).max_dev - _curvature_per_triple(P, cfg)) <= 1e-9
-    prim = check_primitive_field(P, cfg).max_dev
-    assert abs(prim - _primitive_field_per_pair(P, cfg)) <= 1e-9
+    assert abs(check_connection(P).max_dev - _connection_per_triple(P)) <= 1e-9
+    assert abs(check_curvature(P).max_dev - _curvature_per_triple(P)) <= 1e-9
+    assert abs(check_primitive_field(P).max_dev - _primitive_field_per_pair(P)) <= 1e-9

@@ -99,6 +99,14 @@ def test_parse_missing_field():
         parse_manifold(json.dumps({"name": "X", "dim": 2, "h11": 2}))
 
 
+@pytest.mark.parametrize("labels", [5, "ab", [None, {"a": 1}]])
+def test_parse_rejects_labels_that_are_not_a_list_of_strings(labels):
+    obj = json.loads(P1XP1_FILE)
+    obj["labels"] = labels
+    with pytest.raises(ManifoldFormatError, match="labels must be a list of strings"):
+        parse_manifold(json.dumps(obj))
+
+
 def test_serialize_roundtrip():
     form = parse_manifold(P1XP1_FILE)
     again = parse_manifold(serialize_manifold(form))

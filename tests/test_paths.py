@@ -127,28 +127,27 @@ def test_path_length_list_and_array_agree():
 
 
 def test_random_piecewise_path_is_linear_between_waypoints():
+    # each segment length is path_length of the straight segment between
+    # consecutive waypoints over subdiv intervals
     form = CATALOG["CY3GEN"]
+    omega = default_omega("CY3GEN")
     subdiv = 64
-    path = _random_piecewise_path(
-        form, default_omega("CY3GEN"), np.random.default_rng(5), subdiv=subdiv
-    )
-    waypoints = path[::subdiv]
-    expected = [
-        a + t * (b - a)
-        for a, b in zip(waypoints[:-1], waypoints[1:])
-        for t in np.linspace(0.0, 1.0, subdiv, endpoint=False)
-    ]
-    expected.append(waypoints[-1])
-    assert path.shape == (4 * subdiv + 1, 2)
-    assert np.array_equal(path, np.array(expected))
+    pts, lengths = _random_piecewise_path(form, omega, np.random.default_rng(5), subdiv=subdiv)
+    assert pts.shape == (5, 2) and np.array_equal(pts[0], omega)
+    grid = np.linspace(0.0, 1.0, subdiv + 1)
+    for a, b, length in zip(pts[:-1], pts[1:], lengths, strict=True):
+        assert path_length(form, a[None, :] + grid[:, None] * (b - a)[None, :]) == length
 
 
 def test_random_path_segment_lengths_sum_to_path_length():
     form = CATALOG["CY3GEN"]
-    lengths = []
-    path = _random_piecewise_path(
-        form, default_omega("CY3GEN"), np.random.default_rng(5), lengths=lengths
+    subdiv = 64
+    pts, lengths = _random_piecewise_path(
+        form, default_omega("CY3GEN"), np.random.default_rng(5), subdiv=subdiv
     )
+    t = np.linspace(0.0, 1.0, subdiv, endpoint=False)
+    fine = pts[:-1, None, :] + t[None, :, None] * (pts[1:] - pts[:-1])[:, None, :]
+    path = np.concatenate([fine.reshape(-1, 2), pts[-1:]])
     assert len(lengths) == 4
     assert sum(lengths) == pytest.approx(path_length(form, path), rel=1e-14)
 
