@@ -28,6 +28,9 @@ class LeftCone(KConeError):
         self.t = float(t)
         super().__init__(message or f"geodesic left the admissible cone at t={t!r}")
 
+    def __reduce__(self):   # args holds only the message; rebuild with t
+        return type(self), (self.t, str(self))
+
 
 class DegeneratePlane(KConeError):
     """Sectional curvature requested for a degenerate 2-plane."""

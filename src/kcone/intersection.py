@@ -159,7 +159,7 @@ def parse_manifold(text: str) -> IntersectionForm:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # the latter: nested too deeply
         raise ManifoldFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ManifoldFormatError("top level must be a JSON object")

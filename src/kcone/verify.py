@@ -2,14 +2,16 @@
 finite-difference oracle, plus the structural invariants, benchmark
 values, geodesic diagnostics and boundary probes, at pinned tolerances.
 
-Each catalog entry runs one fixed check sequence at its default point; a
-check against a pinned value runs on the entries that pin one.  The same
-checks back the `verify` CLI subcommand and the acceptance test module;
-all sampling is seeded, so repeated runs are bit-identical.
+Each catalog entry runs one fixed check sequence at its default point, the
+entries in parallel worker processes; a check against a pinned value runs
+on the entries that pin one.  The same checks back the `verify` CLI
+subcommand and the acceptance test module; all sampling is seeded, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
+import os
 from itertools import product as iter_product
 from math import log, sqrt
 from operator import attrgetter
@@ -190,74 +192,107 @@ def algebra_identity_deviation(P: ConePoint) -> float:
 # -- assembled suite --------------------------------------------------------
 
 
-def run_verification(names=None):
-    """Run the verification suite; returns (checks, all_pass).
-
-    checks is an ordered list of {"name", "max_dev", "tol", "pass"} dicts.
-    Each named entry (default: the whole catalog) runs the same sequence at
-    its default point; the catalog.PULLBACKS cases always run.
-    """
-    if names is None:
-        names = list(CATALOG)
+def _entry_checks(name):
+    """The check sequence of one catalog entry at its default point: an
+    ordered list of {"name", "max_dev", "tol", "pass"} dicts."""
+    entry, P = ENTRIES[name], default_point(name)
     checks = []
 
-    def add(check, dev, tol):   # named after the entry in scope
+    def add(check, dev, tol):
         checks.append(FDReport(f"{name}:{check}", dev, tol).as_dict())
 
     def add_fd(check, report):   # at the tolerance the FD oracle pins
         add(check, report.max_dev, report.tol)
 
-    for name in names:
-        entry, P = ENTRIES[name], default_point(name)
-        add_fd("hessian_vs_gram", hessian_deviation(P))
-        add_fd("lambda_derivative_rule", lambda_rule_deviation(P))
-        add("torsion_symmetry", torsion_deviation(P), 0.0)
-        add_fd("metric_compatibility", check_connection(P))
-        add("parallel_kahler_class", parallel_kahler_deviation(P), 1e-12)
-        add_fd("primitive_field_covariant", check_primitive_field(P))
-        add("curvature_formula_agreement", curvature_agreement_deviation(P), 1e-10)
-        add_fd("curvature_vs_fd", check_curvature(P))
-        tensor, alg = riemann_tensor(P), algebra_at(P)
-        ralg = alg.curvature_tensor()
-        riemann_dev = max(tensor.max_symmetry_deviation(), tensor.omega_slot_deviation())
-        add("riemann_symmetries", riemann_dev, 1e-12)
-        add("algebra_curvature_symmetries", ralg.max_symmetry_deviation(), 1e-12)
-        add("curvature_sign_relation", sign_relation_deviation(tensor, ralg), 1e-10)
-        pins = entry.curvature
-        if pins is not None:   # Criterion 8
-            dc = derived_curvatures(P)
-            ricci_devs = [abs(u @ dc.ricci @ u - pins.ricci) for u in np.array(pins.units)]
-            radial_devs = [abs(dc.sectional(P.omega, u)) for u in pins.radial]
-            add("primitive_sectional", abs(dc.sectional(*pins.plane) - pins.sectional), 1e-8)
-            add("primitive_ricci", max(ricci_devs), 1e-8)
-            add("scalar_curvature", abs(dc.scalar - pins.scalar), 1e-7)
-            add("radial_plane_sectional", max(radial_devs), 1e-10)
-        if P.rank_m == 1:   # Criterion 8: a rank-one cone is a flat ray
-            add("flat_curvature", np.abs(tensor.entries).max(), 1e-14)
-        radial_dev, drift_dev = geodesic_deviations(P)
-        add("radial_geodesic", radial_dev, 1e-8)
-        add("geodesic_speed_drift", drift_dev, 1e-8)
-        add("length_lower_bound", length_bound_violation(P), 1e-9)
-        lb = radial_bound(P)
-        add("radial_bound_tightness", abs(lb.length - lb.lower_bound), 1e-8)
-        # 0.0 when the radial path strictly violates the sqrt(2/n) variant
-        add("sqrt2_bound_violated", 0.0 if lb.length < lb.sqrt2_bound else 1.0, 0.0)
-        if entry.probe is not None:
-            probe = entry.probe
-            add(f"boundary_{probe.expect.lower()}", probe_deviation(P, probe), probe.tol)
-        add("algebra_product_identities", algebra_identity_deviation(P), 1e-10)
-        add("kn_reconstruction", alg.kn_reconstruction_residual(), 1e-10)
-        derivations = alg.derivations()
-        # Criterion 12d: D omega = 0, primitivity of the image, antisymmetry
-        defects = [0.0] + [v for d in derivations for v in derivation_defects(P, d).values()]
-        add("derivation_conclusions", max(defects), 1e-8)
-        if entry.derivation_dim is not None:   # Criterion 12c
-            add("derivation_dimension", abs(len(derivations) - entry.derivation_dim), 0.0)
-    name = "pullback"
+    add_fd("hessian_vs_gram", hessian_deviation(P))
+    add_fd("lambda_derivative_rule", lambda_rule_deviation(P))
+    add("torsion_symmetry", torsion_deviation(P), 0.0)
+    add_fd("metric_compatibility", check_connection(P))
+    add("parallel_kahler_class", parallel_kahler_deviation(P), 1e-12)
+    add_fd("primitive_field_covariant", check_primitive_field(P))
+    add("curvature_formula_agreement", curvature_agreement_deviation(P), 1e-10)
+    add_fd("curvature_vs_fd", check_curvature(P))
+    tensor, alg = riemann_tensor(P), algebra_at(P)
+    ralg = alg.curvature_tensor()
+    riemann_dev = max(tensor.max_symmetry_deviation(), tensor.omega_slot_deviation())
+    add("riemann_symmetries", riemann_dev, 1e-12)
+    add("algebra_curvature_symmetries", ralg.max_symmetry_deviation(), 1e-12)
+    add("curvature_sign_relation", sign_relation_deviation(tensor, ralg), 1e-10)
+    pins = entry.curvature
+    if pins is not None:   # Criterion 8
+        dc = derived_curvatures(P)
+        ricci_devs = [abs(u @ dc.ricci @ u - pins.ricci) for u in np.array(pins.units)]
+        radial_devs = [abs(dc.sectional(P.omega, u)) for u in pins.radial]
+        add("primitive_sectional", abs(dc.sectional(*pins.plane) - pins.sectional), 1e-8)
+        add("primitive_ricci", max(ricci_devs), 1e-8)
+        add("scalar_curvature", abs(dc.scalar - pins.scalar), 1e-7)
+        add("radial_plane_sectional", max(radial_devs), 1e-10)
+    if P.rank_m == 1:   # Criterion 8: a rank-one cone is a flat ray
+        add("flat_curvature", np.abs(tensor.entries).max(), 1e-14)
+    radial_dev, drift_dev = geodesic_deviations(P)
+    add("radial_geodesic", radial_dev, 1e-8)
+    add("geodesic_speed_drift", drift_dev, 1e-8)
+    add("length_lower_bound", length_bound_violation(P), 1e-9)
+    lb = radial_bound(P)
+    add("radial_bound_tightness", abs(lb.length - lb.lower_bound), 1e-8)
+    # 0.0 when the radial path strictly violates the sqrt(2/n) variant
+    add("sqrt2_bound_violated", 0.0 if lb.length < lb.sqrt2_bound else 1.0, 0.0)
+    if entry.probe is not None:
+        probe = entry.probe
+        add(f"boundary_{probe.expect.lower()}", probe_deviation(P, probe), probe.tol)
+    add("algebra_product_identities", algebra_identity_deviation(P), 1e-10)
+    add("kn_reconstruction", alg.kn_reconstruction_residual(), 1e-10)
+    derivations = alg.derivations()
+    # Criterion 12d: D omega = 0, primitivity of the image, antisymmetry
+    defects = [0.0] + [v for d in derivations for v in derivation_defects(P, d).values()]
+    add("derivation_conclusions", max(defects), 1e-8)
+    if entry.derivation_dim is not None:   # Criterion 12c
+        add("derivation_dimension", abs(len(derivations) - entry.derivation_dim), 0.0)
+    return checks
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_entries(names):
+    """_entry_checks over names, in order.  The entries run in forked worker
+    processes, one per usable CPU, so that a worker inherits the imported
+    package instead of importing it again; with one name or one CPU, or
+    without fork, they run in this process.  The pool modules are imported
+    on that path only, so importing the CLI does not pay for them."""
+    workers = min(len(names), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                return list(pool.map(_entry_checks, names))
+            finally:   # after an error, drop the entries no worker has started
+                pool.shutdown(cancel_futures=True)
+    return list(map(_entry_checks, names))
+
+
+def run_verification(names=None):
+    """Run the verification suite; returns (checks, all_pass).
+
+    checks is an ordered list of {"name", "max_dev", "tol", "pass"} dicts.
+    Each named entry (default: the whole catalog) runs the same sequence at
+    its default point, the entries in parallel worker processes; the
+    catalog.PULLBACKS cases always run, last.
+    """
+    if names is None:
+        names = list(CATALOG)
+    checks = [c for entry_checks in _map_entries(names) for c in entry_checks]
     for case in PULLBACKS:   # Criterion 13
         rep = pullback_isometry_check(
             case.source.form, case.target, case.matrix, case.degree, case.source.omega
         )
-        add(case.tag, rep.max_dev, 1e-10)
+        checks.append(FDReport(f"pullback:{case.tag}", rep.max_dev, 1e-10).as_dict())
     all_pass = all(c["pass"] for c in checks)
     return checks, all_pass

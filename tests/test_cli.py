@@ -302,3 +302,11 @@ def test_file_reusing_a_catalog_name_has_no_default_point(capsys, tmp_path):
     rep = json.loads(out)
     assert code == 0 and rep["form"] == "LOR3"
     assert "default_omega" not in rep["outputs"]
+
+
+def test_deeply_nested_manifold_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: not valid JSON") and "recursion" in err
