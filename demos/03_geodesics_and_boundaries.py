@@ -41,15 +41,14 @@ print("max mixed metric entry:", rep.max_mixed_entry)
 # volume takes infinite length; on the blown-up surface, the wall where
 # the volume stays positive sits at finite distance.
 p1 = CATALOG["P1XP1"]
-rep1 = boundary_probe(p1, np.array([1.0, 0.0]), np.array([1.0, 1.0]),
-                      [1.0 / 2**j for j in range(11)])
+# boundary_probe(form, alpha, omega, halvings) walks t = 1, 1/2, ..., 2^-halvings.
+rep1 = boundary_probe(p1, np.array([1.0, 0.0]), np.array([1.0, 1.0]), 10)
 print(f"\nP1XP1 toward (1,0): {rep1.classification}")
 print("  per-halving length increments:", np.round(rep1.increments[-5:], 4))
 print("  volumes:", np.round(rep1.vols[:5], 5), "...")
 
 blp2 = CATALOG["BLP2"]
-rep2 = boundary_probe(blp2, np.array([1.0, 0.0]), default_omega("BLP2"),
-                      [1.0 / 2**j for j in range(15)])
+rep2 = boundary_probe(blp2, np.array([1.0, 0.0]), default_omega("BLP2"), 14)
 print(f"BLP2 toward (1,0): {rep2.classification}")
 print("  tail increments:", [f"{x:.2e}" for x in rep2.increments[-3:]])
 print("  limiting volume:", rep2.vols[-1])

@@ -103,7 +103,7 @@ def _default_omega(form: IntersectionForm):
 
 def _at(args, form: IntersectionForm) -> np.ndarray:
     """--at, else the default point of a catalog form."""
-    omega = _parse_class(args.at) if args.at is not None else _default_omega(form)
+    omega = args.at if args.at is not None else _default_omega(form)
     if omega is None:
         raise _UsageError("--at is required for forms outside the catalog")
     return omega
@@ -159,9 +159,8 @@ def _cmd_curvature(args):
     if args.sectional or args.ricci or args.scalar:
         dc = derived_curvatures(P)
         if args.sectional:
-            u, v = (_parse_class(t) for t in args.sectional)
-            inputs["sectional_plane"] = [u, v]
-            outputs["sectional"] = dc.sectional(u, v)
+            inputs["sectional_plane"] = args.sectional
+            outputs["sectional"] = dc.sectional(*args.sectional)
         if args.ricci:
             outputs["ricci"] = dc.ricci
         if args.scalar:
@@ -171,16 +170,13 @@ def _cmd_curvature(args):
 
 def _cmd_connection(args):
     P = _point(args)
-    z = _parse_class(args.z)
-    u = _parse_class(args.u)
-    outputs = {"christoffel": christoffel(P, z, u)}
-    return P.form.name, {"at": P.omega, "z": z, "u": u}, outputs
+    outputs = {"christoffel": christoffel(P, args.z, args.u)}
+    return P.form.name, {"at": P.omega, "z": args.z, "u": args.u}, outputs
 
 
 def _cmd_geodesic(args):
     P = _point(args)
-    v0 = _parse_class(args.v)
-    path = integrate_geodesic(P, v0, args.T, args.steps)
+    path = integrate_geodesic(P, args.v, args.T, args.steps)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             m = P.rank_m
@@ -189,42 +185,22 @@ def _cmd_geodesic(args):
                 coords = ",".join(repr(float(c)) for c in x)
                 fh.write(f"{float(t)!r},{coords},{float(s)!r}\n")
     outputs = {
-        "T": float(args.T),
-        "steps": int(args.steps),
+        "T": args.T,
+        "steps": args.steps,
         "initial_speed": float(path.speeds[0]),
         "speed_drift": path.speed_drift,
         "final_point": path.points[-1],
         "final_velocity": path.velocities[-1],
         "csv_written": args.csv,
     }
-    inputs = {"at": P.omega, "v": v0, "T": float(args.T), "steps": int(args.steps)}
+    inputs = {"at": P.omega, "v": args.v, "T": args.T, "steps": args.steps}
     return P.form.name, inputs, outputs
 
 
 def _cmd_probe(args):
     form = _resolve_form(args.form)
-    alpha = _parse_class(args.alpha)
-    omega = _parse_class(args.omega)
-    schedule = []
-    t = float(args.t_max)
-    for _ in range(args.halvings + 1):
-        if t < args.t_min:
-            break
-        if t == 0.0 < args.t_max:
-            raise _UsageError(
-                f"--t-max {args.t_max!r} halved {args.halvings} times underflows "
-                "to 0; lower --halvings or raise --t-min"
-            )
-        schedule.append(t)
-        t /= 2.0
-    rep = boundary_probe(form, alpha, omega, schedule)
-    inputs = {
-        "alpha": alpha,
-        "omega": omega,
-        "t_max": float(args.t_max),
-        "t_min": float(args.t_min),
-        "halvings": int(args.halvings),
-    }
+    rep = boundary_probe(form, args.alpha, args.omega, args.halvings, args.t_max, args.t_min)
+    inputs = {key: getattr(args, key) for key in ("alpha", "omega", "t_max", "t_min", "halvings")}
     return form.name, inputs, dataclasses.asdict(rep)
 
 
@@ -261,14 +237,13 @@ def _cmd_split(args):
 def _cmd_pullback(args):
     form_y = _resolve_form(args.form_y)
     form_x = _resolve_form(args.form_x)
-    matrix = _parse_matrix(args.matrix)
     base = _at(args, form_y)
-    rep = pullback_isometry_check(form_y, form_x, matrix, args.degree, base)
+    rep = pullback_isometry_check(form_y, form_x, args.matrix, args.degree, base)
     check = FDReport("pullback_isometry", rep.max_dev, 1e-10)
     inputs = {
         "target_form": form_x.name,
-        "matrix": matrix,
-        "degree": float(args.degree),
+        "matrix": args.matrix,
+        "degree": args.degree,
         "at": base,
     }
     return form_y.name, inputs, dataclasses.asdict(rep), [check.as_dict()]
@@ -298,35 +273,31 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # FORM and --at of the subcommands that work at one cone point
+    at_point = argparse.ArgumentParser(add_help=False)
+    at_point.add_argument("form")
+    at_point.add_argument("--at", type=_parse_class, default=None, help="cone point coordinates")
 
     p = sub.add_parser("info", help="describe the catalog or one form")
     p.add_argument("form", nargs="?", default=None)
     p.set_defaults(handler=_cmd_info)
 
-    p = sub.add_parser("metric", help="volume and Gram matrix at a point")
-    p.add_argument("form")
-    p.add_argument("--at", default=None, help="cone point coordinates")
+    p = sub.add_parser("metric", parents=[at_point], help="volume and Gram matrix at a point")
     p.set_defaults(handler=_cmd_metric)
 
-    p = sub.add_parser("curvature", help="curvature tensor and contractions")
-    p.add_argument("form")
-    p.add_argument("--at", default=None)
-    p.add_argument("--sectional", nargs=2, metavar=("U", "V"), default=None)
+    p = sub.add_parser("curvature", parents=[at_point], help="curvature tensor and contractions")
+    p.add_argument("--sectional", type=_parse_class, nargs=2, metavar=("U", "V"), default=None)
     p.add_argument("--ricci", action="store_true")
     p.add_argument("--scalar", action="store_true")
     p.set_defaults(handler=_cmd_curvature)
 
-    p = sub.add_parser("connection", help="Christoffel value for constant u")
-    p.add_argument("form")
-    p.add_argument("--at", default=None)
-    p.add_argument("--z", required=True)
-    p.add_argument("--u", required=True)
+    p = sub.add_parser("connection", parents=[at_point], help="Christoffel value for constant u")
+    p.add_argument("--z", type=_parse_class, required=True)
+    p.add_argument("--u", type=_parse_class, required=True)
     p.set_defaults(handler=_cmd_connection)
 
-    p = sub.add_parser("geodesic", help="fixed-step RK4 geodesic")
-    p.add_argument("form")
-    p.add_argument("--at", default=None)
-    p.add_argument("--v", required=True, help="initial velocity")
+    p = sub.add_parser("geodesic", parents=[at_point], help="fixed-step RK4 geodesic")
+    p.add_argument("--v", type=_parse_class, required=True, help="initial velocity")
     p.add_argument("--T", type=_parse_scalar, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--csv", default=None, help="write t,coords..,speed rows")
@@ -334,32 +305,28 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("probe", help="boundary probe along alpha + t omega")
     p.add_argument("form")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--omega", required=True)
+    p.add_argument("--alpha", type=_parse_class, required=True)
+    p.add_argument("--omega", type=_parse_class, required=True)
     p.add_argument("--t-max", type=_parse_scalar, default=1.0, dest="t_max")
     p.add_argument("--t-min", type=_parse_scalar, default=0.0, dest="t_min")
     p.add_argument("--halvings", type=int, default=12)
     p.set_defaults(handler=_cmd_probe)
 
-    p = sub.add_parser("algebra", help="product structure at a point")
-    p.add_argument("form")
-    p.add_argument("--at", default=None)
+    p = sub.add_parser("algebra", parents=[at_point], help="product structure at a point")
     p.add_argument("--derivations", action="store_true")
     p.add_argument("--kn", action="store_true")
     p.add_argument("--constant-curvature", action="store_true", dest="constant_curvature")
     p.set_defaults(handler=_cmd_algebra)
 
-    p = sub.add_parser("split", help="radial/unit-volume splitting data")
-    p.add_argument("form")
-    p.add_argument("--at", default=None)
+    p = sub.add_parser("split", parents=[at_point], help="radial/unit-volume splitting data")
     p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("pullback", help="pullback isometry check Y -> X")
     p.add_argument("form_y")
     p.add_argument("form_x")
-    p.add_argument("--matrix", required=True)
+    p.add_argument("--matrix", type=_parse_matrix, required=True)
     p.add_argument("--degree", type=_parse_scalar, required=True)
-    p.add_argument("--at", default=None, help="source cone point")
+    p.add_argument("--at", type=_parse_class, default=None, help="source cone point")
     p.set_defaults(handler=_cmd_pullback)
 
     p = sub.add_parser("verify", help="run the full verification suite")
@@ -388,7 +355,8 @@ def main(argv=None) -> int:
         }
         print(json.dumps(report, indent=2))
         return 2
-    except (_UsageError, ManifoldFormatError, ValueError, OSError) as exc:
+    # MemoryError: an input that asks for an array no machine can hold
+    except (_UsageError, ManifoldFormatError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KConeError as exc:

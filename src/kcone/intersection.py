@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 from math import factorial, isfinite
 
 import numpy as np
@@ -85,12 +85,20 @@ class IntersectionForm:
 
     @cached_property
     def _dense(self) -> np.ndarray:
-        """Dense fully symmetric coefficient array of shape (m,)*n."""
-        t = np.zeros((self.rank_m,) * self.dim_n)
-        idx = np.array(list(self.coeffs)).T - 1   # row a holds slot a of every index
-        vals = np.array(list(self.coeffs.values()))
-        for perm in permutations(range(self.dim_n)):
-            t[tuple(idx[list(perm)])] = vals
+        """Dense fully symmetric coefficient array of shape (m,)*n.
+
+        Set at the sorted indices, then filled across the n(n - 1)/2
+        adjacent-axis swaps of a bubble-sort network, whose subsequences
+        reach every arrangement of an index; a zero only takes the value of
+        an arrangement of its own index.  O(n^2 m^n) work, where a loop over
+        the n! permutations hangs from n = 13.
+        """
+        n = self.dim_n
+        t = np.zeros((self.rank_m,) * n)
+        t[tuple(np.array(list(self.coeffs)).T - 1)] = list(self.coeffs.values())
+        for end in range(n - 1, 0, -1):
+            for k in range(end):
+                t = np.where(t == 0.0, t.swapaxes(k, k + 1), t)
         return t
 
     def _check_class(self, a) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import isfinite, log, sqrt
+from math import inf, isfinite, log, sqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,6 +46,8 @@ __all__ = [
 
 # Rejection samplers give up after this many draws in a row are rejected.
 SAMPLER_TRIES = 1000
+PROBE_SUBSTEPS = 64    # chords per boundary-probe interval
+PROBE_CONV_TOL = 1e-3  # a probe whose final increment is below this is CONVERGENT
 
 
 def _acceleration(form: IntersectionForm, x: np.ndarray, v: np.ndarray, data=None):
@@ -215,37 +217,52 @@ def boundary_probe(
     form: IntersectionForm,
     alpha: CohClass,
     omega: CohClass,
-    t_schedule: Sequence[float],
-    substeps: int = 64,
-    conv_tol: float = 1e-3,
+    halvings: int,
+    t_max: float = 1.0,
+    t_min: float = 0.0,
 ) -> ProbeReport:
-    """Probe the path alpha + t omega along a decreasing schedule of t.
+    """Probe the path alpha + t omega at t = t_max / 2^j, j = 0..halvings,
+    stopping before t falls below t_min.
 
-    Classification assumes a halving schedule, tracking the proved
-    lower-bound mechanism: DIVERGENT when the last five increments each
-    reach 0.9 (1/sqrt n) log 2 (the growth a vanishing volume forces per
-    halving), CONVERGENT when the final increment (the successive tail
-    difference) is below conv_tol.
+    Classification tracks the proved lower-bound mechanism: DIVERGENT when
+    the last five increments each reach 0.9 (1/sqrt n) log 2 (the growth a
+    vanishing volume forces per halving), CONVERGENT when the final
+    increment (the successive tail difference) is below PROBE_CONV_TOL.
+    Each interval is measured over PROBE_SUBSTEPS chords.  A t_max <= 0,
+    fewer than two points or a t that underflows to 0 is a ValueError.
     """
+    t_max = float(t_max)
+    ts, t = [], t_max
+    for _ in range(halvings + 1):
+        # halving a t_max <= 0 gives no schedule; two points decide the error below
+        if t < t_min or len(ts) == 2 and not 0.0 < t_max < inf:
+            break
+        if t == 0.0 < t_max:
+            raise ValueError(
+                f"--t-max {t_max!r} halved {halvings} times underflows "
+                "to 0; lower --halvings or raise --t-min"
+            )
+        ts.append(t)
+        t /= 2.0
+    ts = np.array(ts)
     alpha, omega = form._check_class(alpha), form._check_class(omega)
     if not np.isfinite([alpha, omega]).all():
         raise ValueError(f"alpha {alpha.tolist()} or omega {omega.tolist()} is non-finite")
-    ts = np.asarray(list(t_schedule), dtype=float)
-    if ts.ndim != 1 or len(ts) < 2:
+    if len(ts) < 2:
         raise ValueError("schedule needs at least two points")
-    if np.any(ts <= 0) or np.any(np.diff(ts) >= 0):
+    if not 0.0 < t_max < inf:
         raise ValueError("schedule must be strictly decreasing and positive")
-    # each interval is cut into `substeps` chords; neighbours share their end sample
-    sub = np.linspace(ts[:-1], ts[1:], substeps, endpoint=False, axis=1)
+    # each interval is cut into PROBE_SUBSTEPS chords; neighbours share their end sample
+    sub = np.linspace(ts[:-1], ts[1:], PROBE_SUBSTEPS, endpoint=False, axis=1)
     pts = alpha[None, :] + np.append(sub, ts[-1])[:, None] * omega[None, :]
     # row 0 is omega itself, which must be a cone point
-    vols = admit(form, np.vstack([omega, pts]), "probe point").vol[1::substeps]
-    increments = _chord_lengths(form, pts).reshape(-1, substeps).sum(axis=1)
+    vols = admit(form, np.vstack([omega, pts]), "probe point").vol[1::PROBE_SUBSTEPS]
+    increments = _chord_lengths(form, pts).reshape(-1, PROBE_SUBSTEPS).sum(axis=1)
     cumulative = np.concatenate([[0.0], np.cumsum(increments)])
     threshold = 0.9 * log(2.0) / sqrt(form.dim_n)
     if len(increments) >= 5 and np.all(increments[-5:] >= threshold):
         classification = "DIVERGENT"
-    elif increments[-1] < conv_tol:
+    elif increments[-1] < PROBE_CONV_TOL:
         classification = "CONVERGENT"
     else:
         classification = "INCONCLUSIVE"
@@ -256,7 +273,7 @@ def boundary_probe(
         cumulative_lengths=cumulative,
         increments=increments,
         growth_threshold=threshold,
-        conv_tol=conv_tol,
+        conv_tol=PROBE_CONV_TOL,
     )
 
 
@@ -329,11 +346,11 @@ def draw_admissible(draw, check, what: str):
     raise KConeError(f"no admissible {what} in {SAMPLER_TRIES} draws")
 
 
-def admissible_perturbations(P: ConePoint, count, scale=0.1, seed=0):
-    """ConePoints at seeded admissible omega + scale |omega| N(0, I) around
+def admissible_perturbations(P: ConePoint, count, seed=0):
+    """ConePoints at seeded admissible omega + 0.1 |omega| N(0, I) around
     the cone point P."""
     rng = np.random.default_rng(seed)
-    spread = scale * np.linalg.norm(P.omega)
+    spread = 0.1 * np.linalg.norm(P.omega)
 
     def draw():
         return P.omega + spread * rng.standard_normal(P.rank_m)
@@ -358,15 +375,13 @@ def pullback_isometry_check(
     matrix,
     degree: float,
     base_point: CohClass,
-    n_samples: int = 4,
-    scale: float = 0.1,
-    seed: int = 7,
 ) -> PullbackReport:
     """Check that M embeds the cone of form_y isometrically into form_x's.
 
-    At sampled admissible points omega of the source cone this verifies
-    Vol_X(M omega) = degree * Vol_Y(omega) and M^T Gram_X M = Gram_Y; both
-    hold because the Lefschetz contractions are volume-normalized ratios.
+    At base_point and three admissible points sampled around it (seed 7)
+    this verifies Vol_X(M omega) = degree * Vol_Y(omega) and
+    M^T Gram_X M = Gram_Y; both hold because the Lefschetz contractions are
+    volume-normalized ratios.
     The source points are admitted once, as ConePoints; the image points
     are admitted as one batch.
     """
@@ -379,7 +394,7 @@ def pullback_isometry_check(
     if not (isfinite(degree) and degree != 0.0):
         raise ValueError(f"degree must be finite and nonzero, got {degree!r}")
     base = ConePoint(form_y, base_point)
-    ys = [base] + admissible_perturbations(base, n_samples - 1, scale, seed)
+    ys = [base] + admissible_perturbations(base, 3, seed=7)
     xs = admit(form_x, np.array([P.omega for P in ys]) @ mat.T, "image point")
     y_vol = np.array([P.vol for P in ys])
     y_gram = np.array([P.gram for P in ys])

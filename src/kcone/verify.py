@@ -61,14 +61,14 @@ def hessian_deviation(P: ConePoint) -> FDReport:
     return max((check_hessian_metric(Q) for Q in points), key=attrgetter("max_dev"))
 
 
-def lambda_rule_deviation(P: ConePoint, per_k: int = 20) -> FDReport:
-    """Criterion 2: derivative rule for Lam^k, k in 1..n-1, random tuples;
-    the worst report."""
+def lambda_rule_deviation(P: ConePoint) -> FDReport:
+    """Criterion 2: derivative rule for Lam^k, k in 1..n-1, 20 random tuples
+    each; the worst report."""
     m, n = P.rank_m, P.dim_n
     rng = np.random.default_rng(2)
     reports = (   # k classes, then v, drawn in turn from one stream
         check_lambda_derivative(P, rng.uniform(-1.0, 1.0, (k, m)), rng.uniform(-1.0, 1.0, m))
-        for k in range(1, n) for _ in range(per_k)
+        for k in range(1, n) for _ in range(20)
     )
     return max(reports, key=attrgetter("max_dev"))
 
@@ -100,36 +100,37 @@ def sign_relation_deviation(tensor: CurvatureTensor, ralg: CurvatureTensor) -> f
     return float(np.abs(tensor.entries + ralg_prim).max())
 
 
-def geodesic_deviations(P: ConePoint, count: int = 10, steps: int = 1000):
-    """Criteria 9a and 9b from one batched integration: the radial ray
-    against its closed form e^{t/n} omega, and the worst speed drift over
-    seeded random initial data."""
+def geodesic_deviations(P: ConePoint):
+    """Criteria 9a and 9b from one batched integration over t in [0, 1] at
+    1000 steps: the radial ray against its closed form e^{t/n} omega, and
+    the worst speed drift over ten seeded random initial velocities."""
     n = P.dim_n
     rng = np.random.default_rng(42)
     velocities = [P.omega / n]
-    for _ in range(count):
+    for _ in range(10):
         vr = rng.standard_normal(P.rank_m)
         velocities.append(0.25 * vr / sqrt(P.inner(vr, vr)))
-    radial, *rest = integrate_geodesics(P, np.array(velocities), 1.0, steps)
+    radial, *rest = integrate_geodesics(P, np.array(velocities), 1.0, 1000)
     closed = np.exp(radial.ts[:, None] / n) * P.omega[None, :]
     return float(np.abs(radial.points - closed).max()), max(p.speed_drift for p in rest)
 
 
-def _random_piecewise_path(form, omega0, rng, waypoints=4, scale=0.15, subdiv=64):
-    """Seeded piecewise-linear admissible path: returns its waypoints, shape
-    (waypoints + 1, m), and the length of each segment.
+def _random_piecewise_path(form, omega0, rng):
+    """Seeded piecewise-linear admissible path: returns its five waypoints,
+    shape (5, m), and the length of each of its four segments.
 
-    Each segment is measured once, by path_length over subdiv intervals,
-    which also admits it.  Rank-one cones only contain radial (bound-tight)
-    paths, so they get a much finer subdivision to keep the discretization
-    error below the criterion slack.
+    Each waypoint steps 0.15 |previous| N(0, I) from the one before.  Each
+    segment is measured once, by path_length over 64 intervals, which also
+    admits it.  Rank-one cones only contain radial (bound-tight) paths, so
+    they get 4096 intervals to keep the discretization error below the
+    criterion slack.
     """
     pts = [np.asarray(omega0, float)]
-    grid = np.linspace(0.0, 1.0, subdiv + 1)
+    grid = np.linspace(0.0, 1.0, (4096 if form.rank_m == 1 else 64) + 1)
     lengths = []
 
     def draw():
-        step = scale * np.linalg.norm(pts[-1]) * rng.standard_normal(form.rank_m)
+        step = 0.15 * np.linalg.norm(pts[-1]) * rng.standard_normal(form.rank_m)
         return pts[-1] + step
 
     def check_segment(cand):
@@ -137,31 +138,30 @@ def _random_piecewise_path(form, omega0, rng, waypoints=4, scale=0.15, subdiv=64
         lengths.append(path_length(form, seg))
         return cand
 
-    while len(pts) < waypoints + 1:
+    while len(pts) < 5:
         pts.append(draw_admissible(draw, check_segment, "waypoint"))
     return np.array(pts), lengths
 
 
-def length_bound_violation(P: ConePoint, count: int = 50) -> float:
+def length_bound_violation(P: ConePoint) -> float:
     """Criterion 10a: worst violation of the (1/sqrt n) bound of
-    length_bound_check over seeded random piecewise-linear paths, each
+    length_bound_check over 50 seeded random piecewise-linear paths, each
     measured segment by segment as it is sampled (negative slack means
     satisfied)."""
     form = P.form
-    subdiv = 4096 if form.rank_m == 1 else 64
     rng = np.random.default_rng(5)
     worst = -np.inf
-    for _ in range(count):
-        pts, lengths = _random_piecewise_path(form, P.omega, rng, subdiv=subdiv)
+    for _ in range(50):
+        pts, lengths = _random_piecewise_path(form, P.omega, rng)
         dlv = abs(log(form.volume(pts[-1])) - log(form.volume(pts[0])))
         worst = max(worst, dlv / sqrt(form.dim_n) - sum(lengths))
     return max(worst, 0.0)
 
 
-def radial_bound(P: ConePoint, samples: int = 4096) -> LengthBound:
+def radial_bound(P: ConePoint) -> LengthBound:
     """Criteria 10b and 10c: the length bound along the radial ray
-    t |-> e^{t/n} omega, t in [0, 1]."""
-    ts = np.linspace(0.0, 1.0, samples + 1)
+    t |-> e^{t/n} omega, t in [0, 1], over 4096 intervals."""
+    ts = np.linspace(0.0, 1.0, 4097)
     return length_bound_check(P.form, np.exp(ts[:, None] / P.dim_n) * P.omega[None, :])
 
 
@@ -169,8 +169,7 @@ def probe_deviation(P: ConePoint, probe: Probe) -> float:
     """Criterion 11: the pinned boundary probe from P.  A DIVERGENT probe
     scores the growth shortfall of its last five increments, a CONVERGENT
     one its final tail increment; inf when the classification differs."""
-    schedule = [1.0 / 2**j for j in range(probe.halvings + 1)]
-    rep = boundary_probe(P.form, np.array(probe.alpha), P.omega, schedule)
+    rep = boundary_probe(P.form, np.array(probe.alpha), P.omega, probe.halvings)
     if rep.classification != probe.expect:
         return float("inf")
     if probe.expect == "DIVERGENT":

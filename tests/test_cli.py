@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from kcone.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -200,7 +204,7 @@ def test_wrong_length_class_argument_is_input_error(capsys):
 
 def test_pullback_inadmissible_base_exits_2_without_hanging():
     # the base point has negative volume; sampling around it used to loop forever
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(ROOT / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "kcone", "pullback", "P1XP1", "P1XP1",
          "--matrix", "1,0;0,1", "--degree", "1", "--at", "1,-1"],
@@ -249,6 +253,55 @@ def test_unwritable_csv_is_input_error(capsys, tmp_path):
     )
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "No such file or directory" in err
+
+
+def test_huge_step_count_is_input_error(capsys):
+    # numpy refuses the 8 EB sample array at once
+    code, out, err = run_cli(
+        capsys, "geodesic", "P1XP1", "--v", "1,0", "--T", "1", "--steps", str(10**18)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+
+
+def test_high_dimension_form_does_not_hang(tmp_path):
+    # densifying by a loop over the 13! axis permutations took hours
+    path = tmp_path / "dim13.json"
+    path.write_text(json.dumps(
+        {"name": "D13", "dim": 13, "h11": 1, "intersection": [{"index": [1] * 13, "value": 1}]}
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcone", "metric", str(path), "--at", "1"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outputs"]["vol"] == 1.0 / math.factorial(13)
+
+
+def _readme_cli_lines():
+    """The kcone lines of the README's CLI code block, minus the verify synopsis."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [
+        line for line in block.splitlines()
+        if line.startswith("kcone ") and not line.startswith("kcone verify [")
+    ]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)   # the geodesic example writes path.csv
+    lines = _readme_cli_lines()
+    assert len(lines) == 9
+    for line in lines:
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        tokens = list(lexer)
+        # a bare shell operator would split the example into two commands
+        assert not {";", "|", "&"} & set(tokens), line
+        code, out, err = run_cli(capsys, *tokens[1:])
+        assert code == 0, (line, err)
+        json.loads(out)
 
 
 def test_exit_code_left_cone(capsys):

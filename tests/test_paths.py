@@ -128,24 +128,20 @@ def test_path_length_list_and_array_agree():
 
 def test_random_piecewise_path_is_linear_between_waypoints():
     # each segment length is path_length of the straight segment between
-    # consecutive waypoints over subdiv intervals
-    form = CATALOG["CY3GEN"]
-    omega = default_omega("CY3GEN")
-    subdiv = 64
-    pts, lengths = _random_piecewise_path(form, omega, np.random.default_rng(5), subdiv=subdiv)
-    assert pts.shape == (5, 2) and np.array_equal(pts[0], omega)
-    grid = np.linspace(0.0, 1.0, subdiv + 1)
-    for a, b, length in zip(pts[:-1], pts[1:], lengths, strict=True):
-        assert path_length(form, a[None, :] + grid[:, None] * (b - a)[None, :]) == length
+    # consecutive waypoints over 64 intervals (4096 on a rank-one cone)
+    for name, subdiv in (("CY3GEN", 64), ("QUINTIC", 4096)):
+        form, omega = CATALOG[name], default_omega(name)
+        pts, lengths = _random_piecewise_path(form, omega, np.random.default_rng(5))
+        assert pts.shape == (5, form.rank_m) and np.array_equal(pts[0], omega)
+        grid = np.linspace(0.0, 1.0, subdiv + 1)
+        for a, b, length in zip(pts[:-1], pts[1:], lengths, strict=True):
+            assert path_length(form, a[None, :] + grid[:, None] * (b - a)[None, :]) == length
 
 
 def test_random_path_segment_lengths_sum_to_path_length():
     form = CATALOG["CY3GEN"]
-    subdiv = 64
-    pts, lengths = _random_piecewise_path(
-        form, default_omega("CY3GEN"), np.random.default_rng(5), subdiv=subdiv
-    )
-    t = np.linspace(0.0, 1.0, subdiv, endpoint=False)
+    pts, lengths = _random_piecewise_path(form, default_omega("CY3GEN"), np.random.default_rng(5))
+    t = np.linspace(0.0, 1.0, 64, endpoint=False)
     fine = pts[:-1, None, :] + t[None, :, None] * (pts[1:] - pts[:-1])[:, None, :]
     path = np.concatenate([fine.reshape(-1, 2), pts[-1:]])
     assert len(lengths) == 4
@@ -204,8 +200,7 @@ def test_length_bound_constant_path():
 
 def test_boundary_probe_divergent():
     form = CATALOG["P1XP1"]
-    schedule = [1.0 / 2**j for j in range(11)]
-    rep = boundary_probe(form, np.array([1.0, 0.0]), np.array([1.0, 1.0]), schedule)
+    rep = boundary_probe(form, np.array([1.0, 0.0]), np.array([1.0, 1.0]), 10)
     assert rep.classification == "DIVERGENT"
     # volume of (1+t, t) is t(1+t)
     expected = rep.ts * (1.0 + rep.ts)
@@ -215,8 +210,7 @@ def test_boundary_probe_divergent():
 
 def test_boundary_probe_convergent():
     form = CATALOG["BLP2"]
-    schedule = [1.0 / 2**j for j in range(15)]
-    rep = boundary_probe(form, np.array([1.0, 0.0]), np.array([2.0, -1.0]), schedule)
+    rep = boundary_probe(form, np.array([1.0, 0.0]), np.array([2.0, -1.0]), 14)
     assert rep.classification == "CONVERGENT"
     assert rep.increments[-1] < 1e-3
     # the boundary class keeps positive volume
@@ -226,7 +220,7 @@ def test_boundary_probe_convergent():
 def test_boundary_probe_interior_trivial():
     form = CATALOG["P1XP1"]
     omega = np.array([1.0, 1.0])
-    rep = boundary_probe(form, omega, omega, [1.0 / 2**j for j in range(12)])
+    rep = boundary_probe(form, omega, omega, 11)
     assert rep.classification == "CONVERGENT"
 
 
@@ -254,7 +248,7 @@ def test_boundary_probe_matches_per_interval_lengths(monkeypatch):
         alpha = np.array(probe.alpha)
         for halvings in (1, probe.halvings):
             calls.clear()
-            rep = boundary_probe(P.form, alpha, P.omega, [2.0**-j for j in range(halvings + 1)])
+            rep = boundary_probe(P.form, alpha, P.omega, halvings)
             assert calls == ["probe point", "segment midpoint"]
             vols, increments = _probe_by_interval(P.form, alpha, P.omega, rep.ts)
             assert np.abs(rep.vols - vols).max() <= 1e-14 * vols.max()
@@ -265,19 +259,50 @@ def test_boundary_probe_matches_per_interval_lengths(monkeypatch):
 def test_boundary_probe_validates_omega():
     # the path (2 + t, 2 - t/2) stays in the cone, but omega = (1, -1/2) is not in it
     form = CATALOG["P1XP1"]
-    alpha, schedule = np.array([2.0, 2.0]), [1.0, 0.5]
+    alpha = np.array([2.0, 2.0])
     with pytest.raises(NonPositiveVolume, match="point 0"):
-        boundary_probe(form, alpha, np.array([1.0, -0.5]), schedule)
+        boundary_probe(form, alpha, np.array([1.0, -0.5]), 1)
     with pytest.raises(ValueError, match="non-finite"):
-        boundary_probe(form, alpha, np.array([np.inf, 1.0]), schedule)
+        boundary_probe(form, alpha, np.array([np.inf, 1.0]), 1)
     with pytest.raises(ValueError, match="shape"):
-        boundary_probe(form, alpha, np.ones(3), schedule)
+        boundary_probe(form, alpha, np.ones(3), 1)
+
+
+def _halving_schedule(t_max, halvings, t_min):
+    """The schedule the CLI built before boundary_probe owned it."""
+    schedule, t = [], t_max
+    for _ in range(halvings + 1):
+        if t < t_min:
+            break
+        schedule.append(t)
+        t /= 2.0
+    return schedule
+
+
+@pytest.mark.parametrize(
+    "t_max, halvings, t_min",
+    [(1.0, 10, 0.0), (1.0, 14, 0.0), (3.0, 4, 0.0), (1.0, 12, 1e-3), (3.0, 4, 0.2),
+     (0.7, 1, 0.0), (1e-3, 6, 0.0), (2.0, 1000, 2.0**-12)],
+)
+def test_boundary_probe_builds_halving_schedule(t_max, halvings, t_min):
+    form, omega = CATALOG["P1XP1"], np.array([1.0, 1.0])
+    rep = boundary_probe(form, np.array([1.0, 0.0]), omega, halvings, t_max, t_min)
+    expected = _halving_schedule(t_max, halvings, t_min)
+    assert rep.ts.tolist() == expected and len(rep.vols) == len(expected)
 
 
 def test_boundary_probe_bad_schedule():
-    form = CATALOG["P1XP1"]
-    with pytest.raises(ValueError, match="decreasing"):
-        boundary_probe(form, np.ones(2), np.ones(2), [0.5, 1.0])
+    form, alpha, omega = CATALOG["P1XP1"], np.array([1.0, 0.0]), np.ones(2)
+    with pytest.raises(ValueError, match="halved 2000 times underflows to 0"):
+        boundary_probe(form, alpha, omega, 2000)
+    # a t_max <= 0 is refused for its sign, or for too few points when the
+    # first t already lies below t_min or no halving is asked for
+    for t_max, halvings, t_min in ((0.0, 12, 0.0), (-1.0, 12, -5.0), (-1.0, 10**18, -5.0)):
+        with pytest.raises(ValueError, match="strictly decreasing and positive"):
+            boundary_probe(form, alpha, omega, halvings, t_max, t_min)
+    for t_max, halvings, t_min in ((-1.0, 12, 0.0), (0.0, 0, 0.0), (1.0, 0, 0.0), (1.0, 5, 2.0)):
+        with pytest.raises(ValueError, match="at least two points"):
+            boundary_probe(form, alpha, omega, halvings, t_max, t_min)
 
 
 def test_split_quintic_example():
