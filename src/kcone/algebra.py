@@ -128,34 +128,51 @@ class AlgebraAtPoint:
         sectional curvature -lam exactly when T - 2 lam S is a fully
         symmetric 4-tensor, with S(x,y,z,w) = (d_xz d_yw + d_xw d_yz)/2.
         lam is extracted by least squares on the non-symmetric components,
-        so the fit is reported even when the test fails.
+        so the fit is reported even when the test fails.  lam needs T only
+        on O(m^2) entries; the residual is summed over one first-index slab
+        T[a] at a time, in O(m^3) working memory.
         """
         basis = orthonormal_basis(self.base)
         m = self.base.rank_m
         # products of orthonormal vectors, expressed in orthonormal coordinates
         vec = np.einsum("ijc,ia,jb->abc", self.structure, basis, basis, optimize=True)
         comp = np.einsum("abc,cd,dl->abl", vec, self.base.gram, basis, optimize=True)
-        t = np.einsum("abl,cdl->abcd", comp, comp, optimize=True)
-        tol = 1e-8 * float(np.linalg.norm(t))
-        # t is invariant under the 8 pair symmetries (up to roundoff), so its
-        # non-symmetric part is t minus the mean over the 3 pairings {ab|cd},
-        # {ac|bd}, {ad|bc}; those fix the first slot, so t[a] is done in place
-        for block in t:
-            block -= (block + block.transpose(1, 0, 2) + block.transpose(2, 1, 0)) / 3.0
-        # the non-symmetric part of S is (d_ac d_bd + d_ad d_bc)/6 - d_ab d_cd/3:
-        # nonzero only on three index sets with a != b, and 2 |ns|^2 = (m^2 - m)/3
-        a, b = np.nonzero(~np.eye(m, dtype=bool))
-        ns = (((a, b, a, b), 1.0 / 6.0), ((a, b, b, a), 1.0 / 6.0), ((a, a, b, b), -1.0 / 3.0))
-        inner = sum(w * float(t[idx].sum()) for idx, w in ns)
+        flat = comp.reshape(m * m, m)
+        # The non-symmetric part of S is (d_ac d_bd + d_ad d_bc)/6 - d_ab d_cd/3:
+        # nonzero only on T[a,b,a,b], T[a,b,b,a] and T[a,a,b,b] with a != b, and
+        # 2 |ns|^2 = (m^2 - m)/3.  T has the 8 pair symmetries (up to roundoff), so
+        # its non-symmetric part nT is T less its mean over the 3 pairings {ab|cd},
+        # {ac|bd}, {ad|bc}, which all fix a; lam needs nT only on those index sets
+        diag = comp[np.arange(m), np.arange(m)]
+        abab = np.einsum("abl,abl->ab", comp, comp)   # [a, b] = T[a, b, a, b]
+        abba = np.einsum("abl,bal->ab", comp, comp)   # T[a, b, b, a]
+        aabb = diag @ diag.T                          # T[a, a, b, b]
+        off = ~np.eye(m, dtype=bool)
+        inner = (float((abab - (abab + aabb + abab) / 3.0)[off].sum()) / 6.0
+                 + float((abba - (abba + abba + aabb) / 3.0)[off].sum()) / 6.0
+                 - float((aabb - (aabb + abab + abba) / 3.0)[off].sum()) / 3.0)
         lam = 3.0 * inner / (m * m - m) if m > 1 else 0.0
-        for idx, w in ns:
-            t[idx] -= 2.0 * lam * w
-        return ConstantCurvatureFit(lam=lam, residual=float(np.linalg.norm(t)), tol=tol)
+        # |nT - 2 lam ns|^2 is summed directly, one slab T[a] ([b, c, d]) at a time:
+        # its expansion |nT|^2 - 4 lam <nT, ns> + ... would cancel when the fit passes
+        t_sq = res_sq = 0.0
+        for a in range(m):
+            block = (comp[a] @ flat.T).reshape(m, m, m)
+            t_sq += float(np.vdot(block, block))
+            block -= (block + block.transpose(1, 0, 2) + block.transpose(2, 1, 0)) / 3.0
+            b = np.delete(np.arange(m), a)
+            block[b, a, b] -= 2.0 * lam / 6.0
+            block[b, b, a] -= 2.0 * lam / 6.0
+            block[a, b, b] += 2.0 * lam / 3.0
+            res_sq += float(np.vdot(block, block))
+        return ConstantCurvatureFit(lam=lam, residual=float(np.sqrt(res_sq)),
+                                    tol=1e-8 * float(np.sqrt(t_sq)))
 
     def derivations(self) -> List[np.ndarray]:
         """Basis of the derivation algebra: maps D with D(x.y) = Dx.y + x.Dy.
 
-        Solved as an SVD nullspace over the m^2 unknowns of D.  Every
+        Solved as an SVD nullspace over the m^2 unknowns of D: the linear
+        system, one row per (i <= j, component), is written in by index
+        assignment with no m^5 temporary, then reduced by QR.  Every
         returned D is checked against the structural consequences
         D omega = 0, Lam(D x) = 0 and g-antisymmetry of D.
         """
@@ -166,13 +183,14 @@ class AlgebraAtPoint:
             raise ValueError("derivation analysis requires complex dimension >= 2")
         m = self.base.rank_m
         s = self.structure
-        eye = np.eye(m)
         i, j = np.triu_indices(m)
+        pair, c = np.arange(i.size), np.arange(m)
         # row (i <= j, c) holds the coefficients of D[p, q] in component c of
-        # D(e_i . e_j) - (D e_i) . e_j - e_i . (D e_j)
-        system = np.einsum("cp,rq->rcpq", eye, s[i, j])
-        system -= np.einsum("prc,rq->rcpq", s[:, j], eye[i])
-        system -= np.einsum("rpc,rq->rcpq", s[i], eye[j])
+        # D(e_i . e_j) - (D e_i) . e_j - e_i . (D e_j), scattered term by term
+        system = np.zeros((i.size, m, m, m))
+        system[:, c, c, :] = s[i, j][:, None, :]
+        system[pair, :, :, i] -= s[:, j].transpose(1, 2, 0)
+        system[pair, :, :, j] -= s[i].transpose(0, 2, 1)
         # the SVD of the square QR factor R has the singular values and right
         # singular vectors of the tall system, at a fraction of the cost
         r = np.linalg.qr(system.reshape(-1, m * m), mode="r")

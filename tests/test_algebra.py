@@ -1,9 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kcone.algebra import BilinearFormSet, algebra_at, kn_product, orthonormal_basis
+from kcone.algebra import NULL_TOL, BilinearFormSet, algebra_at, kn_product, orthonormal_basis
 from kcone.catalog import catalog_names, default_point
 from kcone.curvature import riemann_tensor
 from kcone.intersection import IntersectionForm
@@ -191,27 +194,83 @@ def _constant_curvature_24(P):
     return lam, float(np.linalg.norm(nt - 2.0 * lam * ns)), float(np.linalg.norm(t))
 
 
-def _perturbed_cubic_point(m=6):
+def _cubic_point(m=6, noise=0.05, seed=3):
     # kappa_111 = 6, kappa_1jj = -1 plus seeded noise on every sorted triple,
-    # admissible at e_1 and far from constant curvature
-    rng = np.random.default_rng(3)
+    # admissible at e_1 and, with noise, far from constant curvature;
+    # without noise (SYMm) O(m - 1) fixing e_1 acts by automorphisms
+    rng = np.random.default_rng(seed)
     coeffs = {}
     for idx in itertools.combinations_with_replacement(range(1, m + 1), 3):
         base = 6.0 if idx == (1, 1, 1) else (-1.0 if idx[0] == 1 and idx[1] == idx[2] else 0.0)
-        coeffs[idx] = base + 0.05 * rng.standard_normal()
-    return ConePoint(IntersectionForm(name="CUBIC6", dim_n=3, rank_m=m, coeffs=coeffs),
+        coeffs[idx] = base + noise * rng.standard_normal()
+    return ConePoint(IntersectionForm(name=f"CUBIC{m}", dim_n=3, rank_m=m, coeffs=coeffs),
                      np.eye(m)[0])
+
+
+def _assert_fit_matches_24_permutations(P):
+    fit = algebra_at(P).constant_curvature_test()
+    lam, residual, t_norm = _constant_curvature_24(P)
+    assert fit.lam == pytest.approx(lam, rel=1e-12, abs=1e-15)
+    assert fit.residual == pytest.approx(residual, rel=1e-12, abs=1e-12 * t_norm)
+    assert fit.is_constant == (residual <= 1e-8 * t_norm)
 
 
 def test_constant_curvature_three_pairings_match_24_permutations(quartic_points):
     points = [default_point(name) for name in catalog_names()]
-    points += list(quartic_points.values()) + [_perturbed_cubic_point()]
+    points += list(quartic_points.values()) + [_cubic_point(), _cubic_point(8)]
     for P in points:
-        fit = algebra_at(P).constant_curvature_test()
-        lam, residual, t_norm = _constant_curvature_24(P)
-        assert fit.lam == pytest.approx(lam, rel=1e-12, abs=1e-15)
-        assert fit.residual == pytest.approx(residual, rel=1e-12, abs=1e-12 * t_norm)
-        assert fit.is_constant == (residual <= 1e-8 * t_norm)
+        _assert_fit_matches_24_permutations(P)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_constant_curvature_matches_24_permutations_on_random_cubics(m, seed):
+    _assert_fit_matches_24_permutations(_cubic_point(m, seed=seed))
+
+
+def test_constant_curvature_holds_no_m4_array():
+    # the fit works one first-index slab at a time: its traced peak stays
+    # below the size of a single m^4 float64 array
+    m = 16
+    alg = algebra_at(_cubic_point(m))
+    tracemalloc.start()
+    try:
+        alg.constant_curvature_test()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m**4
+
+
+def _derivations_einsum(alg):
+    """Reference for derivations(): the derivation system built by three
+    einsums over the identity, then the same QR, SVD and cutoff."""
+    m, s = alg.base.rank_m, alg.structure
+    eye = np.eye(m)
+    i, j = np.triu_indices(m)
+    system = np.einsum("cp,rq->rcpq", eye, s[i, j])
+    system -= np.einsum("prc,rq->rcpq", s[:, j], eye[i])
+    system -= np.einsum("rpc,rq->rcpq", s[i], eye[j])
+    r = np.linalg.qr(system.reshape(-1, m * m), mode="r")
+    _, sv, vh = np.linalg.svd(r, full_matrices=False)
+    null = vh[np.sum(sv > NULL_TOL * sv[0]):]
+    return [flat.reshape(m, m) for flat in null]
+
+
+def test_derivations_match_einsum_system():
+    points = [default_point(name) for name in catalog_names()]
+    points += [_cubic_point(), _cubic_point(5, noise=0.0), _cubic_point(6, noise=0.0)]
+    for P in points:
+        alg = algebra_at(P)
+        got, ref = alg.derivations(), _derivations_einsum(alg)
+        assert len(got) == len(ref)
+        assert all(np.array_equal(d, e) for d, e in zip(got, ref)), P.form.name
+
+
+def test_derivation_dimension_of_symmetric_cubic():
+    # SYMm: the stabilizer O(m - 1) of e_1 has dimension (m - 1)(m - 2)/2
+    for m in (5, 6):
+        assert len(algebra_at(_cubic_point(m, noise=0.0)).derivations()) == (m - 1) * (m - 2) // 2
 
 
 def test_derivation_dimensions():
