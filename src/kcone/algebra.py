@@ -51,11 +51,10 @@ def orthonormal_basis(P: ConePoint) -> np.ndarray:
     return np.linalg.inv(chol).T
 
 
-def kn_product(b, b2=None) -> np.ndarray:
-    """Kulkarni-Nomizu square (b ^ b2)(x,y,z,w) = b(x,z)b2(y,w) - b(x,w)b2(y,z)."""
+def kn_product(b) -> np.ndarray:
+    """Kulkarni-Nomizu square (b ^ b)(x,y,z,w) = b(x,z)b(y,w) - b(x,w)b(y,z)."""
     b = np.asarray(b, dtype=float)
-    b2 = b if b2 is None else np.asarray(b2, dtype=float)
-    return np.einsum("ik,jl->ijkl", b, b2) - np.einsum("il,jk->ijkl", b, b2)
+    return np.einsum("ik,jl->ijkl", b, b) - np.einsum("il,jk->ijkl", b, b)
 
 
 @dataclass

@@ -199,8 +199,8 @@ def _cmd_geodesic(args):
 
 def _cmd_probe(args):
     form = _resolve_form(args.form)
-    rep = boundary_probe(form, args.alpha, args.omega, args.halvings, args.t_max, args.t_min)
-    inputs = {key: getattr(args, key) for key in ("alpha", "omega", "t_max", "t_min", "halvings")}
+    rep = boundary_probe(form, args.alpha, args.omega, args.halvings)
+    inputs = {key: getattr(args, key) for key in ("alpha", "omega", "halvings")}
     return form.name, inputs, dataclasses.asdict(rep)
 
 
@@ -307,8 +307,6 @@ def _build_parser() -> _Parser:
     p.add_argument("form")
     p.add_argument("--alpha", type=_parse_class, required=True)
     p.add_argument("--omega", type=_parse_class, required=True)
-    p.add_argument("--t-max", type=_parse_scalar, default=1.0, dest="t_max")
-    p.add_argument("--t-min", type=_parse_scalar, default=0.0, dest="t_min")
     p.add_argument("--halvings", type=int, default=12)
     p.set_defaults(handler=_cmd_probe)
 

@@ -67,13 +67,11 @@ def christoffel(P: ConePoint, z: CohClass, u: CohClass) -> CohClass:
 
 
 def riemann(P: ConePoint, u, v, z, w) -> float:
-    """Curvature tensor entry R(u, v, z, w) at P (primitive projection)."""
-    pu, pv, pz, pw = (P.primitive_part(a) for a in (u, v, z, w))
-    luw = P.lambda_class(pu, pw)
-    lvz = P.lambda_class(pv, pz)
-    luz = P.lambda_class(pu, pz)
-    lvw = P.lambda_class(pv, pw)
-    return 0.25 * (P.inner(luz, lvw) - P.inner(luw, lvz))
+    """Curvature tensor entry R(u, v, z, w) at P: the primitive pair tensor
+    contracted once with u and once with v."""
+    u, v, z, w = (P.form._check_class(a) for a in (u, v, z, w))
+    lu, lv = u @ P.primitive_pairs, v @ P.primitive_pairs
+    return 0.25 * (P.inner(z @ lu, w @ lv) - P.inner(w @ lu, z @ lv))
 
 
 def inner22(P: ConePoint, pair_x, pair_y) -> float:
@@ -169,8 +167,7 @@ def derived_curvatures(P: ConePoint) -> DerivedCurvatures:
 
         Ric_ij = 1/4 (sum_q <(L G)_iq, M_jq> - <L_ij, T>),  M_jq = sum_p g^pq L_pj,
         T = sum_pq g^pq L_pq, one (m, m^2) x (m^2, m) matmul;  scalar = <G^-1, Ric>;
-        sectional(u, v) = R(u,v,v,u) / (g(u,u) g(v,v) - g(u,v)^2), O(m^3) per plane,
-        R(u,v,v,u) = 1/4 (<L(u,v), L(u,v)> - <L(u,u), L(v,v)>).
+        sectional(u, v) = riemann(u,v,v,u) / (g(u,u) g(v,v) - g(u,v)^2), O(m^3) per plane.
     """
     m, pairs = P.rank_m, P.primitive_pairs
     k = (pairs @ P.gram).reshape(m, m * m)
@@ -187,8 +184,6 @@ def derived_curvatures(P: ConePoint) -> DerivedCurvatures:
         den = guu * gvv - guv * guv
         if den <= 1e-12 * guu * gvv or den <= 0.0:
             raise DegeneratePlane(f"degenerate plane: |u^v|^2 = {den!r}")
-        luv, luu, lvv = v @ (u @ pairs), u @ (u @ pairs), v @ (v @ pairs)
-        num = 0.25 * (P.inner(luv, luv) - P.inner(luu, lvv))
-        return num / den
+        return riemann(P, u, v, v, u) / den
 
     return DerivedCurvatures(sectional=sectional, ricci=ricci, scalar=scalar)

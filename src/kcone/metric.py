@@ -81,15 +81,20 @@ def admit(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefsche
     """The kernel plus ConePoint's admission check on every row of X.
 
     Raises NonPositiveVolume or IndefiniteMetric naming the first
-    inadmissible row.
+    inadmissible row, or ValueError when that row's metric overflows
+    double precision (near a Vol = 0 wall the Gram matrix grows like 1/t^2).
     """
     X = np.asarray(X, dtype=float)
-    data = lefschetz(form, X, what)
+    # an overflowing row gets a non-finite Gram matrix and fails the rule below
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = lefschetz(form, X, what)
     eig = np.linalg.eigvalsh(data.gram)
     # also rejects eig_max <= 0, since then eig_min <= eig_max <= POSDEF_TOL * eig_max
     ok = eig[:, 0] > POSDEF_TOL * eig[:, -1]
     if not ok.all():
         b = int(np.argmin(ok))
+        if not np.isfinite(data.gram[b]).all():
+            raise ValueError(f"metric of {what} {b} at {X[b].tolist()} overflows double precision")
         raise IndefiniteMetric(
             f"Gram matrix of {what} {b} at {X[b].tolist()} is not positive definite "
             f"(eigenvalues {eig[b].tolist()})"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import inf, isfinite, log, sqrt
+from math import isfinite, log, sqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -48,6 +48,7 @@ __all__ = [
 SAMPLER_TRIES = 1000
 PROBE_SUBSTEPS = 64    # chords per boundary-probe interval
 PROBE_CONV_TOL = 1e-3  # a probe whose final increment is below this is CONVERGENT
+PERTURBATIONS = 3      # points admissible_perturbations draws around its centre
 
 
 def _acceleration(form: IntersectionForm, x: np.ndarray, v: np.ndarray, data=None):
@@ -207,51 +208,33 @@ class ProbeReport:
     classification: str             # DIVERGENT | CONVERGENT | INCONCLUSIVE
     ts: np.ndarray
     vols: np.ndarray
-    cumulative_lengths: np.ndarray  # length from t_max down to each t
+    cumulative_lengths: np.ndarray  # length from t = 1 down to each t
     increments: np.ndarray          # length of each schedule interval
     growth_threshold: float
     conv_tol: float
 
 
 def boundary_probe(
-    form: IntersectionForm,
-    alpha: CohClass,
-    omega: CohClass,
-    halvings: int,
-    t_max: float = 1.0,
-    t_min: float = 0.0,
+    form: IntersectionForm, alpha: CohClass, omega: CohClass, halvings: int
 ) -> ProbeReport:
-    """Probe the path alpha + t omega at t = t_max / 2^j, j = 0..halvings,
-    stopping before t falls below t_min.
+    """Probe the path alpha + t omega at t = 2^-j, j = 0..halvings.
 
     Classification tracks the proved lower-bound mechanism: DIVERGENT when
     the last five increments each reach 0.9 (1/sqrt n) log 2 (the growth a
     vanishing volume forces per halving), CONVERGENT when the final
     increment (the successive tail difference) is below PROBE_CONV_TOL.
-    Each interval is measured over PROBE_SUBSTEPS chords.  A t_max <= 0,
-    fewer than two points or a t that underflows to 0 is a ValueError.
+    Each interval is measured over PROBE_SUBSTEPS chords.  Fewer than one
+    halving, or more than the 1074 after which t underflows to 0, is a
+    ValueError.
     """
-    t_max = float(t_max)
-    ts, t = [], t_max
-    for _ in range(halvings + 1):
-        # halving a t_max <= 0 gives no schedule; two points decide the error below
-        if t < t_min or len(ts) == 2 and not 0.0 < t_max < inf:
-            break
-        if t == 0.0 < t_max:
-            raise ValueError(
-                f"--t-max {t_max!r} halved {halvings} times underflows "
-                "to 0; lower --halvings or raise --t-min"
-            )
-        ts.append(t)
-        t /= 2.0
-    ts = np.array(ts)
+    if halvings < 1:
+        raise ValueError("schedule needs at least two points")
+    if halvings > 1074:
+        raise ValueError(f"t = 1 halved {halvings} times underflows to 0; lower --halvings")
+    ts = np.ldexp(1.0, -np.arange(halvings + 1))
     alpha, omega = form._check_class(alpha), form._check_class(omega)
     if not np.isfinite([alpha, omega]).all():
         raise ValueError(f"alpha {alpha.tolist()} or omega {omega.tolist()} is non-finite")
-    if len(ts) < 2:
-        raise ValueError("schedule needs at least two points")
-    if not 0.0 < t_max < inf:
-        raise ValueError("schedule must be strictly decreasing and positive")
     # each interval is cut into PROBE_SUBSTEPS chords; neighbours share their end sample
     sub = np.linspace(ts[:-1], ts[1:], PROBE_SUBSTEPS, endpoint=False, axis=1)
     pts = alpha[None, :] + np.append(sub, ts[-1])[:, None] * omega[None, :]
@@ -346,16 +329,17 @@ def draw_admissible(draw, check, what: str):
     raise KConeError(f"no admissible {what} in {SAMPLER_TRIES} draws")
 
 
-def admissible_perturbations(P: ConePoint, count, seed=0):
-    """ConePoints at seeded admissible omega + 0.1 |omega| N(0, I) around
-    the cone point P."""
+def admissible_perturbations(P: ConePoint, seed=0):
+    """PERTURBATIONS ConePoints at seeded admissible omega + 0.1 |omega| N(0, I)
+    around the cone point P."""
     rng = np.random.default_rng(seed)
     spread = 0.1 * np.linalg.norm(P.omega)
 
     def draw():
         return P.omega + spread * rng.standard_normal(P.rank_m)
 
-    return [draw_admissible(draw, partial(ConePoint, P.form), "point") for _ in range(count)]
+    check = partial(ConePoint, P.form)
+    return [draw_admissible(draw, check, "point") for _ in range(PERTURBATIONS)]
 
 
 @dataclass
@@ -394,7 +378,7 @@ def pullback_isometry_check(
     if not (isfinite(degree) and degree != 0.0):
         raise ValueError(f"degree must be finite and nonzero, got {degree!r}")
     base = ConePoint(form_y, base_point)
-    ys = [base] + admissible_perturbations(base, 3, seed=7)
+    ys = [base] + admissible_perturbations(base, seed=7)
     xs = admit(form_x, np.array([P.omega for P in ys]) @ mat.T, "image point")
     y_vol = np.array([P.vol for P in ys])
     y_gram = np.array([P.gram for P in ys])

@@ -74,8 +74,7 @@ def test_geodesic_csv(capsys, tmp_path):
 def test_probe_divergent(capsys):
     code, out, _ = run_cli(
         capsys,
-        "probe", "P1XP1", "--alpha", "1,0", "--omega", "1,1",
-        "--t-max", "1", "--halvings", "10",
+        "probe", "P1XP1", "--alpha", "1,0", "--omega", "1,1", "--halvings", "10",
     )
     rep = json.loads(out)
     assert code == 0
@@ -92,7 +91,13 @@ def test_probe_halvings_underflow_is_usage_error(capsys):
         "probe", "P1XP1", "--alpha", "1,0", "--omega", "1,1", "--halvings", "2000",
     )
     assert code == 1 and out == ""
-    assert "--t-max 1.0 halved 2000 times underflows to 0" in err
+    assert "t = 1 halved 2000 times underflows to 0" in err
+
+
+def test_overflowing_metric_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "metric", "P1XP1", "--at", "1,1e-300")
+    assert code == 1 and out == ""
+    assert "point 0 at [1.0, 1e-300] overflows double precision" in err
 
 
 def test_algebra_flags(capsys):

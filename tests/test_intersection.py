@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kcone.catalog import CATALOG
+from kcone.catalog import CATALOG, get_form
 from kcone.errors import ManifoldFormatError
 from kcone.intersection import IntersectionForm, parse_manifold, serialize_manifold
 
@@ -23,6 +23,11 @@ def test_parse_catalog_file():
     assert form.dim_n == 2 and form.rank_m == 2
     assert form.coeffs == {(1, 2): 1.0}
     assert form.labels == ("h1", "h2")
+
+
+def test_unknown_catalog_name():
+    with pytest.raises(KeyError, match="unknown catalog form 'NOPE'"):
+        get_form("NOPE")
 
 
 def test_parse_rational_values():

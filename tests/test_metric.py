@@ -66,6 +66,16 @@ def test_admit_names_the_failing_row():
         admit(CATALOG["CY3GEN"], X)
 
 
+def test_overflowing_metric_is_input_error():
+    # the metric of P1XP1 at (1, t) is diag(1, 1/t^2): positive definite, but
+    # 1/t^2 = 1e600 at t = 1e-300 overflows double precision
+    form = CATALOG["P1XP1"]
+    with pytest.raises(ValueError, match=r"point 0 at \[1.0, 1e-300\] overflows double"):
+        ConePoint(form, np.array([1.0, 1e-300]))
+    with pytest.raises(ValueError, match="sample 1 .* overflows double precision"):
+        admit(form, np.array([[1.0, 1.0], [1.0, 1e-300]]), "sample")
+
+
 def test_cone_point_caches_consistent():
     for name in catalog_names():
         P = default_point(name)
@@ -90,6 +100,11 @@ def test_lambda_scalar_examples():
 def test_lambda_scalar_degree_above_top_is_zero():
     P = default_point("P1XP1")
     assert P.lambda_scalar([P.omega, P.omega, P.omega]) == 0.0
+
+
+def test_lambda_scalar_needs_a_class():
+    with pytest.raises(ValueError, match="at least one class"):
+        default_point("P1XP1").lambda_scalar([])
 
 
 def test_inner_omega_is_n():

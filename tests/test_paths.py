@@ -101,6 +101,13 @@ def test_integrate_geodesics_mixed_batch_left_cone():
     assert 0.0 < err.value.t <= 1.0
 
 
+def test_failed_stage_raises_left_cone_at_step_start():
+    # the first RK4 stage point 1 - 10/2 of P3 has negative volume
+    with pytest.raises(LeftCone, match="step from t=0.0 failed: geodesic member 0") as err:
+        integrate_geodesic(default_point("P3"), np.array([-10.0]), 1.0, 1)
+    assert err.value.t == 0.0
+
+
 def test_integrate_geodesics_rejects_bad_batches():
     P = default_point("P1XP1")
     with pytest.raises(ValueError, match="nonzero"):
@@ -269,7 +276,7 @@ def test_boundary_probe_validates_omega():
 
 
 def _halving_schedule(t_max, halvings, t_min):
-    """The schedule the CLI built before boundary_probe owned it."""
+    """The schedule the CLI built from --t-max and --t-min."""
     schedule, t = [], t_max
     for _ in range(halvings + 1):
         if t < t_min:
@@ -285,24 +292,26 @@ def _halving_schedule(t_max, halvings, t_min):
      (0.7, 1, 0.0), (1e-3, 6, 0.0), (2.0, 1000, 2.0**-12)],
 )
 def test_boundary_probe_builds_halving_schedule(t_max, halvings, t_min):
-    form, omega = CATALOG["P1XP1"], np.array([1.0, 1.0])
-    rep = boundary_probe(form, np.array([1.0, 0.0]), omega, halvings, t_max, t_min)
+    # the old points alpha + t_max 2^-j omega are alpha + 2^-j (t_max omega), and
+    # stopping before t_min is a smaller halvings
+    form, alpha, omega = CATALOG["P1XP1"], np.array([1.0, 0.0]), np.array([1.0, 1.0])
     expected = _halving_schedule(t_max, halvings, t_min)
-    assert rep.ts.tolist() == expected and len(rep.vols) == len(expected)
+    rep = boundary_probe(form, alpha, t_max * omega, len(expected) - 1)
+    assert rep.ts.tolist() == [2.0**-j for j in range(len(expected))]
+    assert (t_max * rep.ts).tolist() == expected
+    vols = [form.volume(alpha + t * omega) for t in expected]
+    assert rep.vols == pytest.approx(vols, rel=1e-14)
 
 
 def test_boundary_probe_bad_schedule():
     form, alpha, omega = CATALOG["P1XP1"], np.array([1.0, 0.0]), np.ones(2)
-    with pytest.raises(ValueError, match="halved 2000 times underflows to 0"):
-        boundary_probe(form, alpha, omega, 2000)
-    # a t_max <= 0 is refused for its sign, or for too few points when the
-    # first t already lies below t_min or no halving is asked for
-    for t_max, halvings, t_min in ((0.0, 12, 0.0), (-1.0, 12, -5.0), (-1.0, 10**18, -5.0)):
-        with pytest.raises(ValueError, match="strictly decreasing and positive"):
-            boundary_probe(form, alpha, omega, halvings, t_max, t_min)
-    for t_max, halvings, t_min in ((-1.0, 12, 0.0), (0.0, 0, 0.0), (1.0, 0, 0.0), (1.0, 5, 2.0)):
+    # 2^-1075 rounds to 0; 2^-1074 is the smallest subnormal
+    for halvings in (1075, 2000, 10**18):
+        with pytest.raises(ValueError, match=f"halved {halvings} times underflows to 0"):
+            boundary_probe(form, alpha, omega, halvings)
+    for halvings in (0, -3):
         with pytest.raises(ValueError, match="at least two points"):
-            boundary_probe(form, alpha, omega, halvings, t_max, t_min)
+            boundary_probe(form, alpha, omega, halvings)
 
 
 def test_split_quintic_example():
@@ -377,7 +386,7 @@ def test_pullback_admits_each_point_once(monkeypatch):
     assert rep.points_checked == 4
     points.clear()
     P = default_point("CY3GEN")
-    others = admissible_perturbations(P, 3, seed=1)
+    others = admissible_perturbations(P, seed=1)
     # one ConePoint per draw, none for the already admitted centre
     assert len(points) >= 3 and not any(np.array_equal(x, P.omega) for x in points)
     assert [Q.omega.tolist() for Q in others] == [x.tolist() for x in points[-3:]]

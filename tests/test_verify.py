@@ -1,6 +1,8 @@
 """The verification suite runs its catalog entries in forked worker
-processes; these tests pin that the parallel run is the serial one."""
+processes; these tests pin that the parallel run is the serial one, and
+how its checks score a failure."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import sys
 from pathlib import Path
 
 from kcone import verify
-from kcone.catalog import catalog_names
+from kcone.catalog import ENTRIES, catalog_names, default_point
 from kcone.cli import main
 from kcone.errors import LeftCone
 from kcone.verify import run_verification
@@ -49,6 +51,11 @@ def test_left_cone_in_a_worker_exits_2(capsys, monkeypatch):
     assert out_all == out_one
     report = json.loads(out_all)
     assert report["error"] == "LeftCone" and report["message"].endswith("t=0.25")
+
+
+def test_probe_with_the_wrong_classification_scores_inf():
+    probe = dataclasses.replace(ENTRIES["BLP2"].probe, expect="DIVERGENT")
+    assert verify.probe_deviation(default_point("BLP2"), probe) == float("inf")
 
 
 def test_importing_the_cli_loads_no_process_pool():
