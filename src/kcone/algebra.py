@@ -123,45 +123,37 @@ class AlgebraAtPoint:
     def constant_curvature_test(self) -> ConstantCurvatureFit:
         """Best multiple of the induced S^2 inner product inside <x.y, z.w>.
 
-        Works in a g-orthonormal basis: T(x,y,z,w) = <x.y, z.w> has constant
-        sectional curvature -lam exactly when T - 2 lam S is a fully
-        symmetric 4-tensor, with S(x,y,z,w) = (d_xz d_yw + d_xw d_yz)/2.
-        lam is extracted by least squares on the non-symmetric components,
-        so the fit is reported even when the test fails.  lam needs T only
-        on O(m^2) entries; the residual is summed over one first-index slab
-        T[a] at a time, in O(m^3) working memory.
+        In the g-orthonormal frame x of bilinear_forms(), T(a,b,c,d) =
+        <x_a.x_b, x_c.x_d> has constant sectional curvature -lam exactly when
+        T - 2 lam S is fully symmetric, with S(a,b,c,d) = (d_ac d_bd + d_ad d_bc)/2.
+        lam fits the non-symmetric parts, nT ~ 2 lam nS, by least squares, so it
+        is reported even when the test fails.  nS is orthogonal to every
+        symmetric tensor, so <nT, nS> = <T, nS> and
+        lam = (sum_ab |x_a.x_b|^2 - |sum_a x_a.x_a|^2) / (m^2 - m): minus the
+        mean sectional curvature of R_alg over the planes of the frame.  The
+        residual is summed one first-index slab T[a] at a time, in O(m^3) memory.
         """
-        basis = orthonormal_basis(self.base)
+        fs = self.bilinear_forms()
         m = self.base.rank_m
-        # products of orthonormal vectors, expressed in orthonormal coordinates
-        vec = np.einsum("ijc,ia,jb->abc", self.structure, basis, basis, optimize=True)
-        comp = np.einsum("abc,cd,dl->abl", vec, self.base.gram, basis, optimize=True)
+        # comp[a, b] = x_a . x_b in orthonormal coordinates
+        comp = np.einsum("lij,ia,jb->abl", fs.forms, fs.basis, fs.basis, optimize=True)
         flat = comp.reshape(m * m, m)
-        # The non-symmetric part of S is (d_ac d_bd + d_ad d_bc)/6 - d_ab d_cd/3:
-        # nonzero only on T[a,b,a,b], T[a,b,b,a] and T[a,a,b,b] with a != b, and
-        # 2 |ns|^2 = (m^2 - m)/3.  T has the 8 pair symmetries (up to roundoff), so
-        # its non-symmetric part nT is T less its mean over the 3 pairings {ab|cd},
-        # {ac|bd}, {ad|bc}, which all fix a; lam needs nT only on those index sets
-        diag = comp[np.arange(m), np.arange(m)]
-        abab = np.einsum("abl,abl->ab", comp, comp)   # [a, b] = T[a, b, a, b]
-        abba = np.einsum("abl,bal->ab", comp, comp)   # T[a, b, b, a]
-        aabb = diag @ diag.T                          # T[a, a, b, b]
-        off = ~np.eye(m, dtype=bool)
-        inner = (float((abab - (abab + aabb + abab) / 3.0)[off].sum()) / 6.0
-                 + float((abba - (abba + abba + aabb) / 3.0)[off].sum()) / 6.0
-                 - float((aabb - (aabb + abab + abba) / 3.0)[off].sum()) / 3.0)
-        lam = 3.0 * inner / (m * m - m) if m > 1 else 0.0
-        # |nT - 2 lam ns|^2 is summed directly, one slab T[a] ([b, c, d]) at a time:
-        # its expansion |nT|^2 - 4 lam <nT, ns> + ... would cancel when the fit passes
+        sq = comp[np.arange(m), np.arange(m)].sum(axis=0)   # sum_a x_a . x_a
+        lam = float(np.vdot(flat, flat) - sq @ sq) / (m * m - m) if m > 1 else 0.0
+        # nT - 2 lam nS is the non-symmetric part of T - 2 lam S: each slab drops
+        # 2 lam S[a] (lam at [b, a, b] and at [b, b, a]), then its symmetric part,
+        # which by the 8 pair symmetries is its mean over the 3 pairings {ab|cd},
+        # {ac|bd}, {ad|bc}; all three fix a.  |nT - 2 lam nS|^2
+        # is summed directly: its expansion |nT|^2 - 4 lam <nT, nS> + ... would
+        # cancel when the fit passes
+        b = np.arange(m)
         t_sq = res_sq = 0.0
         for a in range(m):
             block = (comp[a] @ flat.T).reshape(m, m, m)
             t_sq += float(np.vdot(block, block))
+            block[b, a, b] -= lam
+            block[b, b, a] -= lam
             block -= (block + block.transpose(1, 0, 2) + block.transpose(2, 1, 0)) / 3.0
-            b = np.delete(np.arange(m), a)
-            block[b, a, b] -= 2.0 * lam / 6.0
-            block[b, b, a] -= 2.0 * lam / 6.0
-            block[a, b, b] += 2.0 * lam / 3.0
             res_sq += float(np.vdot(block, block))
         return ConstantCurvatureFit(lam=lam, residual=float(np.sqrt(res_sq)),
                                     tol=1e-8 * float(np.sqrt(t_sq)))

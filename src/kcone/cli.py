@@ -40,6 +40,7 @@ from .fdcheck import FDReport
 from .intersection import IntersectionForm, load_manifold, serialize_manifold
 from .metric import ConePoint
 from .paths import (
+    PULLBACK_TOL,
     boundary_probe,
     integrate_geodesic,
     pullback_isometry_check,
@@ -239,7 +240,7 @@ def _cmd_pullback(args):
     form_x = _resolve_form(args.form_x)
     base = _at(args, form_y)
     rep = pullback_isometry_check(form_y, form_x, args.matrix, args.degree, base)
-    check = FDReport("pullback_isometry", rep.max_dev, 1e-10)
+    check = FDReport("pullback_isometry", rep.max_dev, PULLBACK_TOL)
     inputs = {
         "target_form": form_x.name,
         "matrix": args.matrix,

@@ -81,11 +81,12 @@ def admit(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefsche
     """The kernel plus ConePoint's admission check on every row of X.
 
     Raises NonPositiveVolume or IndefiniteMetric naming the first
-    inadmissible row, or ValueError when that row's metric overflows
+    inadmissible row, or ValueError when its volume or metric overflows
     double precision (near a Vol = 0 wall the Gram matrix grows like 1/t^2).
     """
     X = np.asarray(X, dtype=float)
-    # an overflowing row gets a non-finite Gram matrix and fails the rule below
+    # an overflowing row fails the rule below: its Gram matrix is non-finite,
+    # or zero when only its volume overflows (Lam = stage / Vol = 0)
     with np.errstate(over="ignore", invalid="ignore"):
         data = lefschetz(form, X, what)
     eig = np.linalg.eigvalsh(data.gram)
@@ -93,7 +94,7 @@ def admit(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefsche
     ok = eig[:, 0] > POSDEF_TOL * eig[:, -1]
     if not ok.all():
         b = int(np.argmin(ok))
-        if not np.isfinite(data.gram[b]).all():
+        if not (np.isfinite(data.gram[b]).all() and np.isfinite(data.vol[b])):
             raise ValueError(f"metric of {what} {b} at {X[b].tolist()} overflows double precision")
         raise IndefiniteMetric(
             f"Gram matrix of {what} {b} at {X[b].tolist()} is not positive definite "

@@ -49,6 +49,7 @@ SAMPLER_TRIES = 1000
 PROBE_SUBSTEPS = 64    # chords per boundary-probe interval
 PROBE_CONV_TOL = 1e-3  # a probe whose final increment is below this is CONVERGENT
 PERTURBATIONS = 3      # points admissible_perturbations draws around its centre
+PULLBACK_TOL = 1e-10   # the max_dev a pullback isometry check passes under
 
 
 def _acceleration(form: IntersectionForm, x: np.ndarray, v: np.ndarray, data=None):
@@ -299,12 +300,10 @@ def split_report(P: ConePoint) -> SplitReport:
     radial = P.omega / n
     # primitive directions push forward with the homothety factor e^{t/n}
     scale = float(np.exp(t / n))
-    # column i of the projector is the primitive part of e_i
-    u, s, _ = np.linalg.svd(P.primitive_projector, full_matrices=False)
-    # projections of unit vectors: anything below 1e-10 is roundoff residue,
-    # not a primitive direction (the primitive space has dimension m - 1)
-    rank = int(np.sum(s > 1e-10))
-    basis = u[:, :rank] * scale
+    # column i of the projector is the primitive part of e_i; its rank is
+    # exactly m - 1, as Lam(omega) = n
+    u, _, _ = np.linalg.svd(P.primitive_projector, full_matrices=False)
+    basis = u[:, :P.rank_m - 1] * scale
     mixed = radial @ P.gram @ basis
     block = basis.T @ P.gram @ basis
     return SplitReport(
@@ -312,7 +311,7 @@ def split_report(P: ConePoint) -> SplitReport:
         omega1=omega1,
         dt2_coefficient=P.inner(radial, radial),
         expected_dt2=1.0 / n,
-        max_mixed_entry=float(np.abs(mixed).max()) if rank else 0.0,
+        max_mixed_entry=float(np.abs(mixed).max(initial=0.0)),
         primitive_block=block,
     )
 

@@ -38,6 +38,7 @@ from .fdcheck import (
 )
 from .metric import ConePoint
 from .paths import (
+    PULLBACK_TOL,
     LengthBound,
     admissible_perturbations,
     boundary_probe,
@@ -292,6 +293,6 @@ def run_verification(names=None):
         rep = pullback_isometry_check(
             case.source.form, case.target, case.matrix, case.degree, case.source.omega
         )
-        checks.append(FDReport(f"pullback:{case.tag}", rep.max_dev, 1e-10).as_dict())
+        checks.append(FDReport(f"pullback:{case.tag}", rep.max_dev, PULLBACK_TOL).as_dict())
     all_pass = all(c["pass"] for c in checks)
     return checks, all_pass

@@ -312,3 +312,9 @@ def test_derivation_conclusions_hold():
         assert P.norm(d @ P.omega) <= 1e-8
         assert max(abs(P.lambda_scalar([d[:, i]])) for i in range(3)) <= 1e-8
         assert np.linalg.norm(P.gram_inv @ d.T @ P.gram + d) <= 1e-8
+
+
+def test_derivations_need_complex_dimension_two():
+    point = IntersectionForm(name="PT", dim_n=1, rank_m=1, coeffs={(1,): 1.0})
+    with pytest.raises(ValueError, match="requires complex dimension >= 2"):
+        algebra_at(ConePoint(point, np.array([1.0]))).derivations()

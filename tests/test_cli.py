@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from kcone.cli import main
+from kcone.errors import KConeError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -95,9 +97,16 @@ def test_probe_halvings_underflow_is_usage_error(capsys):
 
 
 def test_overflowing_metric_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "metric", "P1XP1", "--at", "1,1e-300")
-    assert code == 1 and out == ""
-    assert "point 0 at [1.0, 1e-300] overflows double precision" in err
+    # the Gram matrix overflows near a wall; the volume far out, where it
+    # would read as an indefinite metric with eigenvalues [0.0, 0.0]
+    for command, at, point in (
+        ("metric", "1,1e-300", "[1.0, 1e-300]"),
+        ("metric", "1e200,1e200", "[1e+200, 1e+200]"),
+        ("algebra", "1e155,1e155", "[1e+155, 1e+155]"),
+    ):
+        code, out, err = run_cli(capsys, command, "P1XP1", "--at", at)
+        assert code == 1 and out == ""
+        assert f"point 0 at {point} overflows double precision" in err
 
 
 def test_algebra_flags(capsys):
@@ -150,6 +159,37 @@ def test_failing_verify_check_exits_3(capsys, monkeypatch):
     rep = json.loads(out)
     assert code == 3
     assert rep["checks"] == [failing] and rep["outputs"]["all_pass"] is False
+
+
+def _raise_kcone_error(*args):
+    raise KConeError("no admissible point in 1000 draws")
+
+
+@pytest.mark.parametrize(
+    "argv, patch, code, message",
+    [
+        (["metric"], None, 1, "error: the following arguments are required: form"),
+        (["metric", "P1XP1", "--at", "1/0,1"], None, 1, "error: bad number '1/0'"),
+        (["metric", "P1XP1", "--at", "abc,1"], None, 1, "error: bad number 'abc'"),
+        (["pullback", "P1XP1", "P1XP1", "--matrix", "1,0;1", "--degree", "1"], None, 1,
+         "error: matrix rows have unequal lengths"),
+        (["verify", "foo"], None, 1, "error: verify only runs on catalog forms, not 'foo'"),
+        (["--help"], None, 0, "usage: kcone"),
+        (["split", "P1XP1"], ("kcone.cli.split_report", _raise_kcone_error), 3,
+         "error: no admissible point in 1000 draws"),
+    ],
+    ids=["argparse", "zero-denominator", "not-a-number", "ragged-matrix",
+         "verify-non-catalog", "help", "other-kcone-error"],
+)
+def test_documented_exit_codes(capsys, monkeypatch, argv, patch, code, message):
+    if patch:
+        monkeypatch.setattr(*patch)
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if code == 0:
+        assert message in out and err == ""
+    else:
+        assert out == "" and message in err
 
 
 def test_info_catalog_and_form(capsys):

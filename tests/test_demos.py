@@ -22,3 +22,19 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_python_examples_run(capsys):
+    """Both python blocks of the README, run in one namespace, give the
+    values their comments promise."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    ns = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), ns)
+    assert ns["dc"].sectional(ns["e2"], ns["e3"]) == pytest.approx(-0.5, abs=1e-12)
+    assert ns["dc"].scalar == pytest.approx(-1.0, abs=1e-12)
+    assert ns["path"].speed_drift < 1e-12
+    assert ns["rep"].classification == "DIVERGENT"
+    assert ns["rep"].ts[-1] == 2**-10

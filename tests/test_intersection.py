@@ -231,3 +231,24 @@ def test_non_finite_coefficients_rejected(value):
 def test_dense_matches_permutation_loop(dense_by_permutations):
     for form in CATALOG.values():
         assert np.array_equal(form._dense, dense_by_permutations(form))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: [obj], "top level must be a JSON object"),
+        (lambda obj: {**obj, "name": ""}, "name must be a nonempty string"),
+        (lambda obj: {**obj, "dim": 0}, "dim and h11 must be positive integers"),
+        (lambda obj: {**obj, "intersection": [{"index": [1, 2], "value": True}]},
+         "bad value True"),
+        (lambda obj: {**obj, "labels": ["h1"]}, "labels length must equal h11"),
+        (lambda obj: {**obj, "intersection": {"index": [1, 2], "value": 1}},
+         "intersection must be a list"),
+        (lambda obj: {**obj, "intersection": [[1, 2]]}, "bad intersection entry"),
+    ],
+    ids=["top-level", "empty-name", "dim-zero", "boolean-value", "labels-length",
+         "intersection-not-list", "entry-not-dict"],
+)
+def test_parse_rejects_malformed_files(edit, message):
+    with pytest.raises(ManifoldFormatError, match=message):
+        parse_manifold(json.dumps(edit(json.loads(P1XP1_FILE))))

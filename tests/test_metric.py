@@ -74,6 +74,10 @@ def test_overflowing_metric_is_input_error():
         ConePoint(form, np.array([1.0, 1e-300]))
     with pytest.raises(ValueError, match="sample 1 .* overflows double precision"):
         admit(form, np.array([[1.0, 1.0], [1.0, 1e-300]]), "sample")
+    # Vol = xy overflows to inf at (1e200, 1e200), so Lam = stage / Vol and the
+    # Gram matrix come out as 0: an overflow, not an indefinite metric
+    with pytest.raises(ValueError, match=r"point 0 at \[1e\+200, 1e\+200\] overflows double"):
+        ConePoint(form, np.array([1e200, 1e200]))
 
 
 def test_cone_point_caches_consistent():
