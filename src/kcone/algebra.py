@@ -12,8 +12,10 @@ squares, and relates to the cone metric by
 
     riemann(u,v,z,w) = -R_alg(primitive parts).
 
-The structure constants are half of ConePoint.lambda_pairs, the single
-source of Lam(e_i cup e_j) that also feeds the connection and curvature.
+The structure constants are half of ConePoint.lambda_pairs, which also
+feeds the connection; R_alg is built from them on the basis, apart from the
+cubic the metric curvature reads.  The Kulkarni-Nomizu forms and the
+constant-curvature test work in the omega-adapted frame ConePoint.frame.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import List
 
 import numpy as np
 
-from .curvature import CurvatureTensor, pair_curvature
+from .curvature import CurvatureTensor
 from .errors import KConeError
 from .intersection import CohClass
 from .metric import ConePoint
@@ -40,15 +42,6 @@ __all__ = [
 # Singular values below this relative threshold count as zero when
 # extracting derivation spaces.
 NULL_TOL = 1e-8
-
-
-def orthonormal_basis(P: ConePoint) -> np.ndarray:
-    """Columns form a g-orthonormal basis, via Cholesky of the Gram matrix.
-
-    Deterministic: the same point always produces the same basis.
-    """
-    chol = np.linalg.cholesky(P.gram)
-    return np.linalg.inv(chol).T
 
 
 def kn_product(b) -> np.ndarray:
@@ -93,15 +86,16 @@ class AlgebraAtPoint:
 
     def curvature_tensor(self) -> CurvatureTensor:
         """R_alg(x,y,z,w) = <x.w, y.z> - <x.z, y.w> on the basis."""
-        entries = -4.0 * pair_curvature(self.structure, self.base.gram)
+        s = self.structure
+        ip = np.einsum("ija,ab,klb->ijkl", s, self.base.gram, s, optimize=True)
+        entries = np.einsum("iljk->ijkl", ip) - np.einsum("ikjl->ijkl", ip)
         return CurvatureTensor(entries=entries, base_point=self.base)
 
     def bilinear_forms(self) -> BilinearFormSet:
-        """Kulkarni-Nomizu data: b_l(x,y) = <x.y, x_l> over an orthonormal basis."""
-        basis = orthonormal_basis(self.base)
-        forms = np.einsum(
-            "ijc,cd,dl->lij", self.structure, self.base.gram, basis, optimize=True
-        )
+        """Kulkarni-Nomizu data: b_l(x,y) = <x.y, x_l> over the columns x_l
+        of ConePoint.frame."""
+        basis = self.base.frame
+        forms = np.einsum("ijc,cd,dl->lij", self.structure, self.base.gram, basis, optimize=True)
         return BilinearFormSet(forms=forms, basis=basis)
 
     def kn_reconstruction_residual(self) -> float:

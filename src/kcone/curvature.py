@@ -4,27 +4,31 @@ The connection of the cone metric acts on a tangent field u by
 
     nabla_z u = d_z u - 1/2 Lam(u) z - 1/2 Lam(z) u + 1/2 Lam(u cup z),
 
-so the Christoffel part Gamma(z, u) is symmetric and torsion-free by
-inspection.  The tautological field omega |-> omega is parallel:
-d_z omega = z while Gamma(z, omega) = -z.
+so the Christoffel part Gamma(z, u), a whole-tensor expression in
+ConePoint.lambda_pairs, is symmetric and torsion-free by inspection.  The
+tautological field omega |-> omega is parallel: d_z omega = z while
+Gamma(z, omega) = -z.
 
-The curvature tensor, evaluated on primitive parts, is
+The curvature tensor lives on primitive parts, as the metric splits off a
+flat radial line.  In the g-orthonormal primitive frame x_1..x_k of
+ConePoint.frame (k = m - 1) it is a space form of curvature -1/n plus a term
+quadratic in the cubic c_abc = <x_a . x_b, x_c> = -1/2 Lam3(x_a, x_b, x_c):
 
-    R(u,v,z,w) = -1/4 <Lam(u cup w), Lam(v cup z)>
-                 + 1/4 <Lam(u cup z), Lam(v cup w)>.
+    R(a,b,c,d) = <c_ac, c_bd> - <c_ad, c_bc> + (d_ac d_bd - d_ad d_bc) / n,
+    Ric_ab = sum_e <c_ae, c_be> - <c_ab, tr c> - (k - 1)/n d_ab,
+    scalar = |c|^2 - |tr c|^2 - k (k - 1)/n,    tr c = sum_a c_aa.
 
-All four arguments are projected to their primitive parts first: the
-metric splits off a flat radial line, so the tensor degenerates to the
-primitive subspace and vanishes whenever a slot is omega.
-
-Gamma and R on the basis are whole-tensor expressions in ConePoint.lambda_pairs,
-the single source of Lam(e_i cup e_j).  fdcheck differentiates the Gram and
-Christoffel tensors once per basis direction: O(m) cone points per check.
+F = Pi^T Gram frame[:, 1:] pulls these back to the basis.  fdcheck
+differentiates the Gram and Christoffel tensors once per basis direction:
+O(m) cone points per check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,7 +44,6 @@ __all__ = [
     "riemann_alt",
     "inner22",
     "CurvatureTensor",
-    "pair_curvature",
     "riemann_tensor",
     "DerivedCurvatures",
     "derived_curvatures",
@@ -66,45 +69,82 @@ def christoffel(P: ConePoint, z: CohClass, u: CohClass) -> CohClass:
     return z @ (u @ christoffel_tensor(P))
 
 
+def _pullback(P: ConePoint) -> np.ndarray:
+    """F, shape (m, m - 1): u @ F are the frame coordinates of the primitive
+    part of u.  Pi^T keeps exact zeros where a basis class has none."""
+    return P.primitive_projector.T @ (P.gram @ P.frame[:, 1:])
+
+
 def riemann(P: ConePoint, u, v, z, w) -> float:
-    """Curvature tensor entry R(u, v, z, w) at P: the primitive pair tensor
-    contracted once with u and once with v."""
-    u, v, z, w = (P.form._check_class(a) for a in (u, v, z, w))
-    lu, lv = u @ P.primitive_pairs, v @ P.primitive_pairs
-    return 0.25 * (P.inner(z @ lu, w @ lv) - P.inner(w @ lu, z @ lv))
+    """Curvature tensor entry R(u, v, z, w) at P from the cubic, with the
+    frame coordinates of the four classes."""
+    pu, pv, pz, pw = np.array([P.form._check_class(a) for a in (u, v, z, w)]) @ _pullback(P)
+    c = P.cubic
+    uz, vw, uw, vz = (a @ (b @ c) for a, b in ((pu, pz), (pv, pw), (pu, pw), (pv, pz)))
+    space_form = (pu @ pz) * (pv @ pw) - (pu @ pw) * (pv @ pz)
+    return float(uz @ vw - uw @ vz + space_form / P.dim_n)
+
+
+_fractions = np.vectorize(Fraction, otypes=[object])
+
+
+@lru_cache(maxsize=1)   # callers such as verify's criterion 5a loop over one point
+def _exact(P: ConePoint):
+    """The float data of P as exact Fractions, which callers only read: G^-1
+    by Gauss-Jordan elimination (G is positive definite), Gram, Lam, omega and
+    the stages and divided-power factors of Lam^k, k = 2..min(n, 4)."""
+    gram = _fractions(P.gram)
+    a = np.column_stack([gram, np.eye(P.rank_m, dtype=int).astype(object)])
+    for i in range(len(a)):
+        a[i] /= a[i, i]
+        rest = np.arange(len(a)) != i
+        a[rest] -= np.outer(a[rest, i], a[i])
+    lam_k = {k: (_fractions(P._stages[k]), factorial(P.dim_n - k) * Fraction(P.vol))
+             for k in (2, 3, 4) if k <= P.dim_n}
+    return a[:, P.rank_m:], gram, _fractions(P._lam), _fractions(P.omega), lam_k
+
+
+def _cup_inner(exact, u, w, v, z):
+    """inner22 of Fraction classes on the data of _exact: <Lam(x), Lam(y)> =
+    r_x G^-1 r_y with r_x = g(Lam(x), .) = -Lam3(x, .) + Lam2(x) Lam."""
+    gram_inv, _, lam, _, lam_k = exact
+
+    def lam_of(k, *classes):   # Lam^k with its first slots filled; 0 for k > n
+        if k not in lam_k:
+            return 0
+        t, divisor = lam_k[k]
+        for a in classes:
+            t = a @ t
+        return t / divisor
+
+    r_x, r_y = (lam_of(2, a, b) * lam - lam_of(3, a, b) for a, b in ((u, w), (v, z)))
+    return lam_of(4, u, w, v, z) + r_x @ gram_inv @ r_y - lam_of(2, u, w) * lam_of(2, v, z)
 
 
 def inner22(P: ConePoint, pair_x, pair_y) -> float:
-    """Inner product of the (2,2)-classes u cup w and v cup z:
+    """Inner product of the (2,2)-classes u cup w and v cup z, no primitive
+    projection (the Lam4 term vanishes for n < 4):
 
-        <x, y> = Lam4(x cup y) + <Lam(x), Lam(y)> - Lam2(x) Lam2(y),
-
-    where the Lam4 term vanishes for n < 4.  No primitive projection.
+        <x, y> = Lam4(x cup y) + <Lam(x), Lam(y)> - Lam2(x) Lam2(y).
     """
-    u, w = pair_x
-    v, z = pair_y
-    lam4 = P.lambda_scalar([u, w, v, z])
-    lx = P.lambda_class(u, w)
-    ly = P.lambda_class(v, z)
-    return lam4 + P.inner(lx, ly) - P.lambda_scalar([u, w]) * P.lambda_scalar([v, z])
+    return float(_cup_inner(_exact(P), *_fractions([*pair_x, *pair_y])))
 
 
 def riemann_alt(P: ConePoint, u, v, z, w) -> float:
-    """Curvature as a perturbation of a space-form tensor:
+    """Curvature on primitive parts as a perturbation of a space form:
 
         R = -1/4 <u,w><v,z> + 1/4 <u,z><v,w>
-            - 1/4 <u cup w, v cup z> + 1/4 <u cup z, v cup w>,
+            - 1/4 <u cup w, v cup z> + 1/4 <u cup z, v cup w>.
 
-    with the cup inner products from inner22.  Agrees with riemann.
+    Like inner22 it runs in exact rational arithmetic on the float Gram
+    matrix, Lam and stages of P, so the only rounding it carries is theirs.
     """
-    pu, pv, pz, pw = (P.primitive_part(a) for a in (u, v, z, w))
-    metric_part = -0.25 * P.inner(pu, pw) * P.inner(pv, pz) + 0.25 * P.inner(
-        pu, pz
-    ) * P.inner(pv, pw)
-    cup_part = -0.25 * inner22(P, (pu, pw), (pv, pz)) + 0.25 * inner22(
-        P, (pu, pz), (pv, pw)
-    )
-    return metric_part + cup_part
+    exact = _exact(P)
+    _, gram, lam, omega, _ = exact
+    pu, pv, pz, pw = (a - (lam @ a) / P.dim_n * omega for a in _fractions([u, v, z, w]))
+    metric_part = (pu @ gram @ pz) * (pv @ gram @ pw) - (pu @ gram @ pw) * (pv @ gram @ pz)
+    cup_part = _cup_inner(exact, pu, pz, pv, pw) - _cup_inner(exact, pu, pw, pv, pz)
+    return float((metric_part + cup_part) / 4)
 
 
 @dataclass
@@ -142,17 +182,16 @@ class CurvatureTensor:
         )
 
 
-def pair_curvature(pairs: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """The 4-tensor 1/4 (<L_ik, L_jl> - <L_il, L_jk>) of a pair tensor
-    L[i, j] of shape (m, m, m), with inner products taken by gram."""
-    ip = np.einsum("ija,ab,klb->ijkl", pairs, gram, pairs, optimize=True)
-    return 0.25 * (np.einsum("ikjl->ijkl", ip) - np.einsum("iljk->ijkl", ip))
-
-
 def riemann_tensor(P: ConePoint) -> CurvatureTensor:
-    """R on the basis as a dense m^4 array: pair_curvature of the primitive
-    pair tensor.  derived_curvatures contracts the pair tensor directly."""
-    return CurvatureTensor(entries=pair_curvature(P.primitive_pairs, P.gram), base_point=P)
+    """R on the basis as a dense m^4 array: R(i,j,k,l) = ip(i,k,j,l) -
+    ip(i,l,j,k), ip(i,j,k,l) = <C_ij, C_kl> + h_ij h_kl / n, with the cubic
+    C = c(F, F, .) and h = F F^T pulled back through F."""
+    m, k, f = P.rank_m, P.rank_m - 1, _pullback(P)
+    pulled = np.concatenate([f @ (f @ P.cubic.reshape(k, k * k)).reshape(m, k, k),
+                             (f @ f.T)[:, :, None] / np.sqrt(P.dim_n)], axis=2)
+    ip = (pulled.reshape(m * m, m) @ pulled.reshape(m * m, m).T).reshape(m, m, m, m)
+    entries = np.einsum("ikjl->ijkl", ip) - np.einsum("iljk->ijkl", ip)
+    return CurvatureTensor(entries=entries, base_point=P)
 
 
 class DerivedCurvatures(NamedTuple):
@@ -163,24 +202,16 @@ class DerivedCurvatures(NamedTuple):
 
 def derived_curvatures(P: ConePoint) -> DerivedCurvatures:
     """Sectional curvature function, Ricci matrix and scalar curvature from
-    the primitive pair tensor L, without the m^4 array of riemann_tensor:
-
-        Ric_ij = 1/4 (sum_q <(L G)_iq, M_jq> - <L_ij, T>),  M_jq = sum_p g^pq L_pj,
-        T = sum_pq g^pq L_pq, one (m, m^2) x (m^2, m) matmul;  scalar = <G^-1, Ric>;
-        sectional(u, v) = riemann(u,v,v,u) / (g(u,u) g(v,v) - g(u,v)^2), O(m^3) per plane.
-    """
-    m, pairs = P.rank_m, P.primitive_pairs
-    k = (pairs @ P.gram).reshape(m, m * m)
-    mt = np.einsum("pq,pja->jqa", P.gram_inv, pairs, optimize=True).reshape(m, m * m)
-    trace = np.einsum("pq,pqa->a", P.gram_inv, pairs, optimize=True)
-    ricci = 0.25 * (k @ mt.T - pairs @ (P.gram @ trace))
-    scalar = float(np.einsum("ij,ij->", P.gram_inv, ricci))
+    the closed forms in the cubic c, without the m^4 array of riemann_tensor;
+    sectional(u, v) = riemann(u,v,v,u) / (g(u,u) g(v,v) - g(u,v)^2)."""
+    k, c, f = P.rank_m - 1, P.cubic, _pullback(P)
+    flat, trace = c.reshape(k, k * k), np.einsum("aae->e", c)
+    ricci = f @ (flat @ flat.T - c @ trace - (k - 1) / P.dim_n * np.eye(k)) @ f.T
+    scalar = float(np.vdot(c, c) - trace @ trace) - k * (k - 1) / P.dim_n
 
     def sectional(u: CohClass, v: CohClass) -> float:
         u, v = P.form._check_class(u), P.form._check_class(v)
-        guu = P.inner(u, u)
-        gvv = P.inner(v, v)
-        guv = P.inner(u, v)
+        guu, gvv, guv = P.inner(u, u), P.inner(v, v), P.inner(u, v)
         den = guu * gvv - guv * guv
         if den <= 1e-12 * guu * gvv or den <= 0.0:
             raise DegeneratePlane(f"degenerate plane: |u^v|^2 = {den!r}")

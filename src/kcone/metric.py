@@ -184,7 +184,7 @@ class ConePoint:
             z |-> -Lam3(e_i cup e_j cup z) + Lam2(e_i cup e_j) Lam(z)
 
         (no Lam3 term for n < 3), exactly symmetric in (i, j).  The single
-        source of Lam(u cup v) for the connection, curvature and algebra.
+        source of Lam(u cup v) for the connection and the algebra.
         """
         rhs = np.multiply.outer(self._lam2, self._lam)
         if self.dim_n >= 3:
@@ -193,12 +193,29 @@ class ConePoint:
         return 0.5 * (pairs + pairs.transpose(1, 0, 2))
 
     @cached_property
-    def primitive_pairs(self) -> np.ndarray:
-        """lambda_pairs with both slots projected to primitive parts by
-        primitive_projector, shape (m, m, m), symmetric in its first two
-        slots: the one source of the curvature tensor and its contractions."""
+    def frame(self) -> np.ndarray:
+        """The omega-adapted g-orthonormal frame, shape (m, m).  Column 0 is
+        omega / sqrt(n) (|omega|^2 = n); columns 1..m-1 are the leading m - 1
+        left singular vectors of primitive_projector (of rank m - 1), projected
+        by it once more, which leaves Lam of each at roundoff squared, and
+        times the inverse transpose of the Cholesky factor of their Gram block."""
         pi = self.primitive_projector
-        return np.einsum("ai,bj,abk->ijk", pi, pi, self.lambda_pairs, optimize=True)
+        u = pi @ np.linalg.svd(pi)[0][:, :self.rank_m - 1]
+        prim = u @ np.linalg.inv(np.linalg.cholesky(u.T @ self.gram @ u)).T
+        return np.column_stack([self.omega / np.sqrt(self.dim_n), prim])
+
+    @cached_property
+    def cubic(self) -> np.ndarray:
+        """c_abc = <x_a . x_b, x_c> over the primitive frame columns, shape
+        (m - 1,) * 3, x . y = 1/2 Lam(x cup y): the one source of curvature.
+        Lam vanishes on primitive classes, so c_abc = -1/2 Lam3(x_a, x_b, x_c),
+        zero for n < 3; exactly symmetric in (a, b)."""
+        m, k, x = self.rank_m, self.rank_m - 1, self.frame[:, 1:]
+        if self.dim_n < 3:
+            return np.zeros((k, k, k))
+        t = (self._stages[3].reshape(m * m, m) @ x).reshape(m, m * k)   # [i, (j, c)]
+        c = x.T @ (x.T @ t).reshape(k, m, k) * (-0.5 / _divisor(self.dim_n, 3, self.vol))
+        return 0.5 * (c + c.transpose(1, 0, 2))
 
     def lambda_class(self, u: CohClass, v: CohClass) -> CohClass:
         """The (1,1)-class Lam(u cup v): lambda_pairs contracted with u and v.

@@ -92,7 +92,8 @@ def integrate_geodesics(
     checks; the Gram matrix of that check is reused for the next step and
     for the speed.  If a member leaves the admissible cone, LeftCone is
     raised with the earliest parameter at which admission failed in the
-    batch, and the message names the member.
+    batch, and the message names the member.  A step whose stage point
+    overflows double precision is a ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -110,27 +111,34 @@ def integrate_geodesics(
     velocities = np.empty_like(points)
     speeds = np.empty((steps + 1, len(V0)))
     data = admit(form, x, "geodesic member")
-    for i in range(steps + 1):
-        points[i], velocities[i] = x, v
-        speeds[i] = (v[:, None, :] @ data.gram @ v[:, :, None])[:, 0, 0]
-        if i == steps:
-            break
-        try:
-            k1x, k1v = v, _acceleration(form, x, v, data)
-            k2x = v + 0.5 * h * k1v
-            k2v = _acceleration(form, x + 0.5 * h * k1x, k2x)
-            k3x = v + 0.5 * h * k2v
-            k3v = _acceleration(form, x + 0.5 * h * k2x, k3x)
-            k4x = v + h * k3v
-            k4v = _acceleration(form, x + h * k3x, k4x)
-        except (NonPositiveVolume, np.linalg.LinAlgError) as exc:
-            raise LeftCone(ts[i], f"step from t={float(ts[i])!r} failed: {exc}") from exc
-        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        try:
-            data = admit(form, x, "geodesic member")
-        except (NonPositiveVolume, IndefiniteMetric) as exc:
-            raise LeftCone(ts[i + 1], f"t={float(ts[i + 1])!r}: {exc}") from exc
+    # a far-out stage point overflows the kernel: a ValueError below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps + 1):
+            points[i], velocities[i] = x, v
+            speeds[i] = (v[:, None, :] @ data.gram @ v[:, :, None])[:, 0, 0]
+            if i == steps:
+                break
+            stage = x
+            try:
+                k1x, k1v = v, _acceleration(form, x, v, data)
+                k2x = v + 0.5 * h * k1v
+                k2v = _acceleration(form, stage := x + 0.5 * h * k1x, k2x)
+                k3x = v + 0.5 * h * k2v
+                k3v = _acceleration(form, stage := x + 0.5 * h * k2x, k3x)
+                k4x = v + h * k3v
+                k4v = _acceleration(form, stage := x + h * k3x, k4x)
+            except (NonPositiveVolume, np.linalg.LinAlgError) as exc:
+                finite = np.isfinite([form.volume(y) for y in stage])
+                if not finite.all():
+                    raise ValueError(f"step from t={float(ts[i])!r}: geodesic member "
+                                     f"{np.argmin(finite)} overflows double precision") from exc
+                raise LeftCone(ts[i], f"step from t={float(ts[i])!r} failed: {exc}") from exc
+            x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            try:
+                data = admit(form, x, "geodesic member")
+            except (NonPositiveVolume, IndefiniteMetric) as exc:
+                raise LeftCone(ts[i + 1], f"t={float(ts[i + 1])!r}: {exc}") from exc
     drift = np.abs(speeds - speeds[0]).max(axis=0)
     return [
         GeodesicPath(ts, points[:, b], velocities[:, b], speeds[:, b], float(drift[b]))

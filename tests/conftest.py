@@ -10,7 +10,7 @@ if str(SRC) not in sys.path:
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from kcone.curvature import derived_curvatures, riemann_tensor  # noqa: E402
+from kcone.curvature import derived_curvatures  # noqa: E402
 from kcone.errors import DegeneratePlane  # noqa: E402
 from kcone.intersection import IntersectionForm  # noqa: E402
 from kcone.metric import ConePoint  # noqa: E402
@@ -34,16 +34,19 @@ def quartic_points():
 
 
 def _check_against_dense_curvature(P, planes):
-    """derived_curvatures (pair path) against contractions of the dense m^4
-    tensor riemann_tensor(P).entries: Ricci, scalar and sectional(u, v) for
-    each non-degenerate (u, v) in planes, each to 1e-12 of the same dense
-    contraction taken over absolute values (flat forms read roundoff only)."""
+    """derived_curvatures (cubic route) against contractions of a dense m^4
+    reference built here from the Pi-projected pair tensor L,
+    R(i,j,k,l) = 1/4 (<L_ik, L_jl> - <L_il, L_jk>): Ricci, scalar and
+    sectional(u, v) for each non-degenerate (u, v) in planes, each to 1e-12
+    of the same dense contraction taken over absolute values (flat forms
+    read roundoff only)."""
     dc = derived_curvatures(P)
-    r = riemann_tensor(P).entries
     pi = P.primitive_projector
     pairs = np.einsum("ai,bj,abk->ijk", pi, pi, P.lambda_pairs)
-    ip = np.abs(np.einsum("ija,ab,klb->ijkl", pairs, P.gram, pairs))
-    r_abs = 0.25 * (np.einsum("ikjl->ijkl", ip) + np.einsum("iljk->ijkl", ip))
+    ip = np.einsum("ija,ab,klb->ijkl", pairs, P.gram, pairs)
+    r = 0.25 * (np.einsum("ikjl->ijkl", ip) - np.einsum("iljk->ijkl", ip))
+    ip_abs = np.abs(ip)
+    r_abs = 0.25 * (np.einsum("ikjl->ijkl", ip_abs) + np.einsum("iljk->ijkl", ip_abs))
     ginv, ginv_abs = P.gram_inv, np.abs(P.gram_inv)
     ricci = np.einsum("pq,pijq->ij", ginv, r)
     ricci_abs = np.einsum("pq,pijq->ij", ginv_abs, r_abs)

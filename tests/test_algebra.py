@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcone import algebra
-from kcone.algebra import NULL_TOL, BilinearFormSet, algebra_at, kn_product, orthonormal_basis
+from kcone.algebra import NULL_TOL, BilinearFormSet, algebra_at, kn_product
 from kcone.catalog import catalog_names, default_point
 from kcone.curvature import riemann_tensor
 from kcone.errors import KConeError
@@ -100,11 +100,13 @@ def test_sign_relation_with_metric_tensor():
         assert np.abs(riemann_tensor(P).entries + prim).max() <= 1e-10
 
 
-def test_orthonormal_basis_is_orthonormal():
-    for name in catalog_names():
-        P = default_point(name)
-        x = orthonormal_basis(P)
-        assert np.abs(x.T @ P.gram @ x - np.eye(P.rank_m)).max() <= 1e-12
+def test_frame_is_omega_adapted_and_orthonormal(quartic_points):
+    points = [default_point(name) for name in catalog_names()]
+    for P in points + list(quartic_points.values()):
+        x = P.frame
+        assert np.abs(x.T @ P.gram @ x - np.eye(P.rank_m)).max() <= 1e-12, P
+        assert np.array_equal(x[:, 0], P.omega / np.sqrt(P.dim_n)), P
+        assert np.abs(P._lam @ x[:, 1:]).max(initial=0.0) <= 1e-12, P
 
 
 def test_bilinear_forms_reconstruct_product():
@@ -112,6 +114,7 @@ def test_bilinear_forms_reconstruct_product():
         P = default_point(name)
         alg = algebra_at(P)
         fs = alg.bilinear_forms()
+        assert fs.basis is P.frame
         assert np.abs(fs.forms - fs.forms.transpose(0, 2, 1)).max() <= 1e-12
         rebuilt = np.einsum("lij,cl->ijc", fs.forms, fs.basis)
         assert np.abs(rebuilt - alg.structure).max() <= 1e-10
@@ -180,7 +183,7 @@ def test_constant_curvature_fails_on_lor3():
 def _constant_curvature_24(P):
     """Reference for constant_curvature_test: (lam, residual, |t|) with the
     full 24-permutation symmetrization."""
-    basis = orthonormal_basis(P)
+    basis = P.frame
     vec = np.einsum("ijc,ia,jb->abc", algebra_at(P).structure, basis, basis)
     comp = np.einsum("abc,cd,dl->abl", vec, P.gram, basis)
     t = np.einsum("abl,cdl->abcd", comp, comp)

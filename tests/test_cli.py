@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kcone.catalog import CATALOG
 from kcone.cli import main
 from kcone.errors import KConeError
 
@@ -107,6 +108,27 @@ def test_overflowing_metric_is_usage_error(capsys):
         code, out, err = run_cli(capsys, command, "P1XP1", "--at", at)
         assert code == 1 and out == ""
         assert f"point 0 at {point} overflows double precision" in err
+
+
+def test_geodesic_overflow_is_input_error(capsys):
+    # the radial ray of P3 stays in the cone; near t = 710 its volume
+    # overflows, which is an input error, not a LeftCone
+    code, out, err = run_cli(
+        capsys, "geodesic", "P3", "--at", "1", "--v", "1/3", "--T", "800", "--steps", "400"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: step from t=") and "overflows double precision" in err
+
+
+def test_algebra_kn_frame_starts_with_omega(capsys):
+    # the Kulkarni-Nomizu forms are given in the omega-adapted frame
+    for name in ("LOR3", "CY3GEN"):
+        code, out, _ = run_cli(capsys, "algebra", name, "--kn")
+        rep = json.loads(out)
+        assert code == 0
+        basis = np.array(rep["outputs"]["kulkarni_nomizu"]["orthonormal_basis"])
+        omega = np.array(rep["inputs"]["at"])
+        assert np.array_equal(basis[:, 0], omega / np.sqrt(CATALOG[name].dim_n))
 
 
 def test_algebra_flags(capsys):

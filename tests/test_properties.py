@@ -2,7 +2,8 @@
 
 Each form is kappa_{1..1} = 1 and kappa_{1..1jj} = -1 for j >= 2 (admissible
 at e_1 for every such n and h11: Gram diag(n, n(n-1), ..)) plus bounded
-random coefficients; a draw is kept when ConePoint admits e_1.
+random coefficients; a draw is kept when ConePoint admits e_1.  The n = 2
+curvature test draws Lorentzian quadratic forms instead.
 """
 
 from itertools import combinations_with_replacement
@@ -12,7 +13,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kcone.errors import IndefiniteMetric, NonPositiveVolume
+from kcone.curvature import derived_curvatures, riemann_alt
+from kcone.errors import DegeneratePlane, IndefiniteMetric, NonPositiveVolume
 from kcone.intersection import IntersectionForm
 from kcone.metric import ConePoint, admit
 
@@ -82,3 +84,40 @@ def test_derived_curvatures_match_dense_tensor(dense_curvature_check, P, seed):
 @given(points_at_e1())
 def test_dense_matches_permutation_loop(dense_by_permutations, P):
     assert np.array_equal(P.form._dense, dense_by_permutations(P.form))
+
+
+@st.composite
+def lorentzian_points(draw):
+    """n = 2 cone points at omega = A^-1 e_1 of Q = A^T diag(1, -1, .., -1) A,
+    A = I + 0.3 N(0, I), h11 in 2..6: Q(omega, omega) = 1, so omega is in
+    the positive cone of a form of Lorentzian signature."""
+    m, seed = draw(st.integers(2, 6)), draw(st.integers(0, 2**32 - 1))
+    a = np.eye(m) + 0.3 * np.random.default_rng(seed).standard_normal((m, m))
+    q = a.T @ np.diag([1.0] + [-1.0] * (m - 1)) @ a
+    coeffs = {(i + 1, j + 1): q[i, j] for i in range(m) for j in range(i, m)}
+    form = IntersectionForm(name="LORENTZ", dim_n=2, rank_m=m, coeffs=coeffs)
+    try:
+        return ConePoint(form, np.linalg.solve(a, np.eye(m)[0]))
+    except (NonPositiveVolume, IndefiniteMetric):
+        assume(False)
+
+
+@SETTINGS
+@given(lorentzian_points(), st.integers(0, 2**32 - 1))
+def test_surface_cone_has_constant_primitive_curvature(P, seed):
+    # n = 2: the cubic vanishes, so every primitive plane has sectional
+    # curvature -1/n and the scalar is -k(k - 1)/n, k = m - 1; riemann_alt,
+    # which reads no cubic, gives the same sectional values
+    k = P.rank_m - 1
+    assert not P.cubic.any()
+    dc = derived_curvatures(P)
+    assert dc.scalar == -k * (k - 1) / 2
+    for u, v in np.random.default_rng(seed).standard_normal((3, 2, P.rank_m)):
+        u, v = P.primitive_part(u), P.primitive_part(v)
+        try:
+            sectional = dc.sectional(u, v)
+        except DegeneratePlane:   # every primitive plane for h11 = 2
+            continue
+        assert abs(sectional + 0.5) <= 1e-12
+        den = P.inner(u, u) * P.inner(v, v) - P.inner(u, v) ** 2
+        assert abs(riemann_alt(P, u, v, v, u) / den - sectional) <= 1e-12
