@@ -14,13 +14,14 @@ squares, and relates to the cone metric by
 
 The structure constants are half of ConePoint.lambda_pairs, which also
 feeds the connection; R_alg is built from them on the basis, apart from the
-cubic the metric curvature reads.  The Kulkarni-Nomizu forms and the
-constant-curvature test work in the omega-adapted frame ConePoint.frame.
+cubic.  The Kulkarni-Nomizu forms and the constant-curvature test work in the
+frame ConePoint.frame, and the derivations solve on the cubic ConePoint.cubic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import List
 
 import numpy as np
@@ -39,8 +40,7 @@ __all__ = [
     "derivation_defects",
 ]
 
-# Singular values below this relative threshold count as zero when
-# extracting derivation spaces.
+# Derivation singular values below NULL_TOL * max(sv_0, 1), an absolute scale, are zero.
 NULL_TOL = 1e-8
 
 
@@ -155,36 +155,36 @@ class AlgebraAtPoint:
     def derivations(self) -> List[np.ndarray]:
         """Basis of the derivation algebra: maps D with D(x.y) = Dx.y + x.Dy.
 
-        Solved as an SVD nullspace over the m^2 unknowns of D: the linear
-        system, one row per (i <= j, component), is written in by index
-        assignment with no m^5 temporary, then reduced by QR.  Every
-        returned D is checked against the structural consequences
-        D omega = 0, Lam(D x) = 0 and g-antisymmetry of D.
+        Each D meets derivation_defects (checked on the result), so on the
+        primitive columns X = frame[:, 1:] it lies in so(m - 1) and solves
+        D.c = 0: one row per a <= b <= f of sum_e D_ea c_ebf + D_eb c_aef +
+        D_ef c_abe, reduced by QR, then the SVD of R.  Its cutoff NULL_TOL
+        max(sv_0, 1) is absolute: the g-orthonormal frame keeps the omega parts
+        of the product of order one, while c, unchanged by omega -> t omega and
+        kappa -> s kappa, can be roundoff.  D maps back as X D F^T, F = coframe.
         """
         if self.base.dim_n < 2:
-            # in complex dimension one the product vanishes identically and
-            # every linear map is a derivation; the structural conclusions
-            # above need the nonzero products with omega
+            # n = 1: the product vanishes and every linear map is a derivation;
+            # the structural conclusions need the nonzero products with omega
             raise ValueError("derivation analysis requires complex dimension >= 2")
-        m = self.base.rank_m
-        s = self.structure
-        i, j = np.triu_indices(m)
-        pair, c = np.arange(i.size), np.arange(m)
-        # row (i <= j, c) holds the coefficients of D[p, q] in component c of
-        # D(e_i . e_j) - (D e_i) . e_j - e_i . (D e_j), scattered term by term
-        system = np.zeros((i.size, m, m, m))
-        system[:, c, c, :] = s[i, j][:, None, :]
-        system[pair, :, :, i] -= s[:, j].transpose(1, 2, 0)
-        system[pair, :, :, j] -= s[i].transpose(0, 2, 1)
-        # the SVD of the square QR factor R has the singular values and right
-        # singular vectors of the tall system, at a fraction of the cost
-        r = np.linalg.qr(system.reshape(-1, m * m), mode="r")
+        P, k, c = self.base, self.base.rank_m - 1, self.base.cubic
+        a, b, f = np.array(list(combinations_with_replacement(range(k), 3)), int).reshape(-1, 3).T
+        row = np.arange(a.size)
+        # system[row, p, q] is the coefficient of D_pq in (D.c)_abf
+        system = np.zeros((a.size, k, k))
+        system[row, :, a] = c[:, b, f].T
+        system[row, :, b] += c[a, :, f]
+        system[row, :, f] += c[a, b]
+        p, q = np.triu_indices(k, 1)
+        r = np.linalg.qr(system[:, p, q] - system[:, q, p], mode="r")
         _, sv, vh = np.linalg.svd(r, full_matrices=False)
-        cutoff = NULL_TOL * (sv[0] if sv.size else 1.0)
-        null = vh[np.sum(sv > cutoff):]
-        out = [flat.reshape(m, m) for flat in null]
+        null = vh[np.sum(sv > NULL_TOL * sv.max(initial=1.0)):]
+        gens = np.zeros((len(null), k, k))
+        gens[:, p, q] = null
+        gens -= gens.transpose(0, 2, 1)
+        out = list(P.frame[:, 1:] @ gens @ P.coframe.T)
         for d in out:
-            for message, dev in derivation_defects(self.base, d).items():
+            for message, dev in derivation_defects(P, d).items():
                 if dev > 1e-8:
                     raise KConeError(message)
         return out

@@ -352,8 +352,7 @@ def main(argv=None) -> int:
             "error": type(exc).__name__,
             "message": str(exc),
         }
-        print(json.dumps(report, indent=2))
-        return 2
+        code = 2
     # MemoryError: an input that asks for an array no machine can hold
     except (_UsageError, ManifoldFormatError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -361,12 +360,21 @@ def main(argv=None) -> int:
     except KConeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    checks = rest[0] if rest else []
-    report = {"command": args.command, "form": form, "inputs": inputs,
-              "outputs": outputs, "checks": checks}
-    # numpy arrays, ints and bools go through tolist(); np.float64 is a float
-    print(json.dumps(report, indent=2, default=lambda x: x.tolist()))
-    return 3 if any(not c["pass"] for c in checks) else 0
+    else:
+        checks = rest[0] if rest else []
+        report = {"command": args.command, "form": form, "inputs": inputs,
+                  "outputs": outputs, "checks": checks}
+        code = 3 if any(not c["pass"] for c in checks) else 0
+    try:
+        # numpy arrays, ints and bools go through tolist(); np.float64 is a float
+        print(json.dumps(report, indent=2, default=lambda x: x.tolist()))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point it at devnull so
+        # the interpreter's flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

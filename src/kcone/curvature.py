@@ -18,7 +18,7 @@ quadratic in the cubic c_abc = <x_a . x_b, x_c> = -1/2 Lam3(x_a, x_b, x_c):
     Ric_ab = sum_e <c_ae, c_be> - <c_ab, tr c> - (k - 1)/n d_ab,
     scalar = |c|^2 - |tr c|^2 - k (k - 1)/n,    tr c = sum_a c_aa.
 
-F = Pi^T Gram frame[:, 1:] pulls these back to the basis.  fdcheck
+F = ConePoint.coframe pulls these back to the basis.  fdcheck
 differentiates the Gram and Christoffel tensors once per basis direction:
 O(m) cone points per check.
 """
@@ -69,16 +69,10 @@ def christoffel(P: ConePoint, z: CohClass, u: CohClass) -> CohClass:
     return z @ (u @ christoffel_tensor(P))
 
 
-def _pullback(P: ConePoint) -> np.ndarray:
-    """F, shape (m, m - 1): u @ F are the frame coordinates of the primitive
-    part of u.  Pi^T keeps exact zeros where a basis class has none."""
-    return P.primitive_projector.T @ (P.gram @ P.frame[:, 1:])
-
-
 def riemann(P: ConePoint, u, v, z, w) -> float:
     """Curvature tensor entry R(u, v, z, w) at P from the cubic, with the
     frame coordinates of the four classes."""
-    pu, pv, pz, pw = np.array([P.form._check_class(a) for a in (u, v, z, w)]) @ _pullback(P)
+    pu, pv, pz, pw = np.array([P.form._check_class(a) for a in (u, v, z, w)]) @ P.coframe
     c = P.cubic
     uz, vw, uw, vz = (a @ (b @ c) for a, b in ((pu, pz), (pv, pw), (pu, pw), (pv, pz)))
     space_form = (pu @ pz) * (pv @ pw) - (pu @ pw) * (pv @ pz)
@@ -186,7 +180,7 @@ def riemann_tensor(P: ConePoint) -> CurvatureTensor:
     """R on the basis as a dense m^4 array: R(i,j,k,l) = ip(i,k,j,l) -
     ip(i,l,j,k), ip(i,j,k,l) = <C_ij, C_kl> + h_ij h_kl / n, with the cubic
     C = c(F, F, .) and h = F F^T pulled back through F."""
-    m, k, f = P.rank_m, P.rank_m - 1, _pullback(P)
+    m, k, f = P.rank_m, P.rank_m - 1, P.coframe
     pulled = np.concatenate([f @ (f @ P.cubic.reshape(k, k * k)).reshape(m, k, k),
                              (f @ f.T)[:, :, None] / np.sqrt(P.dim_n)], axis=2)
     ip = (pulled.reshape(m * m, m) @ pulled.reshape(m * m, m).T).reshape(m, m, m, m)
@@ -204,7 +198,7 @@ def derived_curvatures(P: ConePoint) -> DerivedCurvatures:
     """Sectional curvature function, Ricci matrix and scalar curvature from
     the closed forms in the cubic c, without the m^4 array of riemann_tensor;
     sectional(u, v) = riemann(u,v,v,u) / (g(u,u) g(v,v) - g(u,v)^2)."""
-    k, c, f = P.rank_m - 1, P.cubic, _pullback(P)
+    k, c, f = P.rank_m - 1, P.cubic, P.coframe
     flat, trace = c.reshape(k, k * k), np.einsum("aae->e", c)
     ricci = f @ (flat @ flat.T - c @ trace - (k - 1) / P.dim_n * np.eye(k)) @ f.T
     scalar = float(np.vdot(c, c) - trace @ trace) - k * (k - 1) / P.dim_n

@@ -205,6 +205,13 @@ class ConePoint:
         return np.column_stack([self.omega / np.sqrt(self.dim_n), prim])
 
     @cached_property
+    def coframe(self) -> np.ndarray:
+        """F = Pi^T Gram frame[:, 1:], shape (m, m - 1): u @ F are the frame
+        coordinates of the primitive part of u.  Pi^T keeps exact zeros where
+        a basis class has none."""
+        return self.primitive_projector.T @ (self.gram @ self.frame[:, 1:])
+
+    @cached_property
     def cubic(self) -> np.ndarray:
         """c_abc = <x_a . x_b, x_c> over the primitive frame columns, shape
         (m - 1,) * 3, x . y = 1/2 Lam(x cup y): the one source of curvature.

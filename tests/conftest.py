@@ -10,6 +10,7 @@ if str(SRC) not in sys.path:
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from kcone.algebra import NULL_TOL  # noqa: E402
 from kcone.curvature import derived_curvatures  # noqa: E402
 from kcone.errors import DegeneratePlane  # noqa: E402
 from kcone.intersection import IntersectionForm  # noqa: E402
@@ -98,3 +99,45 @@ def _projector_derivative(P):
 @pytest.fixture(scope="session")
 def projector_derivative():
     return _projector_derivative
+
+
+def _einsum_derivation_svd(alg):
+    """Singular values and right singular vectors of the derivation system
+    over all m^2 entries of D, built by three einsums over the identity on
+    the structure constants and reduced by QR."""
+    m, s = alg.base.rank_m, alg.structure
+    eye = np.eye(m)
+    i, j = np.triu_indices(m)
+    system = np.einsum("cp,rq->rcpq", eye, s[i, j])
+    system -= np.einsum("prc,rq->rcpq", s[:, j], eye[i])
+    system -= np.einsum("rpc,rq->rcpq", s[i], eye[j])
+    r = np.linalg.qr(system.reshape(-1, m * m), mode="r")
+    return np.linalg.svd(r, full_matrices=False)[1:]
+
+
+def _derivations_einsum(alg):
+    """Reference for derivations(): the nullspace of _einsum_derivation_svd
+    below a cutoff relative to its largest singular value."""
+    sv, vh = _einsum_derivation_svd(alg)
+    m = alg.base.rank_m
+    return [flat.reshape(m, m) for flat in vh[np.sum(sv > NULL_TOL * sv[0]):]]
+
+
+def _check_derivations_against_einsum(alg):
+    """derivations() and _derivations_einsum have the same dimension, and
+    their spans agree to a largest principal-angle sine of 1e-9."""
+    got, ref = alg.derivations(), _derivations_einsum(alg)
+    assert len(got) == len(ref), alg.base
+    if got:
+        q_got, q_ref = (np.linalg.qr(np.reshape(ds, (len(ds), -1)).T)[0] for ds in (got, ref))
+        assert np.linalg.norm(q_got - q_ref @ (q_ref.T @ q_got), 2) <= 1e-9, alg.base
+
+
+@pytest.fixture(scope="session")
+def derivations_match_einsum():
+    return _check_derivations_against_einsum
+
+
+@pytest.fixture(scope="session")
+def einsum_derivation_svd():
+    return _einsum_derivation_svd

@@ -430,3 +430,22 @@ def test_deeply_nested_manifold_is_input_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "info", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: not valid JSON") and "recursion" in err
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    # a reader that stops after one line of a report larger than the pipe buffer
+    m = 10
+    entries = [{"index": [1, 1, 1], "value": 6}]
+    entries += [{"index": [1, j, j], "value": -1} for j in range(2, m + 1)]
+    path = tmp_path / "sym10.json"
+    path.write_text(json.dumps({"name": "SYM10", "dim": 3, "h11": m, "intersection": entries}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kcone", "curvature", str(path), "--at", ",".join(["1"] + ["0"] * (m - 1))],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
