@@ -53,8 +53,10 @@ def lefschetz(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lef
     """Contract the dense form with each row of X and normalize by divided powers.
 
     The first contraction is one matrix product over the whole batch, the
-    later ones are batched matrix-vector products.  Raises NonPositiveVolume
-    naming the first row outside the volume cone.
+    later ones are batched matrix-vector products.  The one owner of why a
+    row cannot be contracted: for the first row whose volume is not a finite
+    positive number it raises ValueError if the row has a non-finite entry or
+    its volume overflows double precision, and NonPositiveVolume otherwise.
     """
     X = np.asarray(X, dtype=float)
     n, m = form.dim_n, form.rank_m
@@ -66,8 +68,12 @@ def lefschetz(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lef
     # stages[k]: filled[n - k] with its k free slots as axes (filled[0] has them)
     stages = [filled[n - k].reshape((-1,) + (m,) * k) for k in range(n)] + [filled[0]]
     vol = stages[0] / factorial(n)
-    if not vol.min() > 0.0:
-        b = int(np.argmin(vol > 0.0))
+    if not (vol.min() > 0.0 and vol.max() < np.inf):
+        b = int(np.argmin((vol > 0.0) & (vol < np.inf)))
+        if not np.isfinite(X[b]).all():
+            raise ValueError(f"{what} {b} at {X[b].tolist()} has non-finite entries")
+        if not vol[b] <= 0.0:   # +inf, or nan from inf - inf
+            raise ValueError(f"volume of {what} {b} at {X[b].tolist()} overflows double precision")
         raise NonPositiveVolume(
             f"{what} {b} at {X[b].tolist()}: volume {float(vol[b])!r} is not positive"
         )
@@ -80,13 +86,12 @@ def lefschetz(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lef
 def admit(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefschetz:
     """The kernel plus ConePoint's admission check on every row of X.
 
-    Raises NonPositiveVolume or IndefiniteMetric naming the first
-    inadmissible row, or ValueError when its volume or metric overflows
-    double precision (near a Vol = 0 wall the Gram matrix grows like 1/t^2).
+    Raises what the kernel raises, IndefiniteMetric naming the first
+    inadmissible row, or ValueError when its metric overflows double
+    precision (near a Vol = 0 wall the Gram matrix grows like 1/t^2).
     """
     X = np.asarray(X, dtype=float)
-    # an overflowing row fails the rule below: its Gram matrix is non-finite,
-    # or zero when only its volume overflows (Lam = stage / Vol = 0)
+    # a row whose Gram matrix overflows fails the rule below
     with np.errstate(over="ignore", invalid="ignore"):
         data = lefschetz(form, X, what)
     eig = np.linalg.eigvalsh(data.gram)
@@ -94,7 +99,7 @@ def admit(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefsche
     ok = eig[:, 0] > POSDEF_TOL * eig[:, -1]
     if not ok.all():
         b = int(np.argmin(ok))
-        if not (np.isfinite(data.gram[b]).all() and np.isfinite(data.vol[b])):
+        if not np.isfinite(data.gram[b]).all():
             raise ValueError(f"metric of {what} {b} at {X[b].tolist()} overflows double precision")
         raise IndefiniteMetric(
             f"Gram matrix of {what} {b} at {X[b].tolist()} is not positive definite "
@@ -115,8 +120,6 @@ class ConePoint:
 
     def __init__(self, form: IntersectionForm, omega: CohClass):
         omega = form._check_class(omega)
-        if not np.isfinite(omega).all():
-            raise ValueError(f"omega {omega.tolist()} has non-finite entries")
         self.form = form
         self.omega = omega
         data = admit(form, omega[None], "point")

@@ -52,16 +52,15 @@ PERTURBATIONS = 3      # points admissible_perturbations draws around its centre
 PULLBACK_TOL = 1e-10   # the max_dev a pullback isometry check passes under
 
 
-def _acceleration(form: IntersectionForm, x: np.ndarray, v: np.ndarray, data=None):
-    """-Gamma_x(v, v) = Lam(v) v - 1/2 Lam(v cup v) for each row of (x, v).
+def _acceleration(data, v: np.ndarray):
+    """-Gamma_x(v, v) = Lam(v) v - 1/2 Lam(v cup v) for each row of (x, v),
+    from the kernel result `data` at the rows x.
 
-    Hot path of the integrator: checks only that the volume stays positive
-    and the Gram matrix solvable; recorded samples get the full admission.
-    `data` is the kernel result at x when already known.
+    Hot path of the integrator: a stage point gets only the kernel's volume
+    check and the solve's singularity check; recorded samples get the full
+    admission.
     """
-    if data is None:
-        data = lefschetz(form, x, "geodesic member")
-    n, m = form.dim_n, form.rank_m
+    n, m = len(data.stages) - 1, v.shape[1]
     vc = v[:, :, None]
     rhs = (v[:, None, :] @ data.lam2 @ vc) * data.lam[:, :, None]
     if n >= 3:
@@ -90,13 +89,16 @@ def integrate_geodesics(
 
     Every recorded sample of every member passes the full cone admission
     checks; the Gram matrix of that check is reused for the next step and
-    for the speed.  If a member leaves the admissible cone, LeftCone is
-    raised with the earliest parameter at which admission failed in the
-    batch, and the message names the member.  A step whose stage point
-    overflows double precision is a ValueError.
+    for the speed.  If a member leaves the admissible cone, at a recorded
+    sample or a stage point, LeftCone is raised with the start t of the
+    earliest step that failed in the batch, and the message names that t
+    and the member.  Whatever the kernel rejects as an input error (a
+    non-finite or overflowing point) is a ValueError naming the step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not isfinite(T):
+        raise ValueError(f"T must be finite, got {T!r}")
     V0 = np.asarray(V0, dtype=float)
     if V0.ndim != 2 or V0.shape[1] != P0.rank_m or not len(V0):
         raise ValueError(f"velocities have shape {V0.shape}, expected (B, {P0.rank_m})")
@@ -110,35 +112,28 @@ def integrate_geodesics(
     points = np.empty((steps + 1,) + V0.shape)
     velocities = np.empty_like(points)
     speeds = np.empty((steps + 1, len(V0)))
-    data = admit(form, x, "geodesic member")
-    # a far-out stage point overflows the kernel: a ValueError below, not a warning
+    # a far-out point overflows the kernel: a ValueError below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps + 1):
-            points[i], velocities[i] = x, v
-            speeds[i] = (v[:, None, :] @ data.gram @ v[:, :, None])[:, 0, 0]
-            if i == steps:
-                break
-            stage = x
-            try:
-                k1x, k1v = v, _acceleration(form, x, v, data)
-                k2x = v + 0.5 * h * k1v
-                k2v = _acceleration(form, stage := x + 0.5 * h * k1x, k2x)
-                k3x = v + 0.5 * h * k2v
-                k3v = _acceleration(form, stage := x + 0.5 * h * k2x, k3x)
-                k4x = v + h * k3v
-                k4v = _acceleration(form, stage := x + h * k3x, k4x)
-            except (NonPositiveVolume, np.linalg.LinAlgError) as exc:
-                finite = np.isfinite([form.volume(y) for y in stage])
-                if not finite.all():
-                    raise ValueError(f"step from t={float(ts[i])!r}: geodesic member "
-                                     f"{np.argmin(finite)} overflows double precision") from exc
-                raise LeftCone(ts[i], f"step from t={float(ts[i])!r} failed: {exc}") from exc
-            x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        for i, t in enumerate(ts):
             try:
                 data = admit(form, x, "geodesic member")
-            except (NonPositiveVolume, IndefiniteMetric) as exc:
-                raise LeftCone(ts[i + 1], f"t={float(ts[i + 1])!r}: {exc}") from exc
+                points[i], velocities[i] = x, v
+                speeds[i] = (v[:, None, :] @ data.gram @ v[:, :, None])[:, 0, 0]
+                if i == steps:
+                    break
+                k1v = _acceleration(data, v)
+                k2x = v + 0.5 * h * k1v
+                k2v = _acceleration(lefschetz(form, x + 0.5 * h * v, "geodesic member"), k2x)
+                k3x = v + 0.5 * h * k2v
+                k3v = _acceleration(lefschetz(form, x + 0.5 * h * k2x, "geodesic member"), k3x)
+                k4x = v + h * k3v
+                k4v = _acceleration(lefschetz(form, x + h * k3x, "geodesic member"), k4x)
+            except (NonPositiveVolume, IndefiniteMetric, np.linalg.LinAlgError) as exc:
+                raise LeftCone(t, f"step from t={float(t)!r} failed: {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"step from t={float(t)!r}: {exc}") from exc
+            x = x + (h / 6.0) * (v + 2.0 * k2x + 2.0 * k3x + k4x)
+            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     drift = np.abs(speeds - speeds[0]).max(axis=0)
     return [
         GeodesicPath(ts, points[:, b], velocities[:, b], speeds[:, b], float(drift[b]))
@@ -242,11 +237,10 @@ def boundary_probe(
         raise ValueError(f"t = 1 halved {halvings} times underflows to 0; lower --halvings")
     ts = np.ldexp(1.0, -np.arange(halvings + 1))
     alpha, omega = form._check_class(alpha), form._check_class(omega)
-    if not np.isfinite([alpha, omega]).all():
-        raise ValueError(f"alpha {alpha.tolist()} or omega {omega.tolist()} is non-finite")
     # each interval is cut into PROBE_SUBSTEPS chords; neighbours share their end sample
     sub = np.linspace(ts[:-1], ts[1:], PROBE_SUBSTEPS, endpoint=False, axis=1)
-    pts = alpha[None, :] + np.append(sub, ts[-1])[:, None] * omega[None, :]
+    with np.errstate(invalid="ignore"):   # -inf + inf is a nan row the kernel names
+        pts = alpha[None, :] + np.append(sub, ts[-1])[:, None] * omega[None, :]
     # row 0 is omega itself, which must be a cone point
     vols = admit(form, np.vstack([omega, pts]), "probe point").vol[1::PROBE_SUBSTEPS]
     increments = _chord_lengths(form, pts).reshape(-1, PROBE_SUBSTEPS).sum(axis=1)
@@ -376,6 +370,8 @@ def pullback_isometry_check(
     The source points are admitted once, as ConePoints; the image points
     are admitted as one batch.
     """
+    if form_x.dim_n != form_y.dim_n:
+        raise ValueError(f"source form has dimension {form_y.dim_n}, target {form_x.dim_n}")
     mat = np.asarray(matrix, dtype=float)
     if mat.shape != (form_x.rank_m, form_y.rank_m):
         raise ValueError(

@@ -195,13 +195,15 @@ def _raise_kcone_error(*args):
         (["metric", "P1XP1", "--at", "abc,1"], None, 1, "error: bad number 'abc'"),
         (["pullback", "P1XP1", "P1XP1", "--matrix", "1,0;1", "--degree", "1"], None, 1,
          "error: matrix rows have unequal lengths"),
+        (["pullback", "P1XP1", "P3", "--matrix", "1,0", "--degree", "1"], None, 1,
+         "error: source form has dimension 2, target 3"),
         (["verify", "foo"], None, 1, "error: verify only runs on catalog forms, not 'foo'"),
         (["--help"], None, 0, "usage: kcone"),
         (["split", "P1XP1"], ("kcone.cli.split_report", _raise_kcone_error), 3,
          "error: no admissible point in 1000 draws"),
     ],
     ids=["argparse", "zero-denominator", "not-a-number", "ragged-matrix",
-         "verify-non-catalog", "help", "other-kcone-error"],
+         "pullback-dimension-mismatch", "verify-non-catalog", "help", "other-kcone-error"],
 )
 def test_documented_exit_codes(capsys, monkeypatch, argv, patch, code, message):
     if patch:

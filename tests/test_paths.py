@@ -108,6 +108,27 @@ def test_failed_stage_raises_left_cone_at_step_start():
     assert err.value.t == 0.0
 
 
+@pytest.mark.parametrize("T", [np.inf, np.nan])
+def test_geodesic_rejects_non_finite_T(T):
+    with pytest.raises(ValueError, match="T must be finite"):
+        integrate_geodesic(default_point("P1XP1"), np.array([1.0, 0.0]), T, 10)
+
+
+def test_geodesic_failures_need_no_second_volume(monkeypatch):
+    # the kernel alone tells an overflow from a point outside the cone
+    def no_volume(self, omega):
+        raise AssertionError("IntersectionForm.volume called")
+
+    P3, cy3gen = default_point("P3"), default_point("CY3GEN")
+    monkeypatch.setattr(IntersectionForm, "volume", no_volume)
+    # the radial ray of P3 stays in the cone until its volume overflows near t = 710
+    with pytest.raises(ValueError, match="overflows double precision"):
+        integrate_geodesic(P3, np.array([1.0 / 3.0]), 800.0, 400)
+    with pytest.raises(LeftCone) as err:
+        integrate_geodesic(cy3gen, np.array([0.0, -2.0]), 1.0, 400)
+    assert err.value.t == 0.645
+
+
 def test_integrate_geodesics_rejects_bad_batches():
     P = default_point("P1XP1")
     with pytest.raises(ValueError, match="nonzero"):
@@ -409,3 +430,37 @@ def test_pullback_rejects_bad_degree(degree):
     form = CATALOG["P1XP1"]
     with pytest.raises(ValueError, match="degree"):
         pullback_isometry_check(form, form, np.eye(2), degree, default_omega("P1XP1"))
+
+
+def test_pullback_rejects_dimension_mismatch():
+    # P1XP1 (n = 2) into P3 (n = 3): the matrix shape fits, the forms do not
+    with pytest.raises(ValueError, match="dimension 2, target 3"):
+        pullback_isometry_check(
+            CATALOG["P1XP1"], CATALOG["P3"], np.array([[1.0, 0.0]]), 1.0, default_omega("P1XP1")
+        )
+
+
+_NAN = np.array([np.nan, 1.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ConePoint(CATALOG["P1XP1"], _NAN),
+        lambda: path_length(CATALOG["P1XP1"], [[1.0, 1.0], _NAN]),
+        lambda: path_length(CATALOG["P1XP1"], [[1.0, 1.0], [np.inf, 1.0]]),
+        lambda: boundary_probe(CATALOG["P1XP1"], _NAN, np.ones(2), 1),
+        lambda: boundary_probe(CATALOG["P1XP1"], -np.ones(2) * np.inf, np.ones(2) * np.inf, 1),
+        lambda: pullback_isometry_check(
+            CATALOG["P1XP1"], CATALOG["P1XP1"], np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0,
+            default_omega("P1XP1"),
+        ),
+        lambda: integrate_geodesic(default_point("P1XP1"), np.array([np.inf, 0.0]), 1.0, 10),
+    ],
+    ids=["cone-point", "path-length-nan", "path-length-inf", "probe-alpha", "probe-inf-minus-inf",
+         "pullback-matrix", "geodesic-velocity"],
+)
+def test_kernel_reports_non_finite_points(call):
+    # a ValueError, neither NonPositiveVolume nor LeftCone
+    with pytest.raises(ValueError, match="non-finite"):
+        call()
