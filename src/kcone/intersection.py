@@ -9,11 +9,11 @@ Cohomology classes themselves are plain 1-d float arrays of length m.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
-from math import factorial, isfinite
+from itertools import chain, combinations_with_replacement
+from math import factorial
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,57 +31,61 @@ __all__ = [
 CohClass = np.ndarray
 
 
-def _normalize_coeffs(coeffs, dim_n, rank_m):
-    """Sort indices, merge duplicates, drop zeros; reject inconsistencies.
-    coeffs is a mapping or (index, value) pairs, as a file lists them."""
-    out = {}
-    for idx, val in coeffs.items() if isinstance(coeffs, dict) else coeffs:
-        idx = tuple(sorted(int(i) for i in idx))
-        if len(idx) != dim_n:
-            raise ManifoldFormatError(
-                f"index length mismatch: {list(idx)} has {len(idx)} entries, expected {dim_n}"
-            )
-        if idx[0] < 1 or idx[-1] > rank_m:
-            raise ManifoldFormatError(f"index {list(idx)} out of range 1..{rank_m}")
-        val = float(val)
-        if not isfinite(val):
-            raise ManifoldFormatError(f"non-finite value {val!r} for index {list(idx)}")
-        if idx in out and out[idx] != val:
-            raise ManifoldFormatError(
-                f"conflicting values for index {list(idx)}: {out[idx]} vs {val}"
-            )
-        out[idx] = val
-    out = {k: v for k, v in sorted(out.items()) if v != 0.0}
-    if not out:
+def _normalize_coeffs(rows, values, dim_n, rank_m):
+    """Sorted unique index rows (K, n) in lexicographic order and their nonzero
+    values, from 1-based rows in any order; agreeing duplicates merge.  The first
+    bad row in input order raises, checked for length, range, finiteness, conflict."""
+    values = np.asarray(values, dtype=float)
+    lengths = np.fromiter(map(len, rows), int, len(rows))
+    k = np.append(np.flatnonzero(lengths != dim_n), len(rows))[0]
+    try:
+        idx = np.fromiter(chain.from_iterable(rows[:k]), np.int64, k * dim_n).reshape(k, dim_n)
+    except OverflowError:   # an index beyond int64, in range only for an h11 as large
+        idx = np.array(rows[:k], dtype=object).reshape(k, dim_n)
+    idx.sort(axis=1)
+    order = np.lexsort(idx.T[::-1])   # stable: duplicates keep input order
+    srt, val, pos = idx[order], values[order], np.argsort(order)
+    same = np.all(srt[1:] == srt[:-1], axis=1)
+    checks = ((idx[:, 0] < 1) | (idx[:, -1] > rank_m), ~np.isfinite(values[:k]),
+              np.r_[False, same & (val[1:] != val[:-1])][pos])
+    j = np.append(np.flatnonzero(np.logical_or.reduce(checks)), k)[0]
+    if j < len(rows):
+        key, v = sorted(int(i) for i in rows[j]), float(values[j])
+        raise ManifoldFormatError(
+            f"index length mismatch: {key} has {len(key)} entries, expected {dim_n}" if j == k
+            else f"index {key} out of range 1..{rank_m}" if checks[0][j]
+            else f"non-finite value {v!r} for index {key}" if checks[1][j]
+            else f"conflicting values for index {key}: {float(val[pos[j] - 1])} vs {v}"
+        )
+    keep = np.r_[True, ~same] & (val != 0.0)
+    if not keep.any():
         raise ManifoldFormatError("all-zero form")
-    return out
+    return srt[keep], val[keep]
 
 
-@dataclass(frozen=True)
 class IntersectionForm:
-    """Sparse symmetric n-linear form over sorted multi-indices.
-
-    Only sorted index tuples are stored; evaluation densifies once to a
-    fully symmetric array, so symmetry holds by construction.
+    """Sparse symmetric n-linear form, stored as sorted 1-based index rows
+    `index` (K, n) in lexicographic order and their nonzero `values` (K,),
+    from `coeffs`: a mapping, (index, value) pairs or (index rows, values array).
+    Evaluation densifies once to a fully symmetric array, so symmetry holds.
     """
 
-    name: str
-    dim_n: int
-    rank_m: int
-    coeffs: dict
-    labels: tuple = field(default=())
-
-    def __post_init__(self):
-        if self.dim_n < 1 or self.rank_m < 1:
+    def __init__(self, name: str, dim_n: int, rank_m: int, coeffs, labels: tuple = ()):
+        if dim_n < 1 or rank_m < 1:
             raise ManifoldFormatError("dim and h11 must be positive integers")
-        object.__setattr__(
-            self, "coeffs", _normalize_coeffs(self.coeffs, self.dim_n, self.rank_m)
-        )
-        if self.labels:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != self.rank_m:
-                raise ManifoldFormatError("labels length must equal h11")
-            object.__setattr__(self, "labels", labels)
+        pairs = coeffs.items() if isinstance(coeffs, dict) else coeffs
+        arrays = isinstance(pairs, tuple) and len(pairs) == 2 and isinstance(pairs[1], np.ndarray)
+        rows, values = pairs if arrays else tuple(zip(*pairs)) or ((), ())
+        self.name, self.dim_n, self.rank_m = name, dim_n, rank_m
+        self.index, self.values = _normalize_coeffs(rows, values, dim_n, rank_m)
+        self.labels = tuple(str(s) for s in labels)
+        if self.labels and len(self.labels) != rank_m:
+            raise ManifoldFormatError("labels length must equal h11")
+
+    @cached_property
+    def coeffs(self) -> dict:
+        """{sorted 1-based index tuple: value}, in lexicographic order."""
+        return dict(zip(map(tuple, self.index.tolist()), self.values.tolist()))
 
     @cached_property
     def _dense(self) -> np.ndarray:
@@ -95,7 +99,7 @@ class IntersectionForm:
         """
         n = self.dim_n
         t = np.zeros((self.rank_m,) * n)
-        t[tuple(np.array(list(self.coeffs)).T - 1)] = list(self.coeffs.values())
+        t[tuple(self.index.T - 1)] = self.values
         for end in range(n - 1, 0, -1):
             for k in range(end):
                 t = np.where(t == 0.0, t.swapaxes(k, k + 1), t)
@@ -130,18 +134,13 @@ class IntersectionForm:
             raise ValueError(
                 f"matrix must have {self.rank_m} rows, got shape {mat.shape}"
             )
-        m_new = mat.shape[1]
         t = self._dense
         for _ in range(self.dim_n):
             # contract the leading axis with M; axes cycle back into place
             t = np.tensordot(t, mat, axes=([0], [0]))
-        coeffs = [
-            (tuple(i + 1 for i in idx), t[idx])
-            for idx in combinations_with_replacement(range(m_new), self.dim_n)
-        ]
-        return IntersectionForm(
-            name=f"{self.name}_pullback", dim_n=self.dim_n, rank_m=m_new, coeffs=coeffs
-        )
+        idx = np.array(list(combinations_with_replacement(range(mat.shape[1]), self.dim_n)))
+        return IntersectionForm(name=f"{self.name}_pullback", dim_n=self.dim_n,
+                                rank_m=mat.shape[1], coeffs=(idx + 1, t[tuple(idx.T)]))
 
 
 def _parse_value(v):
@@ -183,19 +182,26 @@ def parse_manifold(text: str) -> IntersectionForm:
     entries = obj["intersection"]
     if not isinstance(entries, list):
         raise ManifoldFormatError("intersection must be a list")
-    coeffs = []
-    for entry in entries:
-        if not isinstance(entry, dict) or "index" not in entry or "value" not in entry:
-            raise ManifoldFormatError(f"bad intersection entry {entry!r}")
-        idx = entry["index"]
-        if not isinstance(idx, list) or not all(type(i) is int for i in idx):
-            raise ManifoldFormatError(f"bad index {idx!r}")
-        coeffs.append((idx, _parse_value(entry["value"])))
+    try:   # structure over whole lists; the loop below names the first bad entry
+        rows, values = (list(map(itemgetter(key), entries)) for key in ("index", "value"))
+        if not (set(map(type, rows)) <= {list} and set(map(type, values)) <= {int, float, str}
+                and set(map(type, chain.from_iterable(rows))) <= {int}):
+            raise TypeError
+        values = np.array([_parse_value(v) if type(v) is str else v for v in values], dtype=float)
+    except (TypeError, KeyError, OverflowError, ManifoldFormatError):
+        for entry in entries:
+            if not isinstance(entry, dict) or "index" not in entry or "value" not in entry:
+                raise ManifoldFormatError(f"bad intersection entry {entry!r}") from None
+            idx = entry["index"]
+            if not isinstance(idx, list) or not all(type(i) is int for i in idx):
+                raise ManifoldFormatError(f"bad index {idx!r}") from None
+            _parse_value(entry["value"])
+        raise
     labels = obj.get("labels", [])
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise ManifoldFormatError(f"labels must be a list of strings, got {labels!r}")
     return IntersectionForm(
-        name=name, dim_n=dim, rank_m=h11, coeffs=coeffs, labels=tuple(labels)
+        name=name, dim_n=dim, rank_m=h11, coeffs=(rows, values), labels=tuple(labels)
     )
 
 
@@ -206,14 +212,8 @@ def load_manifold(path) -> IntersectionForm:
 
 def serialize_manifold(form: IntersectionForm) -> str:
     """Canonical JSON for a form; parse(serialize(f)) reproduces f."""
-    obj = {
-        "name": form.name,
-        "dim": form.dim_n,
-        "h11": form.rank_m,
-        "intersection": [
-            {"index": list(idx), "value": val} for idx, val in sorted(form.coeffs.items())
-        ],
-    }
+    entries = [{"index": i, "value": v} for i, v in zip(form.index.tolist(), form.values.tolist())]
+    obj = {"name": form.name, "dim": form.dim_n, "h11": form.rank_m, "intersection": entries}
     if form.labels:
         obj["labels"] = list(form.labels)
     return json.dumps(obj, indent=2)

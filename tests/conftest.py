@@ -1,5 +1,7 @@
+import json
 import sys
 from itertools import permutations
+from math import isfinite
 from pathlib import Path
 
 # allow running the suite from a fresh checkout without installing
@@ -12,7 +14,7 @@ import pytest  # noqa: E402
 
 from kcone.algebra import NULL_TOL  # noqa: E402
 from kcone.curvature import derived_curvatures  # noqa: E402
-from kcone.errors import DegeneratePlane  # noqa: E402
+from kcone.errors import DegeneratePlane, ManifoldFormatError  # noqa: E402
 from kcone.intersection import IntersectionForm  # noqa: E402
 from kcone.metric import ConePoint  # noqa: E402
 
@@ -84,6 +86,60 @@ def _dense_by_permutations(form):
 @pytest.fixture(scope="session")
 def dense_by_permutations():
     return _dense_by_permutations
+
+
+def _normalize_coeffs_reference(pairs, dim_n, rank_m):
+    """The coefficient dict of (index, value) pairs, built one entry at a
+    time: sort the index, check its length, range, finiteness and agreement
+    with an earlier duplicate in that order, then drop zeros and sort the
+    keys.  The reference for IntersectionForm.coeffs and its messages."""
+    out = {}
+    for idx, val in pairs:
+        idx = tuple(sorted(int(i) for i in idx))
+        if len(idx) != dim_n:
+            raise ManifoldFormatError(
+                f"index length mismatch: {list(idx)} has {len(idx)} entries, expected {dim_n}"
+            )
+        if idx[0] < 1 or idx[-1] > rank_m:
+            raise ManifoldFormatError(f"index {list(idx)} out of range 1..{rank_m}")
+        val = float(val)
+        if not isfinite(val):
+            raise ManifoldFormatError(f"non-finite value {val!r} for index {list(idx)}")
+        if idx in out and out[idx] != val:
+            raise ManifoldFormatError(
+                f"conflicting values for index {list(idx)}: {out[idx]} vs {val}"
+            )
+        out[idx] = val
+    out = {k: v for k, v in sorted(out.items()) if v != 0.0}
+    if not out:
+        raise ManifoldFormatError("all-zero form")
+    return out
+
+
+@pytest.fixture(scope="session")
+def normalize_coeffs_reference():
+    return _normalize_coeffs_reference
+
+
+def _serialize_manifold_reference(form, coeffs):
+    """Manifold file text of a form with the coefficient dict `coeffs`,
+    written from its sorted items: the reference for serialize_manifold."""
+    obj = {
+        "name": form.name,
+        "dim": form.dim_n,
+        "h11": form.rank_m,
+        "intersection": [
+            {"index": list(idx), "value": val} for idx, val in sorted(coeffs.items())
+        ],
+    }
+    if form.labels:
+        obj["labels"] = list(form.labels)
+    return json.dumps(obj, indent=2)
+
+
+@pytest.fixture(scope="session")
+def serialize_manifold_reference():
+    return _serialize_manifold_reference
 
 
 def _projector_derivative(P):

@@ -2,10 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kcone import cli
 from kcone.catalog import CATALOG, get_form
 from kcone.errors import ManifoldFormatError
-from kcone.intersection import IntersectionForm, parse_manifold, serialize_manifold
+from kcone.intersection import (
+    IntersectionForm,
+    _parse_value,
+    parse_manifold,
+    serialize_manifold,
+)
 
 P1XP1_FILE = json.dumps(
     {
@@ -252,3 +260,120 @@ def test_dense_matches_permutation_loop(dense_by_permutations):
 def test_parse_rejects_malformed_files(edit, message):
     with pytest.raises(ManifoldFormatError, match=message):
         parse_manifold(json.dumps(edit(json.loads(P1XP1_FILE))))
+
+
+def _file(h11, entries, dim=2):
+    """Manifold file text with (index, value) entries."""
+    return json.dumps({"name": "X", "dim": dim, "h11": h11,
+                       "intersection": [{"index": i, "value": v} for i, v in entries]})
+
+
+@st.composite
+def entry_lists(draw):
+    """(dim, h11, entries): unsorted indices, zeros, rational strings, and
+    duplicates that repeat an earlier entry's value under another order;
+    unless agreement is drawn, independent draws of one index may conflict."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    value = st.one_of(
+        st.integers(-3, 3),
+        st.floats(-4.0, 4.0),
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 9)),
+    )
+    entries = draw(st.lists(st.tuples(st.lists(st.integers(1, m), min_size=n, max_size=n),
+                                       value), min_size=1, max_size=12))
+    if draw(st.booleans()):   # agree: every index keeps its first value
+        first = {}
+        entries = [(idx, first.setdefault(tuple(sorted(idx)), val)) for idx, val in entries]
+    for k in draw(st.lists(st.integers(0, len(entries) - 1), max_size=6)):
+        idx, val = entries[k]
+        entries.append((draw(st.permutations(idx)), val))
+    return n, m, draw(st.permutations(entries))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(entry_lists())
+def test_parse_matches_the_per_entry_normalizer(
+    normalize_coeffs_reference, dense_by_permutations, case
+):
+    n, m, entries = case
+    text = _file(m, entries, dim=n)
+    pairs = [(idx, _parse_value(val)) for idx, val in entries]
+    try:
+        expected = normalize_coeffs_reference(pairs, n, m)
+    except ManifoldFormatError as exc:
+        with pytest.raises(ManifoldFormatError) as got:
+            parse_manifold(text)
+        assert str(got.value) == str(exc)
+        return
+    form = parse_manifold(text)
+    # keys, order, values and their types
+    assert repr(list(form.coeffs.items())) == repr(list(expected.items()))
+    assert form._dense.tobytes() == dense_by_permutations(form).tobytes()
+
+
+LONG = [([1, 3], 1)] + [([1 + k % 2, 2 - k % 2], 1) for k in range(2000)]
+
+
+@pytest.mark.parametrize(
+    "h11, dim, entries, message",
+    [
+        (2, 2, [([1, 3], 1), ([1, 1], "x")], "bad value 'x'"),
+        (2, 2, [([1, 1], 1), ([1, 2**70], 1), ([1, 3], 1)],
+         "index [1, 1180591620717411303424] out of range 1..2"),
+        (2, 2, [([1, 2], 1), ([1, -2**70], 1), ([3, 1], 1)],
+         "index [-1180591620717411303424, 1] out of range 1..2"),
+        (2**70, 2, [([1, 2], 1), ([0, 2**71], 1), ([2**72, 1], 1)],
+         "index [0, 2361183241434822606848] out of range 1..1180591620717411303424"),
+        (2**70, 2, [([1, 2**70], 1), ([2**70, 1], 2), ([0, 1], 1)],
+         "conflicting values for index [1, 1180591620717411303424]: 1.0 vs 2.0"),
+        (2, 2, LONG + [([1, True], 1), ([1, 2], "x")], "bad index [1, True]"),
+        (2, 2, [([2, 1], 1), ([1, 2, 2], 1), ([1, 3], 1)],
+         "index length mismatch: [1, 2, 2] has 3 entries, expected 2"),
+        (2, 2, [([2, 1], 1), ([1, 3], 1), ([1], 1)], "index [1, 3] out of range 1..2"),
+        (3, 3, [([3, 2, 1], 1), ([], 1), ([1, 2, 4], 1)],
+         "index length mismatch: [] has 0 entries, expected 3"),
+        (2, 2, [([1, 2], 1), ([2, 1], 1), ([1, 2], 2), ([1, 3], 1)],
+         "conflicting values for index [1, 2]: 1.0 vs 2.0"),
+        (2, 2, [([1, 2], 0), ([2, 1], -0.0), ([1, 2], 1)],
+         "conflicting values for index [1, 2]: -0.0 vs 1.0"),
+        (2, 2, [([1, 2], 1), ([1, 1], float("inf")), ([2, 1], 2)],
+         "non-finite value inf for index [1, 1]"),
+        (2, 2, [([1, 2], 1), ([3, 1], float("nan")), ([2, 1], 2)],
+         "index [1, 3] out of range 1..2"),
+        (2, 2, [([1, 3], 1), ([1, 2], 10**400)], f"bad value {10**400}"),
+        (2, 2, [([1, 1], 0), ([2, 2], "0/5")], "all-zero form"),
+    ],
+    ids=["structure-before-range", "int64-overflow", "int64-overflow-negative",
+         "h11-beyond-int64", "conflict-beyond-int64", "bool-deep-in-long-file", "ragged",
+         "range-before-ragged", "ragged-empty", "conflict-after-agreeing-duplicate",
+         "conflict-after-signed-zeros", "non-finite-before-conflict", "range-before-non-finite",
+         "huge-int-value",
+         "all-zero"],
+)
+def test_parse_reports_the_first_bad_entry(h11, dim, entries, message):
+    with pytest.raises(ManifoldFormatError) as exc:
+        parse_manifold(_file(h11, entries, dim))
+    assert str(exc.value) == message
+
+
+def test_info_matches_reference_serializer(
+    tmp_path, capsys, monkeypatch, normalize_coeffs_reference, serialize_manifold_reference
+):
+    # 6,000 unsorted n = 3 entries over h11 = 40: repeats agree (the value is
+    # a function of the sorted index) and about a tenth of the values are zero
+    m, rng = 40, np.random.default_rng(19)
+    table = np.where(rng.random(m**3) < 0.1, 0.0, rng.standard_normal(m**3))
+    rows = rng.integers(1, m + 1, size=(6000, 3))
+    srt = np.sort(rows, axis=1) - 1
+    values = table[(srt[:, 0] * m + srt[:, 1]) * m + srt[:, 2]]
+    entries = list(zip(rows.tolist(), values.tolist()))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**json.loads(_file(m, entries, dim=3)),
+                                "labels": [f"D{i}" for i in range(m)]}))
+    assert cli.main(["info", str(path)]) == 0
+    got = capsys.readouterr().out
+    coeffs = normalize_coeffs_reference(entries, 3, m)
+    monkeypatch.setattr(cli, "serialize_manifold",
+                        lambda form: serialize_manifold_reference(form, coeffs))
+    assert cli.main(["info", str(path)]) == 0
+    assert got == capsys.readouterr().out
