@@ -36,7 +36,11 @@ forms = alg.bilinear_forms()
 print("\nKN data: forms shape", forms.forms.shape,
       "reconstruction residual", f"{alg.kn_reconstruction_residual():.2e}")
 
-# Constant sectional curvature test: automatic in rank <= 2, fails here.
+# Constant sectional curvature test.  R_alg is -n/4 on every plane through
+# omega, so the fit passes exactly when every primitive plane has sectional
+# curvature n/4, with lambda = scalar/(m^2 - m) + n/(2m).  For h11 <= 2 there
+# is no primitive plane (residual 0, lambda = n/4); LOR3 is a surface (n = 2)
+# whose primitive plane has K = -1/2, not 1/2, so it fails.
 fit = alg.constant_curvature_test()
 print(f"constant-curvature fit: lambda={fit.lam:.6f} residual={fit.residual:.3f} "
       f"-> constant: {fit.is_constant}")

@@ -13,9 +13,10 @@ squares, and relates to the cone metric by
     riemann(u,v,z,w) = -R_alg(primitive parts).
 
 The structure constants are half of ConePoint.lambda_pairs, which also
-feeds the connection; R_alg is built from them on the basis, apart from the
-cubic.  The Kulkarni-Nomizu forms and the constant-curvature test work in the
-frame ConePoint.frame, and the derivations solve on the cubic ConePoint.cubic.
+feeds the connection; R_alg and the Kulkarni-Nomizu forms in ConePoint.frame
+are built from them.  The derivations and the constant-curvature fit, lam =
+scalar/(m^2 - m) + n/(2m), read only the cubic ConePoint.cubic; the fit passes
+exactly when every primitive plane has sectional curvature n/4.
 """
 
 from __future__ import annotations
@@ -117,39 +118,29 @@ class AlgebraAtPoint:
     def constant_curvature_test(self) -> ConstantCurvatureFit:
         """Best multiple of the induced S^2 inner product inside <x.y, z.w>.
 
-        In the g-orthonormal frame x of bilinear_forms(), T(a,b,c,d) =
-        <x_a.x_b, x_c.x_d> has constant sectional curvature -lam exactly when
-        T - 2 lam S is fully symmetric, with S(a,b,c,d) = (d_ac d_bd + d_ad d_bc)/2.
-        lam fits the non-symmetric parts, nT ~ 2 lam nS, by least squares, so it
-        is reported even when the test fails.  nS is orthogonal to every
-        symmetric tensor, so <nT, nS> = <T, nS> and
-        lam = (sum_ab |x_a.x_b|^2 - |sum_a x_a.x_a|^2) / (m^2 - m): minus the
-        mean sectional curvature of R_alg over the planes of the frame.  The
-        residual is summed one first-index slab T[a] at a time, in O(m^3) memory.
-        """
-        fs = self.bilinear_forms()
-        m = self.base.rank_m
-        # comp[a, b] = x_a . x_b in orthonormal coordinates
-        comp = np.einsum("lij,ia,jb->abl", fs.forms, fs.basis, fs.basis, optimize=True)
-        flat = comp.reshape(m * m, m)
-        sq = comp[np.arange(m), np.arange(m)].sum(axis=0)   # sum_a x_a . x_a
-        lam = float(np.vdot(flat, flat) - sq @ sq) / (m * m - m) if m > 1 else 0.0
-        # nT - 2 lam nS is the non-symmetric part of T - 2 lam S: each slab drops
-        # 2 lam S[a] (lam at [b, a, b] and at [b, b, a]), then its symmetric part,
-        # which by the 8 pair symmetries is its mean over the 3 pairings {ab|cd},
-        # {ac|bd}, {ad|bc}; all three fix a.  |nT - 2 lam nS|^2
-        # is summed directly: its expansion |nT|^2 - 4 lam <nT, nS> + ... would
-        # cancel when the fit passes
-        b = np.arange(m)
-        t_sq = res_sq = 0.0
-        for a in range(m):
-            block = (comp[a] @ flat.T).reshape(m, m, m)
-            t_sq += float(np.vdot(block, block))
-            block[b, a, b] -= lam
-            block[b, b, a] -= lam
-            block -= (block + block.transpose(1, 0, 2) + block.transpose(2, 1, 0)) / 3.0
-            res_sq += float(np.vdot(block, block))
-        return ConstantCurvatureFit(lam=lam, residual=float(np.sqrt(res_sq)),
+        T(a,b,c,d) = <x_a.x_b, x_c.x_d> over ConePoint.frame has constant sectional
+        curvature -lam iff T - 2 lam S is fully symmetric, 2 S = d_ac d_bd + d_ad d_bc.
+        R_alg is -n/4 on planes through omega and -R on primitive ones, so the
+        least-squares lam = scalar/(m^2 - m) + n/(2m), the residual is
+        |R_alg - lam R1|/sqrt(3) with R1 = d_ac d_bd - d_ad d_bc, and tol 1e-8 |T|."""
+        n, m, k, c = self.base.dim_n, self.base.rank_m, self.base.rank_m - 1, self.base.cubic
+        flat, trace = c.reshape(k * k, k), np.einsum("aae->e", c)
+        tr_sq = float(trace @ trace)
+        scalar = float(np.vdot(c, c)) - tr_sq - k * (k - 1) / n   # as in derived_curvatures
+        lam = scalar / (m * m - m) + n / (2 * m) if m > 1 else 0.0
+        # 4k entries -n/4 + lam through omega, then |R + lam R1|^2 one slab at
+        # a time, summed directly: its expansion would cancel when the fit passes
+        shift, b, res_sq = lam + 1.0 / n, np.arange(k), 4 * k * (lam - n / 4) ** 2
+        for a in range(k):
+            ip = (c[a] @ flat.T).reshape(k, k, k)   # [b, e, d] = <c_ab, c_ed>
+            r = ip.transpose(1, 0, 2) - ip.transpose(1, 2, 0)
+            r[b, a, b] += shift
+            r[b, b, a] -= shift
+            res_sq += float(np.vdot(r, r))
+        # |T| is that of the m x m Gram matrix of the products: omega entry, row, primitive block
+        gram = flat.T @ flat + (n - 2) ** 2 / (2 * n) * np.eye(k)
+        t_sq = ((n - 1) ** 2 + k) ** 2 / n**2 + 2 * tr_sq / n + float(np.vdot(gram, gram))
+        return ConstantCurvatureFit(lam=lam, residual=float(np.sqrt(res_sq / 3)),
                                     tol=1e-8 * float(np.sqrt(t_sq)))
 
     def derivations(self) -> List[np.ndarray]:

@@ -37,7 +37,7 @@ from .errors import (
     NonPositiveVolume,
 )
 from .fdcheck import FDReport
-from .intersection import IntersectionForm, load_manifold, serialize_manifold
+from .intersection import IntersectionForm, load_manifold, manifold_object
 from .metric import ConePoint
 from .paths import (
     PULLBACK_TOL,
@@ -134,7 +134,7 @@ def _cmd_info(args):
         ]
         return "*", {}, {"catalog": entries, "file_schema": _FILE_SCHEMA}
     form = _resolve_form(args.form)
-    outputs = json.loads(serialize_manifold(form))
+    outputs = manifold_object(form)
     omega = _default_omega(form)
     if omega is not None:
         outputs["default_omega"] = omega
@@ -221,12 +221,8 @@ def _cmd_algebra(args):
         }
     if args.constant_curvature:
         fit = alg.constant_curvature_test()
-        outputs["constant_curvature"] = {
-            "lambda": fit.lam,
-            "residual": fit.residual,
-            "tol": fit.tol,
-            "is_constant": fit.is_constant,
-        }
+        outputs["constant_curvature"] = {"lambda": fit.lam, "residual": fit.residual,
+                                         "tol": fit.tol, "is_constant": fit.is_constant}
     return P.form.name, {"at": P.omega}, outputs
 
 

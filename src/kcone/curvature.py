@@ -64,9 +64,13 @@ def christoffel_tensor(P: ConePoint) -> np.ndarray:
 
 
 def christoffel(P: ConePoint, z: CohClass, u: CohClass) -> CohClass:
-    """Gamma(z, u): christoffel_tensor contracted with z and u."""
+    """Gamma(z, u): christoffel_tensor contracted with z and u, if finite."""
     z, u = P.form._check_class(z), P.form._check_class(u)
-    return z @ (u @ christoffel_tensor(P))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = z @ (u @ christoffel_tensor(P))
+    if not np.isfinite(gamma).all():
+        raise ValueError(f"Gamma(z, u) overflows double precision at z = {z.tolist()}")
+    return gamma
 
 
 def riemann(P: ConePoint, u, v, z, w) -> float:
@@ -204,7 +208,9 @@ def derived_curvatures(P: ConePoint) -> DerivedCurvatures:
     scalar = float(np.vdot(c, c) - trace @ trace) - k * (k - 1) / P.dim_n
 
     def sectional(u: CohClass, v: CohClass) -> float:
-        u, v = P.form._check_class(u), P.form._check_class(v)
+        # K is scale-invariant: exact powers of two take the largest entries to [1/2, 1)
+        u, v = (np.ldexp(a, -np.frexp(np.abs(a).max())[1]) for a in
+                (P.form._check_class(u), P.form._check_class(v)))
         guu, gvv, guv = P.inner(u, u), P.inner(v, v), P.inner(u, v)
         den = guu * gvv - guv * guv
         if den <= 1e-12 * guu * gvv or den <= 0.0:

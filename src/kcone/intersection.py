@@ -24,6 +24,7 @@ __all__ = [
     "IntersectionForm",
     "parse_manifold",
     "load_manifold",
+    "manifold_object",
     "serialize_manifold",
 ]
 
@@ -210,10 +211,15 @@ def load_manifold(path) -> IntersectionForm:
         return parse_manifold(fh.read())
 
 
-def serialize_manifold(form: IntersectionForm) -> str:
-    """Canonical JSON for a form; parse(serialize(f)) reproduces f."""
+def manifold_object(form: IntersectionForm) -> dict:
+    """The manifold file of a form as the object serialize_manifold encodes."""
     entries = [{"index": i, "value": v} for i, v in zip(form.index.tolist(), form.values.tolist())]
     obj = {"name": form.name, "dim": form.dim_n, "h11": form.rank_m, "intersection": entries}
     if form.labels:
         obj["labels"] = list(form.labels)
-    return json.dumps(obj, indent=2)
+    return obj
+
+
+def serialize_manifold(form: IntersectionForm) -> str:
+    """Canonical JSON for a form; parse(serialize(f)) reproduces f."""
+    return json.dumps(manifold_object(form), indent=2)

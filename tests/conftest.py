@@ -12,7 +12,7 @@ if str(SRC) not in sys.path:
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from kcone.algebra import NULL_TOL  # noqa: E402
+from kcone.algebra import NULL_TOL, algebra_at  # noqa: E402
 from kcone.curvature import derived_curvatures  # noqa: E402
 from kcone.errors import DegeneratePlane, ManifoldFormatError  # noqa: E402
 from kcone.intersection import IntersectionForm  # noqa: E402
@@ -197,3 +197,37 @@ def derivations_match_einsum():
 @pytest.fixture(scope="session")
 def einsum_derivation_svd():
     return _einsum_derivation_svd
+
+
+def _constant_curvature_24(P):
+    """Reference for constant_curvature_test: (lam, residual, |t|) from the
+    structure constants in ConePoint.frame, with the full 24-permutation
+    symmetrization."""
+    basis = P.frame
+    vec = np.einsum("ijc,ia,jb->abc", algebra_at(P).structure, basis, basis)
+    comp = np.einsum("abc,cd,dl->abl", vec, P.gram, basis)
+    t = np.einsum("abl,cdl->abcd", comp, comp)
+    eye = np.eye(P.rank_m)
+    s = 0.5 * (np.einsum("ac,bd->abcd", eye, eye) + np.einsum("ad,bc->abcd", eye, eye))
+
+    def nonsym(x):
+        return x - sum(np.transpose(x, p) for p in permutations(range(4))) / 24.0
+
+    nt, ns = nonsym(t), nonsym(s)
+    denom = 2.0 * float(np.sum(ns * ns))
+    lam = float(np.sum(nt * ns)) / denom if denom > 0.0 else 0.0
+    return lam, float(np.linalg.norm(nt - 2.0 * lam * ns)), float(np.linalg.norm(t))
+
+
+def _assert_fit_matches_24_permutations(P):
+    fit = algebra_at(P).constant_curvature_test()
+    lam, residual, t_norm = _constant_curvature_24(P)
+    assert fit.lam == pytest.approx(lam, rel=1e-12, abs=1e-15)
+    assert fit.residual == pytest.approx(residual, rel=1e-12, abs=1e-12 * t_norm)
+    assert fit.tol == pytest.approx(1e-8 * t_norm, rel=1e-12)
+    assert fit.is_constant == (residual <= 1e-8 * t_norm)
+
+
+@pytest.fixture(scope="session")
+def fit_matches_24_permutations():
+    return _assert_fit_matches_24_permutations

@@ -180,25 +180,6 @@ def test_constant_curvature_fails_on_lor3():
     assert fit.residual == pytest.approx(0.9428090415820634, abs=1e-9)
 
 
-def _constant_curvature_24(P):
-    """Reference for constant_curvature_test: (lam, residual, |t|) with the
-    full 24-permutation symmetrization."""
-    basis = P.frame
-    vec = np.einsum("ijc,ia,jb->abc", algebra_at(P).structure, basis, basis)
-    comp = np.einsum("abc,cd,dl->abl", vec, P.gram, basis)
-    t = np.einsum("abl,cdl->abcd", comp, comp)
-    eye = np.eye(P.rank_m)
-    s = 0.5 * (np.einsum("ac,bd->abcd", eye, eye) + np.einsum("ad,bc->abcd", eye, eye))
-
-    def nonsym(x):
-        return x - sum(np.transpose(x, p) for p in itertools.permutations(range(4))) / 24.0
-
-    nt, ns = nonsym(t), nonsym(s)
-    denom = 2.0 * float(np.sum(ns * ns))
-    lam = float(np.sum(nt * ns)) / denom if denom > 0.0 else 0.0
-    return lam, float(np.linalg.norm(nt - 2.0 * lam * ns)), float(np.linalg.norm(t))
-
-
 def _cubic_point(m=6, noise=0.05, seed=3):
     # kappa_111 = 6, kappa_1jj = -1 plus seeded noise on every sorted triple,
     # admissible at e_1 and, with noise, far from constant curvature;
@@ -212,25 +193,21 @@ def _cubic_point(m=6, noise=0.05, seed=3):
                      np.eye(m)[0])
 
 
-def _assert_fit_matches_24_permutations(P):
-    fit = algebra_at(P).constant_curvature_test()
-    lam, residual, t_norm = _constant_curvature_24(P)
-    assert fit.lam == pytest.approx(lam, rel=1e-12, abs=1e-15)
-    assert fit.residual == pytest.approx(residual, rel=1e-12, abs=1e-12 * t_norm)
-    assert fit.is_constant == (residual <= 1e-8 * t_norm)
-
-
-def test_constant_curvature_three_pairings_match_24_permutations(quartic_points):
+def test_constant_curvature_three_pairings_match_24_permutations(
+    quartic_points, fit_matches_24_permutations
+):
     points = [default_point(name) for name in catalog_names()]
     points += list(quartic_points.values()) + [_cubic_point(), _cubic_point(8)]
     for P in points:
-        _assert_fit_matches_24_permutations(P)
+        fit_matches_24_permutations(P)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
-def test_constant_curvature_matches_24_permutations_on_random_cubics(m, seed):
-    _assert_fit_matches_24_permutations(_cubic_point(m, seed=seed))
+def test_constant_curvature_matches_24_permutations_on_random_cubics(
+    fit_matches_24_permutations, m, seed
+):
+    fit_matches_24_permutations(_cubic_point(m, seed=seed))
 
 
 def test_constant_curvature_holds_no_m4_array():

@@ -40,6 +40,17 @@ def test_curvature_sectional_example(capsys):
     assert abs(rep["outputs"]["sectional"] + 0.5) <= 1e-8
 
 
+def test_curvature_sectional_at_extreme_scales(capsys):
+    # the pinned LOR3 plane with u scaled far out and far in: K does not
+    # depend on the scale, and |u^v|^2 alone would overflow or underflow
+    for u in ("0,1e160,0", "0,1e-170,0"):
+        code, out, _ = run_cli(
+            capsys, "curvature", "LOR3", "--at", "1,0,0", "--sectional", u, "0,0,1"
+        )
+        assert code == 0
+        assert abs(json.loads(out)["outputs"]["sectional"] + 0.5) <= 1e-12
+
+
 def test_curvature_ricci_scalar_flags(capsys):
     code, out, _ = run_cli(capsys, "curvature", "LOR3", "--ricci", "--scalar")
     rep = json.loads(out)
@@ -55,6 +66,15 @@ def test_connection_output(capsys):
     rep = json.loads(out)
     assert code == 0
     assert np.allclose(rep["outputs"]["christoffel"], [-1.0, 0.0])
+
+
+def test_connection_overflow_is_input_error(capsys):
+    # Gamma(z, u) = -z at P1XP1 overflows for |z| |u| = 1e400
+    code, out, err = run_cli(
+        capsys, "connection", "P1XP1", "--at", "1,1", "--z", "1e200,0", "--u", "1e200,0"
+    )
+    assert code == 1 and out == ""
+    assert "overflows double precision" in err
 
 
 def test_geodesic_csv(capsys, tmp_path):

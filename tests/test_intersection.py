@@ -373,7 +373,7 @@ def test_info_matches_reference_serializer(
     assert cli.main(["info", str(path)]) == 0
     got = capsys.readouterr().out
     coeffs = normalize_coeffs_reference(entries, 3, m)
-    monkeypatch.setattr(cli, "serialize_manifold",
-                        lambda form: serialize_manifold_reference(form, coeffs))
+    monkeypatch.setattr(cli, "manifold_object",
+                        lambda form: json.loads(serialize_manifold_reference(form, coeffs)))
     assert cli.main(["info", str(path)]) == 0
     assert got == capsys.readouterr().out

@@ -10,6 +10,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +24,8 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 
 @st.composite
-def points_at_e1(draw):
-    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+def points_at_e1(draw, max_m=4):
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, max_m))
     coeffs = {(1,) * n: 1.0}
     coeffs.update({(1,) * (n - 2) + (j, j): -1.0 for j in range(2, m + 1)})
     indices = list(combinations_with_replacement(range(1, m + 1), n))
@@ -99,6 +100,22 @@ def test_derivations_match_einsum_system(derivations_match_einsum, einsum_deriva
     derivations_match_einsum(alg)
 
 
+@SETTINGS
+@given(points_at_e1())
+def test_constant_curvature_matches_24_permutations(fit_matches_24_permutations, P):
+    fit_matches_24_permutations(P)
+
+
+@SETTINGS
+@given(points_at_e1(max_m=2))
+def test_constant_curvature_is_exact_for_h11_up_to_two(P):
+    # no primitive plane: R_alg is -n/4 on every plane, and on the planes
+    # through omega the fit is exact in floating point
+    fit = algebra_at(P).constant_curvature_test()
+    assert fit.residual == 0.0
+    assert fit.lam == (P.dim_n / 4 if P.rank_m == 2 else 0.0)
+
+
 @st.composite
 def lorentzian_points(draw):
     """n = 2 cone points at omega = A^-1 e_1 of Q = A^T diag(1, -1, .., -1) A,
@@ -134,6 +151,15 @@ def test_surface_cone_has_constant_primitive_curvature(P, seed):
         assert abs(sectional + 0.5) <= 1e-12
         den = P.inner(u, u) * P.inner(v, v) - P.inner(u, v) ** 2
         assert abs(riemann_alt(P, u, v, v, u) / den - sectional) <= 1e-12
+    # the fit asks for K = n/4 = 1/2 on primitive planes: R_alg - lam R1 is
+    # -1/2 + lam on the 4k entries through omega and -(1/2 + lam) R1 on the
+    # 2k(k - 1) nonzero primitive ones
+    m, lam = P.rank_m, (4 - P.rank_m) / (2 * P.rank_m)
+    fit = algebra_at(P).constant_curvature_test()
+    assert fit.lam == pytest.approx(lam, rel=1e-14)
+    residual = np.sqrt((4 * k * (lam - 0.5) ** 2 + 2 * k * (k - 1) * (lam + 0.5) ** 2) / 3)
+    assert fit.residual == pytest.approx(residual, rel=1e-14, abs=1e-15)
+    assert fit.is_constant == (m == 2)
 
 
 @SETTINGS
