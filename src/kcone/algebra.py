@@ -149,25 +149,29 @@ class AlgebraAtPoint:
         Each D meets derivation_defects (checked on the result), so on the
         primitive columns X = frame[:, 1:] it lies in so(m - 1) and solves
         D.c = 0: one row per a <= b <= f of sum_e D_ea c_ebf + D_eb c_aef +
-        D_ef c_abe, reduced by QR, then the SVD of R.  Its cutoff NULL_TOL
-        max(sv_0, 1) is absolute: the g-orthonormal frame keeps the omega parts
-        of the product of order one, while c, unchanged by omega -> t omega and
-        kappa -> s kappa, can be roundoff.  D maps back as X D F^T, F = coframe.
+        D_ef c_abe, built in blocks of about 2^16 (k, k) coefficient entries into
+        one (rows, k(k - 1)/2) system, reduced by QR, then the SVD of R.  Its
+        cutoff NULL_TOL max(sv_0, 1) is absolute: the g-orthonormal frame keeps
+        the omega parts of the product of order one, while c, unchanged by omega
+        -> t omega and kappa -> s kappa, can be roundoff.  D maps back as X D F^T,
+        F = coframe.
         """
         if self.base.dim_n < 2:
             # n = 1: the product vanishes and every linear map is a derivation;
             # the structural conclusions need the nonzero products with omega
             raise ValueError("derivation analysis requires complex dimension >= 2")
         P, k, c = self.base, self.base.rank_m - 1, self.base.cubic
-        a, b, f = np.array(list(combinations_with_replacement(range(k), 3)), int).reshape(-1, 3).T
-        row = np.arange(a.size)
-        # system[row, p, q] is the coefficient of D_pq in (D.c)_abf
-        system = np.zeros((a.size, k, k))
-        system[row, :, a] = c[:, b, f].T
-        system[row, :, b] += c[a, :, f]
-        system[row, :, f] += c[a, b]
+        abf = np.array(list(combinations_with_replacement(range(k), 3)), int).reshape(-1, 3)
         p, q = np.triu_indices(k, 1)
-        r = np.linalg.qr(system[:, p, q] - system[:, q, p], mode="r")
+        lhs, blocks = np.empty((len(abf), p.size)), max(1, len(abf) * k * k >> 16)
+        for out, blk in zip(np.array_split(lhs, blocks), np.array_split(abf, blocks)):
+            # system[row, s, t] is the coefficient of D_st in (D.c)_abf
+            (a, b, f), row, system = blk.T, np.arange(len(blk)), np.zeros((len(blk), k, k))
+            system[row, :, a] = c[:, b, f].T
+            system[row, :, b] += c[a, :, f]
+            system[row, :, f] += c[a, b]
+            np.subtract(system[:, p, q], system[:, q, p], out=out)
+        r = np.linalg.qr(lhs, mode="r")
         _, sv, vh = np.linalg.svd(r, full_matrices=False)
         null = vh[np.sum(sv > NULL_TOL * sv.max(initial=1.0)):]
         gens = np.zeros((len(null), k, k))

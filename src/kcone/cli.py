@@ -331,6 +331,39 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _encode(obj, pad):
+    """json.dumps(obj, indent=2, default=tolist) in parts, pad a newline and obj's indent:
+    dicts, arrays of 2+ dimensions and lists holding arrays are split, a finite float row is
+    joined at once, the rest is json.dumps re-indented, as JSON strings hold no raw newline."""
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and obj.size \
+            and np.isfinite(obj).all():
+        yield "[" + inner + ("," + inner).join(map(float.__repr__, obj.tolist())) + pad + "]"
+    elif (isinstance(obj, dict) and obj
+          or isinstance(obj, np.ndarray) and obj.ndim > 1 and obj.size
+          or isinstance(obj, (list, tuple)) and any(isinstance(x, np.ndarray) for x in obj)):
+        is_dict = isinstance(obj, dict)
+        keys = [json.dumps(k) + ": " for k in obj] if is_dict else [""] * len(obj)
+        for i, (key, item) in enumerate(zip(keys, obj.values() if is_dict else obj)):
+            yield ("," if i else "[{"[is_dict]) + inner + key
+            yield from _encode(item, inner)
+        yield pad + "]}"[is_dict]
+    else:
+        yield json.dumps(obj, indent=2, default=lambda x: x.tolist()).replace("\n", pad)
+
+
+def _write_report(report, out) -> None:
+    """Write json.dumps(report, indent=2, default=tolist) to out in blocks of about 64 KiB."""
+    parts, size = [], 0
+    for part in _encode(report, "\n"):
+        parts.append(part)
+        if (size := size + len(part)) >= 1 << 16:
+            out.write("".join(parts))
+            parts, size = [], 0
+    out.write("".join(parts))
+    out.write("\n")   # as print: unbuffered, a write the reader cut short does not raise
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -362,12 +395,11 @@ def main(argv=None) -> int:
                   "outputs": outputs, "checks": checks}
         code = 3 if any(not c["pass"] for c in checks) else 0
     try:
-        # numpy arrays, ints and bools go through tolist(); np.float64 is a float
-        print(json.dumps(report, indent=2, default=lambda x: x.tolist()))
+        _write_report(report, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout early (`| head`); point it at devnull so
-        # the interpreter's flush at exit does not raise again
+        # the reader closed stdout before or while the report was written (`| head`):
+        # point it at devnull so the interpreter's flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code

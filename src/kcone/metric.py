@@ -219,13 +219,15 @@ class ConePoint:
         """c_abc = <x_a . x_b, x_c> over the primitive frame columns, shape
         (m - 1,) * 3, x . y = 1/2 Lam(x cup y): the one source of curvature.
         Lam vanishes on primitive classes, so c_abc = -1/2 Lam3(x_a, x_b, x_c),
-        zero for n < 3; exactly symmetric in (a, b)."""
+        zero for n < 3; exactly symmetric in (a, b).  Each partial contraction
+        is dropped once the next is made; c is scaled and symmetrized in place."""
         m, k, x = self.rank_m, self.rank_m - 1, self.frame[:, 1:]
         if self.dim_n < 3:
             return np.zeros((k, k, k))
-        t = (self._stages[3].reshape(m * m, m) @ x).reshape(m, m * k)   # [i, (j, c)]
-        c = x.T @ (x.T @ t).reshape(k, m, k) * (-0.5 / _divisor(self.dim_n, 3, self.vol))
-        return 0.5 * (c + c.transpose(1, 0, 2))
+        c = x.T @ (x.T @ (self._stages[3].reshape(-1, m) @ x).reshape(m, m * k)).reshape(k, m, k)
+        c *= -0.5 / _divisor(self.dim_n, 3, self.vol)
+        c += c.transpose(1, 0, 2)   # numpy copies the overlapping operand
+        return np.multiply(c, 0.5, out=c)
 
     def lambda_class(self, u: CohClass, v: CohClass) -> CohClass:
         """The (1,1)-class Lam(u cup v): lambda_pairs contracted with u and v.

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -242,6 +243,60 @@ def test_derivations_match_einsum_system(derivations_match_einsum):
     points += [_cubic_point(m, noise=noise) for m in (5, 6, 8, 12) for noise in (0.05, 0.0)]
     for P in points:
         derivations_match_einsum(algebra_at(P))
+
+
+def _dense_derivation_system(c):
+    # the (rows, k(k - 1)/2) system as derivations() built it in one piece,
+    # with the dense (rows, k, k) array and its two gathered copies
+    k = c.shape[0]
+    a, b, f = np.array(list(itertools.combinations_with_replacement(range(k), 3)),
+                       int).reshape(-1, 3).T
+    row = np.arange(a.size)
+    system = np.zeros((a.size, k, k))
+    system[row, :, a] = c[:, b, f].T
+    system[row, :, b] += c[a, :, f]
+    system[row, :, f] += c[a, b]
+    p, q = np.triu_indices(k, 1)
+    return system[:, p, q] - system[:, q, p]
+
+
+class _SystemBuilt(Exception):
+    pass
+
+
+def test_blocked_derivation_system_equals_dense_builder(monkeypatch):
+    # random symmetric cubics, k = 0..30: one block up to k = 12, then
+    # uneven blocks (k = 23: 2,300 rows in 18 blocks, k = 30: 4,960 in 68)
+    captured = []
+
+    def qr(lhs, mode):
+        captured.append(lhs)
+        raise _SystemBuilt
+
+    monkeypatch.setattr(algebra.np.linalg, "qr", qr)
+    rng = np.random.default_rng(21)
+    for k in range(31):
+        c = rng.standard_normal((k, k, k))
+        c = sum(c.transpose(perm) for perm in itertools.permutations(range(3)))
+        base = SimpleNamespace(dim_n=3, rank_m=k + 1, cubic=c)
+        with pytest.raises(_SystemBuilt):
+            algebra.AlgebraAtPoint.derivations(SimpleNamespace(base=base))
+        dense = _dense_derivation_system(c)
+        assert captured[-1].shape == dense.shape and np.array_equal(captured[-1], dense), k
+
+
+def test_derivations_hold_bounded_scratch():
+    # at m = 24 the (2,300, 23, 23) dense system and its gathered copies
+    # peaked at 22.8 MB; row blocks keep the (2,300, 253) system and the QR
+    P = _cubic_point(24)
+    P.cubic, P.coframe
+    tracemalloc.start()
+    try:
+        assert algebra_at(P).derivations() == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 def test_derivation_dimension_of_symmetric_cubic():

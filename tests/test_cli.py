@@ -1,17 +1,23 @@
+import itertools
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kcone.catalog import CATALOG
+from kcone.catalog import CATALOG, default_omega
 from kcone.cli import main
+from kcone.curvature import derived_curvatures, riemann_tensor
 from kcone.errors import KConeError
+from kcone.intersection import IntersectionForm
+from kcone.metric import ConePoint
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -471,3 +477,142 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def _closed_after_first_line(argv, unbuffered):
+    # a reader that stops after the first line of the report
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "kcone", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_during_a_streamed_report_exits_1(tmp_path, unbuffered):
+    # SYM16's curvature report is about 1.6 MB, many 64 KiB blocks: the
+    # reader leaves while they are written.  Unbuffered stdio returns a short
+    # count for the cut block; the next write (at the latest the final
+    # newline) raises
+    m = 16
+    entries = [{"index": [1, 1, 1], "value": 6}]
+    entries += [{"index": [1, j, j], "value": -1} for j in range(2, m + 1)]
+    path = tmp_path / "sym16.json"
+    path.write_text(json.dumps({"name": "SYM16", "dim": 3, "h11": m, "intersection": entries}))
+    at = ",".join(["1"] + ["0"] * (m - 1))
+    code, err = _closed_after_first_line(["curvature", str(path), "--at", at], unbuffered)
+    assert code == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def _syn_file(tmp_path, m, labels=()):
+    # SYNm-like: kappa_111 = 6, kappa_1jj = -1 plus seeded noise, admissible at e_1
+    rng = np.random.default_rng(m)
+    entries = [{"index": [1, 1, 1], "value": 6.0}]
+    entries += [{"index": [1, j, j], "value": -1.0 + 0.05 * rng.standard_normal()}
+                for j in range(2, m + 1)]
+    entries += [{"index": [i, j, k], "value": 0.05 * rng.standard_normal()}
+                for i in range(2, m + 1) for j in range(i, m + 1) for k in range(j, m + 1)
+                if rng.random() < 0.3]
+    obj = {"name": f"SYN{m}", "dim": 3, "h11": m, "intersection": entries}
+    if labels:
+        obj["labels"] = list(labels)
+    path = tmp_path / f"syn{m}.json"
+    path.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    return str(path), ",".join(["1"] + ["0"] * (m - 1))
+
+
+def _streamed_cases(tmp_path):
+    cases = [["info"], ["verify", "P3"],
+             ["metric", "P1XP1", "--at=-1,1"],                   # exit 2 error report
+             ["algebra", "LOR3", "--at", "1e-150,0,0"],          # NaN and Infinity tokens
+             ["curvature", "LOR3", "--sectional", "0,1,0", "0,0,1"]]
+    forms = [(name, ",".join(repr(float(x)) for x in default_omega(name))) for name in CATALOG]
+    m = 12
+    path, at = _syn_file(tmp_path, m, labels=["hé", "日本"] + [f"e{j}" for j in range(3, m + 1)])
+    forms.append((path, at))
+    for form, at in forms:
+        eye = ";".join(",".join("1" if i == j else "0" for j in range(at.count(",") + 1))
+                       for i in range(at.count(",") + 1))
+        cases += [
+            ["info", form], ["metric", form, f"--at={at}"],
+            ["curvature", form, f"--at={at}", "--ricci", "--scalar"],
+            ["connection", form, f"--at={at}", f"--z={at}", f"--u={at}"],
+            ["geodesic", form, f"--at={at}", f"--v={at}", "--T", "0.1", "--steps", "4"],
+            ["probe", form, f"--alpha={at}", f"--omega={at}", "--halvings", "4"],
+            ["algebra", form, f"--at={at}", "--derivations", "--kn", "--constant-curvature"],
+            ["split", form, f"--at={at}"],
+            ["pullback", form, form, "--matrix", eye, "--degree", "1", f"--at={at}"],
+        ]
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # LOR3 at 1e-150 overflows to inf
+def test_streamed_report_equals_json_dumps(capsys, monkeypatch, tmp_path):
+    # every subcommand on the catalog and an m = 12 file with non-ASCII labels:
+    # the streamed stdout is byte for byte what json.dumps(indent=2) printed
+    from kcone import cli
+
+    reports, write = [], cli._write_report
+
+    def spy(report, out):
+        reports.append(report)
+        write(report, out)
+
+    monkeypatch.setattr(cli, "_write_report", spy)
+    codes = set()
+    for argv in _streamed_cases(tmp_path):
+        codes.add(main(argv))
+        out = capsys.readouterr().out
+        assert out == json.dumps(reports[-1], indent=2, default=lambda x: x.tolist()) + "\n", argv
+    assert codes == {0, 2}
+    assert any(r.get("outputs", {}).get("derivations", {}).get("basis") == [] for r in reports)
+
+
+def test_streamed_report_of_numpy_scalars_and_empty_values():
+    from kcone import cli
+
+    report = {"inputs": {}, "int": np.int64(-3), "bool": np.bool_(True), "zero_d": np.array(2.5),
+              "zero_d_int": np.array(7), "f32": np.float32(0.1), "f64": np.float64(-0.0),
+              "ints": np.arange(3), "bools": np.array([[True, False]]), "empty": np.zeros((0, 3)),
+              "empty_rows": np.zeros((2, 0)), "list": [], "tuple": (1.5, None, "é日"),
+              "rows": np.array([[1e-300, -np.inf], [np.nan, 2.0]]), "cube": np.ones((2, 1, 2)),
+              "nested": [{"a": np.float64(1 / 3)}, [np.array([1.0, 2.0])]]}
+    text = []
+    cli._write_report(report, SimpleNamespace(write=text.append))
+    assert "".join(text) == json.dumps(report, indent=2, default=lambda x: x.tolist()) + "\n"
+    assert text[-1] == "\n"   # the newline is its own write
+
+
+def test_streamed_report_holds_bounded_scratch():
+    # writing an m = 16 curvature report (about 2 MB) holds blocks of about
+    # 64 KiB, not the whole text: json.dumps held about 4x the text
+    from kcone import cli
+
+    m, rng = 16, np.random.default_rng(16)
+    coeffs = {(1, 1, 1): 6.0, **{(1, j, j): -1.0 for j in range(2, m + 1)}}
+    coeffs.update({idx: 0.05 * rng.standard_normal()
+                   for idx in itertools.combinations_with_replacement(range(2, m + 1), 3)})
+    P = ConePoint(IntersectionForm("SYN16", 3, m, coeffs), np.eye(m)[0])
+    dc = derived_curvatures(P)
+    report = {"command": "curvature", "form": "SYN16", "inputs": {"at": P.omega},
+              "outputs": {"tensor": riemann_tensor(P).entries, "ricci": dc.ricci,
+                          "scalar": dc.scalar}, "checks": []}
+    written = [0]
+
+    def write(text):
+        written[0] += len(text)
+
+    tracemalloc.start()
+    try:
+        cli._write_report(report, SimpleNamespace(write=write))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written[0] > 1.5e6
+    assert peak <= written[0] / 8

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from kcone.catalog import CATALOG, get_form
 from kcone.errors import ManifoldFormatError
 from kcone.intersection import (
     IntersectionForm,
+    _normalize_coeffs,
     _parse_value,
     parse_manifold,
     serialize_manifold,
@@ -377,3 +379,44 @@ def test_info_matches_reference_serializer(
                         lambda form: json.loads(serialize_manifold_reference(form, coeffs)))
     assert cli.main(["info", str(path)]) == 0
     assert got == capsys.readouterr().out
+
+
+def test_sorted_rows_skip_the_sort_and_match_shuffled_rows(
+    monkeypatch, normalize_coeffs_reference
+):
+    # SYN-like rows in order, as serialize_manifold writes them, with agreeing
+    # duplicates written in another index order next to their row
+    m, rng = 12, np.random.default_rng(19)
+    pairs = [(list(t), float(rng.standard_normal()))
+             for t in itertools.combinations_with_replacement(range(1, m + 1), 3)
+             if rng.random() < 0.3]
+    for i in (len(pairs) - 1, 40, 7, 0):
+        pairs.insert(i + 1, (pairs[i][0][::-1], pairs[i][1]))
+    shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
+    # a conflicting duplicate of row 7, after it in both orders
+    j = next(i for i, p in enumerate(shuffled) if p[0] == pairs[7][0])
+    conflict = (pairs[7][0][::-1], pairs[7][1] + 1.0)
+    cases = {"sorted": pairs, "shuffled": shuffled,
+             "sorted-conflict": pairs[:8] + [conflict] + pairs[8:],
+             "shuffled-conflict": shuffled[:j + 1] + [conflict] + shuffled[j + 1:]}
+    results = {}
+    for name, case in cases.items():
+        with monkeypatch.context() as patch:
+            if name.startswith("sorted"):   # rows in order are not sorted again
+                patch.setattr(np, "lexsort", None)
+            try:
+                rows, values = map(list, zip(*case))
+                results[name] = _normalize_coeffs(rows, values, 3, m)
+            except ManifoldFormatError as exc:
+                results[name] = str(exc)
+        try:
+            expected = normalize_coeffs_reference(case, 3, m)
+        except ManifoldFormatError as exc:
+            assert results[name] == str(exc)
+        else:
+            assert list(map(tuple, results[name][0].tolist())) == list(expected)
+            assert results[name][1].tolist() == list(expected.values())
+    (idx, val), (idx2, val2) = results["sorted"], results["shuffled"]
+    assert idx.dtype == idx2.dtype and np.array_equal(idx, idx2) and np.array_equal(val, val2)
+    assert results["sorted-conflict"] == results["shuffled-conflict"]
+    assert results["sorted-conflict"].startswith("conflicting values for index")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from kcone.catalog import CATALOG, catalog_names, default_point
 from kcone.errors import IndefiniteMetric, NonPositiveVolume
 from kcone.fdcheck import check_lambda_derivative
-from kcone.metric import ConePoint, admit
+from kcone.intersection import IntersectionForm
+from kcone.metric import ConePoint, _divisor, admit
 
 
 def test_cone_point_p1xp1():
@@ -219,3 +221,48 @@ def test_lambda_pairs_symmetric_and_defining_equation(quartic_points):
             ) * P.lambda_scalar([eye[k]])
             assert abs(P.gram[k] @ pairs[i, j] - rhs) <= 1e-12, (P, i, j, k)
 
+
+
+def _hyperbolic_point(n, m, seed=0):
+    # kappa_1..1 = n!, kappa_1..1jj = -1 for j >= 2 (SYNm for n = 3) plus
+    # 0.05 N(0, 1) on about 30% of the sorted indices; admissible at e_1
+    rng = np.random.default_rng([n, m, seed])
+    coeffs = {idx: 0.05 * rng.standard_normal()
+              for idx in itertools.combinations_with_replacement(range(1, m + 1), n)
+              if rng.random() < 0.3}
+    coeffs[(1,) * n] = float(factorial(n))
+    coeffs.update({(1,) * (n - 2) + (j, j): -1.0 for j in range(2, m + 1)})
+    return ConePoint(IntersectionForm(f"H{n}_{m}", n, m, coeffs), np.eye(m)[0])
+
+
+def _cubic_out_of_place(P):
+    # ConePoint.cubic as one expression with its full-size temporaries
+    m, k, x = P.rank_m, P.rank_m - 1, P.frame[:, 1:]
+    if P.dim_n < 3:
+        return np.zeros((k, k, k))
+    t = (P._stages[3].reshape(m * m, m) @ x).reshape(m, m * k)
+    c = x.T @ (x.T @ t).reshape(k, m, k) * (-0.5 / _divisor(P.dim_n, 3, P.vol))
+    return 0.5 * (c + c.transpose(1, 0, 2))
+
+
+def test_cubic_in_place_equals_out_of_place():
+    for n, ms in ((2, (1, 4)), (3, (1, 2, 3, 7, 24, 64)), (4, (1, 2, 5, 12))):
+        for m in ms:
+            P = _hyperbolic_point(n, m)
+            assert np.array_equal(P.cubic, _cubic_out_of_place(P)), (n, m)
+            assert P.cubic.shape == (m - 1,) * 3
+
+
+def test_cubic_holds_bounded_scratch():
+    # beside the result, the contraction holds at most two partial products;
+    # the out-of-place build held up to four m^2 (m - 1) arrays at once
+    m = 64
+    P = _hyperbolic_point(3, m)
+    P.frame
+    tracemalloc.start()
+    try:
+        P.cubic
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * m * m * (m - 1) * 8
