@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -331,36 +332,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _encode(obj, pad):
-    """json.dumps(obj, indent=2, default=tolist) in parts, pad a newline and obj's indent:
-    dicts, arrays of 2+ dimensions and lists holding arrays are split, a finite float row is
-    joined at once, the rest is json.dumps re-indented, as JSON strings hold no raw newline."""
-    inner = pad + "  "
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and obj.size \
-            and np.isfinite(obj).all():
-        yield "[" + inner + ("," + inner).join(map(float.__repr__, obj.tolist())) + pad + "]"
-    elif (isinstance(obj, dict) and obj
-          or isinstance(obj, np.ndarray) and obj.ndim > 1 and obj.size
-          or isinstance(obj, (list, tuple)) and any(isinstance(x, np.ndarray) for x in obj)):
-        is_dict = isinstance(obj, dict)
-        keys = [json.dumps(k) + ": " for k in obj] if is_dict else [""] * len(obj)
-        for i, (key, item) in enumerate(zip(keys, obj.values() if is_dict else obj)):
-            yield ("," if i else "[{"[is_dict]) + inner + key
-            yield from _encode(item, inner)
-        yield pad + "]}"[is_dict]
-    else:
-        yield json.dumps(obj, indent=2, default=lambda x: x.tolist()).replace("\n", pad)
-
-
 def _write_report(report, out) -> None:
-    """Write json.dumps(report, indent=2, default=tolist) to out in blocks of about 64 KiB."""
-    parts, size = [], 0
-    for part in _encode(report, "\n"):
-        parts.append(part)
-        if (size := size + len(part)) >= 1 << 16:
-            out.write("".join(parts))
-            parts, size = [], 0
-    out.write("".join(parts))
+    """Write json.dumps(report, indent=2, default=tolist) to out about a thousand parts at a time:
+    with an indent, json.dumps is "".join(iterencode()), so the bytes are the same.  Arrays of
+    3+ dimensions go out one matrix at a time (each split costs the encoder a generator level
+    per part); numpy scalars, vectors and matrices go through tolist()."""
+    encoder = json.JSONEncoder(indent=2, default=lambda x: list(x) if x.ndim > 2 else x.tolist())
+    parts = encoder.iterencode(report)
+    while block := "".join(itertools.islice(parts, 1024)):
+        out.write(block)
     out.write("\n")   # as print: unbuffered, a write the reader cut short does not raise
 
 

@@ -44,10 +44,8 @@ def _normalize_coeffs(rows, values, dim_n, rank_m):
     except OverflowError:   # an index beyond int64, in range only for an h11 as large
         idx = np.array(rows[:k], dtype=object).reshape(k, dim_n)
     idx.sort(axis=1)
-    d = np.diff(idx, axis=0)   # rows in order, as serialize_manifold writes them, skip the sort
-    in_order = (d[np.arange(len(d)), (d != 0).argmax(axis=1)] >= 0).all()   # first steps >= 0
-    order = np.arange(k) if in_order else np.lexsort(idx.T[::-1])   # duplicates keep input order
-    srt, val, pos = idx[order], values[order], order if in_order else np.argsort(order)
+    order = np.lexsort(idx.T[::-1])   # stable: duplicates keep input order
+    srt, val, pos = idx[order], values[order], np.argsort(order)
     same = np.all(srt[1:] == srt[:-1], axis=1)
     checks = ((idx[:, 0] < 1) | (idx[:, -1] > rank_m), ~np.isfinite(values[:k]),
               np.r_[False, same & (val[1:] != val[:-1])][pos])

@@ -495,7 +495,7 @@ def _closed_after_first_line(argv, unbuffered):
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_closed_stdout_during_a_streamed_report_exits_1(tmp_path, unbuffered):
-    # SYM16's curvature report is about 1.6 MB, many 64 KiB blocks: the
+    # SYM16's curvature report is about 1.6 MB, written in many blocks: the
     # reader leaves while they are written.  Unbuffered stdio returns a short
     # count for the cut block; the next write (at the latest the final
     # newline) raises
@@ -590,8 +590,8 @@ def test_streamed_report_of_numpy_scalars_and_empty_values():
 
 
 def test_streamed_report_holds_bounded_scratch():
-    # writing an m = 16 curvature report (about 2 MB) holds blocks of about
-    # 64 KiB, not the whole text: json.dumps held about 4x the text
+    # writing an m = 16 curvature report (about 2 MB) holds one block of
+    # parts, not the whole text: json.dumps held about 4x the text
     from kcone import cli
 
     m, rng = 16, np.random.default_rng(16)

@@ -381,9 +381,7 @@ def test_info_matches_reference_serializer(
     assert got == capsys.readouterr().out
 
 
-def test_sorted_rows_skip_the_sort_and_match_shuffled_rows(
-    monkeypatch, normalize_coeffs_reference
-):
+def test_sorted_and_shuffled_rows_normalize_alike(normalize_coeffs_reference):
     # SYN-like rows in order, as serialize_manifold writes them, with agreeing
     # duplicates written in another index order next to their row
     m, rng = 12, np.random.default_rng(19)
@@ -401,14 +399,11 @@ def test_sorted_rows_skip_the_sort_and_match_shuffled_rows(
              "shuffled-conflict": shuffled[:j + 1] + [conflict] + shuffled[j + 1:]}
     results = {}
     for name, case in cases.items():
-        with monkeypatch.context() as patch:
-            if name.startswith("sorted"):   # rows in order are not sorted again
-                patch.setattr(np, "lexsort", None)
-            try:
-                rows, values = map(list, zip(*case))
-                results[name] = _normalize_coeffs(rows, values, 3, m)
-            except ManifoldFormatError as exc:
-                results[name] = str(exc)
+        try:
+            rows, values = map(list, zip(*case))
+            results[name] = _normalize_coeffs(rows, values, 3, m)
+        except ManifoldFormatError as exc:
+            results[name] = str(exc)
         try:
             expected = normalize_coeffs_reference(case, 3, m)
         except ManifoldFormatError as exc:
