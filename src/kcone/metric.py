@@ -186,13 +186,14 @@ class ConePoint:
 
             z |-> -Lam3(e_i cup e_j cup z) + Lam2(e_i cup e_j) Lam(z)
 
-        (no Lam3 term for n < 3), exactly symmetric in (i, j).  The single
-        source of Lam(u cup v) for the connection and the algebra.
+        (no Lam3 term for n < 3), exactly symmetric in (i, j): the single
+        source of Lam(u cup v) for the connection and the algebra.  As
+        g(omega, z) = n Lam(z) - (n-1) Lam(z) = Lam(z), the dual of the Lam2
+        term is Lam2(e_i cup e_j) omega; only the Lam3 term meets gram_inv.
         """
-        rhs = np.multiply.outer(self._lam2, self._lam)
+        pairs = np.multiply.outer(self._lam2, self.omega)
         if self.dim_n >= 3:
-            rhs -= self._stages[3] / _divisor(self.dim_n, 3, self.vol)
-        pairs = rhs @ self.gram_inv.T
+            pairs -= (self._stages[3] / _divisor(self.dim_n, 3, self.vol)) @ self.gram_inv.T
         return 0.5 * (pairs + pairs.transpose(1, 0, 2))
 
     @cached_property

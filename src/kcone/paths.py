@@ -52,22 +52,22 @@ PERTURBATIONS = 3      # points admissible_perturbations draws around its centre
 PULLBACK_TOL = 1e-10   # the max_dev a pullback isometry check passes under
 
 
-def _acceleration(data, v: np.ndarray):
+def _acceleration(data, x: np.ndarray, v: np.ndarray):
     """-Gamma_x(v, v) = Lam(v) v - 1/2 Lam(v cup v) for each row of (x, v),
-    from the kernel result `data` at the rows x.
+    from the kernel result `data` at the rows x, where Lam(v cup v) =
+    Lam2(v cup v) x - G^-1 Lam3(v cup v cup .) (see ConePoint.lambda_pairs).
 
     Hot path of the integrator: a stage point gets only the kernel's volume
-    check and the solve's singularity check; recorded samples get the full
-    admission.
+    check, and for n >= 3 the solve's, which raises only on an exactly zero
+    pivot; recorded samples get the full admission.
     """
     n, m = len(data.stages) - 1, v.shape[1]
     vc = v[:, :, None]
-    rhs = (v[:, None, :] @ data.lam2 @ vc) * data.lam[:, :, None]
+    acc = (data.lam[:, None, :] @ vc) * vc - 0.5 * (v[:, None, :] @ data.lam2 @ vc) * x[:, :, None]
     if n >= 3:
         t3vv = (data.stages[3].reshape(-1, m * m, m) @ vc).reshape(-1, m, m) @ vc
-        rhs -= t3vv / _divisor(n, 3, data.vol)[:, None, None]
-    lvv = np.linalg.solve(data.gram, rhs)
-    return ((data.lam[:, None, :] @ vc) * vc - 0.5 * lvv)[:, :, 0]
+        acc += 0.5 * np.linalg.solve(data.gram, t3vv / _divisor(n, 3, data.vol)[:, None, None])
+    return acc[:, :, 0]
 
 
 @dataclass
@@ -89,11 +89,12 @@ def integrate_geodesics(
 
     Every recorded sample of every member passes the full cone admission
     checks; the Gram matrix of that check is reused for the next step and
-    for the speed.  If a member leaves the admissible cone, at a recorded
-    sample or a stage point, LeftCone is raised with the start t of the
-    earliest step that failed in the batch, and the message names that t
-    and the member.  Whatever the kernel rejects as an input error (a
-    non-finite or overflowing point) is a ValueError naming the step.
+    for the speed.  A stage point gets only the kernel's volume check (for
+    n >= 3 also the solve's zero-pivot check; a surface cone makes no
+    solve).  A member that fails a check raises LeftCone with the start t
+    of the earliest step that failed in the batch, and the message names
+    that t and the member.  Whatever the kernel rejects as an input error
+    (a non-finite or overflowing point) is a ValueError naming the step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -121,19 +122,17 @@ def integrate_geodesics(
                 speeds[i] = (v[:, None, :] @ data.gram @ v[:, :, None])[:, 0, 0]
                 if i == steps:
                     break
-                k1v = _acceleration(data, v)
-                k2x = v + 0.5 * h * k1v
-                k2v = _acceleration(lefschetz(form, x + 0.5 * h * v, "geodesic member"), k2x)
-                k3x = v + 0.5 * h * k2v
-                k3v = _acceleration(lefschetz(form, x + 0.5 * h * k2x, "geodesic member"), k3x)
-                k4x = v + h * k3v
-                k4v = _acceleration(lefschetz(form, x + h * k3x, "geodesic member"), k4x)
+                kx, kv = [v], [_acceleration(data, x, v)]
+                for c in (0.5, 0.5, 1.0):   # the stage points of classic RK4
+                    xs, vs = x + c * h * kx[-1], v + c * h * kv[-1]
+                    kx.append(vs)
+                    kv.append(_acceleration(lefschetz(form, xs, "geodesic member"), xs, vs))
             except (NonPositiveVolume, IndefiniteMetric, np.linalg.LinAlgError) as exc:
                 raise LeftCone(t, f"step from t={float(t)!r} failed: {exc}") from exc
             except ValueError as exc:
                 raise ValueError(f"step from t={float(t)!r}: {exc}") from exc
-            x = x + (h / 6.0) * (v + 2.0 * k2x + 2.0 * k3x + k4x)
-            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            x = x + (h / 6.0) * (kx[0] + 2.0 * kx[1] + 2.0 * kx[2] + kx[3])
+            v = v + (h / 6.0) * (kv[0] + 2.0 * kv[1] + 2.0 * kv[2] + kv[3])
     drift = np.abs(speeds - speeds[0]).max(axis=0)
     return [
         GeodesicPath(ts, points[:, b], velocities[:, b], speeds[:, b], float(drift[b]))

@@ -1,7 +1,7 @@
 import json
 import sys
-from itertools import permutations
-from math import isfinite
+from itertools import combinations_with_replacement, permutations
+from math import factorial, isfinite
 from pathlib import Path
 
 # allow running the suite from a fresh checkout without installing
@@ -16,7 +16,7 @@ from kcone.algebra import NULL_TOL, algebra_at  # noqa: E402
 from kcone.curvature import derived_curvatures  # noqa: E402
 from kcone.errors import DegeneratePlane, ManifoldFormatError  # noqa: E402
 from kcone.intersection import IntersectionForm  # noqa: E402
-from kcone.metric import ConePoint  # noqa: E402
+from kcone.metric import ConePoint, _divisor  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +34,56 @@ def quartic_points():
         "P1^4": ConePoint(p1_4, np.array([1.0, 1.0, 1.0, 1.3])),
         "QUARTIC3": ConePoint(quartic, np.array([1.0, 0.1, 0.05])),
     }
+
+
+def _hyperbolic_point(n, m, seed=0):
+    """kappa_1..1 = n!, kappa_1..1jj = -1 for j >= 2 (SYNm for n = 3) plus
+    0.05 N(0, 1) on about 30% of the sorted indices; admissible at e_1."""
+    rng = np.random.default_rng([n, m, seed])
+    coeffs = {idx: 0.05 * rng.standard_normal()
+              for idx in combinations_with_replacement(range(1, m + 1), n)
+              if rng.random() < 0.3}
+    coeffs[(1,) * n] = float(factorial(n))
+    coeffs.update({(1,) * (n - 2) + (j, j): -1.0 for j in range(2, m + 1)})
+    return ConePoint(IntersectionForm(f"H{n}_{m}", n, m, coeffs), np.eye(m)[0])
+
+
+@pytest.fixture(scope="session")
+def hyperbolic_point():
+    return _hyperbolic_point
+
+
+def _lambda_pairs_by_inverse(P):
+    """ConePoint.lambda_pairs with both terms sent through gram_inv: the
+    reference for the identity G omega = Lam that spares the Lam2 term."""
+    rhs = np.multiply.outer(P._lam2, P._lam)
+    if P.dim_n >= 3:
+        rhs -= P._stages[3] / _divisor(P.dim_n, 3, P.vol)
+    pairs = rhs @ P.gram_inv.T
+    return 0.5 * (pairs + pairs.transpose(1, 0, 2))
+
+
+def _acceleration_by_solve(data, v):
+    """paths._acceleration with both terms of Lam(v cup v) in one solve: the
+    reference for the identity G x = Lam that spares the Lam2 term."""
+    n, m = len(data.stages) - 1, v.shape[1]
+    vc = v[:, :, None]
+    rhs = (v[:, None, :] @ data.lam2 @ vc) * data.lam[:, :, None]
+    if n >= 3:
+        t3vv = (data.stages[3].reshape(-1, m * m, m) @ vc).reshape(-1, m, m) @ vc
+        rhs -= t3vv / _divisor(n, 3, data.vol)[:, None, None]
+    lvv = np.linalg.solve(data.gram, rhs)
+    return ((data.lam[:, None, :] @ vc) * vc - 0.5 * lvv)[:, :, 0]
+
+
+@pytest.fixture(scope="session")
+def lambda_pairs_by_inverse():
+    return _lambda_pairs_by_inverse
+
+
+@pytest.fixture(scope="session")
+def acceleration_by_solve():
+    return _acceleration_by_solve
 
 
 def _check_against_dense_curvature(P, planes):

@@ -146,6 +146,38 @@ def test_geodesic_overflow_is_input_error(capsys):
     assert err.startswith("error: step from t=") and "overflows double precision" in err
 
 
+def test_small_scale_point_has_finite_structure_constants(capsys):
+    # at 1e-150 e_1 the volume 5e-301 is normal but Lam2 is about 1e300:
+    # Lam(u cup z) = Lam2(u cup z) omega forms no out-of-range product, and
+    # the constants are those at e_1 times 1e150 (degree -1); a RuntimeWarning
+    # would fail the test
+    code, out, _ = run_cli(capsys, "algebra", "LOR3", "--at", "1e-150,0,0")
+    assert code == 0 and "NaN" not in out and "Infinity" not in out
+    small = np.array(json.loads(out)["outputs"]["structure_constants"])
+    code, out, _ = run_cli(capsys, "algebra", "LOR3", "--at", "1,0,0")
+    unit = np.array(json.loads(out)["outputs"]["structure_constants"])
+    assert np.allclose(small, 1e150 * unit, rtol=1e-15, atol=0.0)
+
+
+def test_small_scale_point_has_finite_connection(capsys):
+    code, out, _ = run_cli(
+        capsys, "connection", "LOR3", "--at", "1e-150,0,0", "--z", "1,0,0", "--u", "1,0,0"
+    )
+    assert code == 0
+    assert json.loads(out)["outputs"]["christoffel"] == [-1e150, 0.0, 0.0]
+
+
+def test_geodesic_stage_point_overflow_is_input_error(capsys):
+    # the first stage point (5e199, 1) is inside the cone of P1XP1, but the
+    # acceleration Lam(v) v is about 1e400, so the next stage point is not
+    # finite: an input error, not a LeftCone from a singular solve
+    code, out, err = run_cli(
+        capsys, "geodesic", "P1XP1", "--at", "1,1", "--v", "1e200,0", "--T", "1", "--steps", "2"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: step from t=0.0")
+
+
 def test_algebra_kn_frame_starts_with_omega(capsys):
     # the Kulkarni-Nomizu forms are given in the omega-adapted frame
     for name in ("LOR3", "CY3GEN"):
@@ -530,7 +562,7 @@ def _syn_file(tmp_path, m, labels=()):
 def _streamed_cases(tmp_path):
     cases = [["info"], ["verify", "P3"],
              ["metric", "P1XP1", "--at=-1,1"],                   # exit 2 error report
-             ["algebra", "LOR3", "--at", "1e-150,0,0"],          # NaN and Infinity tokens
+             ["algebra", "LOR3", "--at", "1e-150,0,0"],          # constants of 1e150
              ["curvature", "LOR3", "--sectional", "0,1,0", "0,0,1"]]
     forms = [(name, ",".join(repr(float(x)) for x in default_omega(name))) for name in CATALOG]
     m = 12
@@ -552,7 +584,6 @@ def _streamed_cases(tmp_path):
     return cases
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # LOR3 at 1e-150 overflows to inf
 def test_streamed_report_equals_json_dumps(capsys, monkeypatch, tmp_path):
     # every subcommand on the catalog and an m = 12 file with non-ASCII labels:
     # the streamed stdout is byte for byte what json.dumps(indent=2) printed
@@ -582,6 +613,8 @@ def test_streamed_report_of_numpy_scalars_and_empty_values():
               "ints": np.arange(3), "bools": np.array([[True, False]]), "empty": np.zeros((0, 3)),
               "empty_rows": np.zeros((2, 0)), "list": [], "tuple": (1.5, None, "é日"),
               "rows": np.array([[1e-300, -np.inf], [np.nan, 2.0]]), "cube": np.ones((2, 1, 2)),
+              "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "f64_inf": np.float64(np.inf),
+              "non_finite": np.array([np.nan, np.inf, -np.inf]),
               "nested": [{"a": np.float64(1 / 3)}, [np.array([1.0, 2.0])]]}
     text = []
     cli._write_report(report, SimpleNamespace(write=text.append))

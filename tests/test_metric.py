@@ -5,10 +5,11 @@ from math import factorial
 import numpy as np
 import pytest
 
+from kcone.algebra import algebra_at
 from kcone.catalog import CATALOG, catalog_names, default_point
+from kcone.curvature import christoffel_tensor
 from kcone.errors import IndefiniteMetric, NonPositiveVolume
 from kcone.fdcheck import check_lambda_derivative
-from kcone.intersection import IntersectionForm
 from kcone.metric import ConePoint, _divisor, admit
 
 
@@ -222,17 +223,45 @@ def test_lambda_pairs_symmetric_and_defining_equation(quartic_points):
             assert abs(P.gram[k] @ pairs[i, j] - rhs) <= 1e-12, (P, i, j, k)
 
 
+def _identity_points(quartic_points, hyperbolic_point):
+    catalog = [default_point(name) for name in catalog_names()]
+    return catalog + list(quartic_points.values()) + [hyperbolic_point(3, m) for m in (6, 12)]
 
-def _hyperbolic_point(n, m, seed=0):
-    # kappa_1..1 = n!, kappa_1..1jj = -1 for j >= 2 (SYNm for n = 3) plus
-    # 0.05 N(0, 1) on about 30% of the sorted indices; admissible at e_1
-    rng = np.random.default_rng([n, m, seed])
-    coeffs = {idx: 0.05 * rng.standard_normal()
-              for idx in itertools.combinations_with_replacement(range(1, m + 1), n)
-              if rng.random() < 0.3}
-    coeffs[(1,) * n] = float(factorial(n))
-    coeffs.update({(1,) * (n - 2) + (j, j): -1.0 for j in range(2, m + 1)})
-    return ConePoint(IntersectionForm(f"H{n}_{m}", n, m, coeffs), np.eye(m)[0])
+
+def test_gram_maps_omega_to_lam(quartic_points, hyperbolic_point):
+    # g(omega, z) = n Lam(z) - (n-1) Lam(z) = Lam(z), to 1e-13 of |G| |omega|
+    for P in _identity_points(quartic_points, hyperbolic_point):
+        scale = np.abs(P.gram) @ np.abs(P.omega)
+        assert np.all(np.abs(P.gram @ P.omega - P._lam) <= 1e-13 * scale), P
+
+
+def test_lambda_pairs_match_the_inverse_gram_route(
+    quartic_points, hyperbolic_point, lambda_pairs_by_inverse
+):
+    for P in _identity_points(quartic_points, hyperbolic_point):
+        ref = lambda_pairs_by_inverse(P)
+        assert np.abs(P.lambda_pairs - ref).max() <= 1e-13 * np.abs(ref).max(), P
+
+
+def test_surface_cone_product_makes_no_inverse(monkeypatch, lambda_pairs_by_inverse):
+    # n = 2: Lam(u cup z) = Lam2(u cup z) omega, so the pair tensor, the
+    # connection and the product read neither gram_inv nor a solve
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("inverse Gram matrix used")
+
+    for name in ("P1XP1", "BLP2", "LOR3"):
+        P = default_point(name)
+        ref = lambda_pairs_by_inverse(P)
+        del P.gram_inv
+        with monkeypatch.context() as mp:
+            for fn in ("inv", "solve"):
+                mp.setattr(np.linalg, fn, no_inverse)
+            assert np.abs(P.lambda_pairs - ref).max() <= 1e-13 * np.abs(ref).max(), name
+            gamma = christoffel_tensor(P)
+            structure = algebra_at(P).structure
+        assert np.array_equal(structure, 0.5 * P.lambda_pairs)
+        # Gamma(z, omega) = -z
+        assert np.abs(np.einsum("zuk,u->zk", gamma, P.omega) + np.eye(P.rank_m)).max() <= 1e-13
 
 
 def _cubic_out_of_place(P):
@@ -245,19 +274,19 @@ def _cubic_out_of_place(P):
     return 0.5 * (c + c.transpose(1, 0, 2))
 
 
-def test_cubic_in_place_equals_out_of_place():
+def test_cubic_in_place_equals_out_of_place(hyperbolic_point):
     for n, ms in ((2, (1, 4)), (3, (1, 2, 3, 7, 24, 64)), (4, (1, 2, 5, 12))):
         for m in ms:
-            P = _hyperbolic_point(n, m)
+            P = hyperbolic_point(n, m)
             assert np.array_equal(P.cubic, _cubic_out_of_place(P)), (n, m)
             assert P.cubic.shape == (m - 1,) * 3
 
 
-def test_cubic_holds_bounded_scratch():
+def test_cubic_holds_bounded_scratch(hyperbolic_point):
     # beside the result, the contraction holds at most two partial products;
     # the out-of-place build held up to four m^2 (m - 1) arrays at once
     m = 64
-    P = _hyperbolic_point(3, m)
+    P = hyperbolic_point(3, m)
     P.frame
     tracemalloc.start()
     try:

@@ -5,7 +5,7 @@ from kcone import paths
 from kcone.catalog import CATALOG, ENTRIES, catalog_names, default_omega, default_point
 from kcone.errors import KConeError, LeftCone, NonPositiveVolume
 from kcone.intersection import IntersectionForm
-from kcone.metric import ConePoint, admit
+from kcone.metric import ConePoint, admit, lefschetz
 from kcone.paths import (
     admissible_perturbations,
     boundary_probe,
@@ -127,6 +127,33 @@ def test_geodesic_failures_need_no_second_volume(monkeypatch):
     with pytest.raises(LeftCone) as err:
         integrate_geodesic(cy3gen, np.array([0.0, -2.0]), 1.0, 400)
     assert err.value.t == 0.645
+
+
+def test_acceleration_matches_the_single_solve_route(acceleration_by_solve, hyperbolic_point):
+    # G x = Lam at every row x, so only the Lam3 term needs the solve
+    points = [default_point(name) for name in catalog_names()]
+    points += [hyperbolic_point(3, m) for m in (6, 12)] + [hyperbolic_point(4, 5)]
+    rng = np.random.default_rng(11)
+    for P in points:
+        X = P.omega + 1e-2 * rng.standard_normal((5, P.rank_m))
+        V = rng.standard_normal((5, P.rank_m))
+        data = lefschetz(P.form, X)
+        ref = acceleration_by_solve(data, V)
+        acc = paths._acceleration(data, X, V)
+        assert np.all(np.abs(acc - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1)), P
+
+
+@pytest.mark.parametrize("name", ["P1XP1", "BLP2", "LOR3"])
+def test_surface_cone_geodesic_makes_no_solve(monkeypatch, name):
+    # n = 2 has no Lam3 term, so no RK4 stage solves
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    P = default_point(name)
+    V0 = np.array([P.omega / P.dim_n, np.eye(P.rank_m)[-1] - P.omega / P.dim_n])
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    for path in integrate_geodesics(P, V0, 0.5, 50):
+        assert path.speed_drift <= 1e-10
 
 
 def test_integrate_geodesics_rejects_bad_batches():

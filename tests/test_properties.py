@@ -18,7 +18,8 @@ from kcone.algebra import algebra_at
 from kcone.curvature import derived_curvatures, riemann_alt
 from kcone.errors import DegeneratePlane, IndefiniteMetric, NonPositiveVolume
 from kcone.intersection import IntersectionForm
-from kcone.metric import ConePoint, admit
+from kcone.metric import ConePoint, admit, lefschetz
+from kcone.paths import _acceleration
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -73,6 +74,24 @@ def test_admit_rows_match_cone_points(P, seed):
         for k in range(1, n + 1):
             stage = data.stages[k][min(b, len(data.stages[k]) - 1)]
             assert np.abs(stage - Q._stages[k]).max() <= 1e-14 * np.abs(Q._stages[k]).max()
+
+
+@SETTINGS
+@given(points_at_e1(), st.integers(0, 2**32 - 1))
+def test_omega_is_the_dual_of_lam(lambda_pairs_by_inverse, acceleration_by_solve, P, seed):
+    # G omega = Lam to 1e-13 of |G| |omega|; the pair tensor and the
+    # acceleration that use it agree with their inverse-Gram references
+    scale = np.abs(P.gram) @ np.abs(P.omega)
+    assert np.all(np.abs(P.gram @ P.omega - P._lam) <= 1e-13 * scale)
+    ref = lambda_pairs_by_inverse(P)
+    assert np.abs(P.lambda_pairs - ref).max() <= 1e-13 * np.abs(ref).max()
+    rng = np.random.default_rng(seed)
+    X = P.omega + 1e-3 * rng.standard_normal((4, P.rank_m))
+    V = rng.standard_normal((4, P.rank_m))
+    data = lefschetz(P.form, X)
+    ref = acceleration_by_solve(data, V)
+    acc = _acceleration(data, X, V)
+    assert np.all(np.abs(acc - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1))
 
 
 @SETTINGS

@@ -59,9 +59,10 @@ def test_probe_with_the_wrong_classification_scores_inf():
 
 
 def test_importing_the_cli_loads_no_process_pool():
+    # nor scipy or sympy: the package itself imports numpy only
     src = str(Path(__file__).resolve().parent.parent / "src")
-    probe = ("import sys, kcone.cli; "
-             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    probe = ("import sys, kcone.cli; print(sorted(m for m in "
+             "('concurrent.futures', 'multiprocessing', 'scipy', 'sympy') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
