@@ -24,16 +24,16 @@ lhs = alg.product(alg.product(e2, e2), e1)
 rhs = alg.product(e2, alg.product(e2, e1))
 print("\nnon-associativity: (e2.e2).e1 =", lhs, "but e2.(e2.e1) =", rhs)
 
-# The algebra's curvature tensor vs the metric's: equal up to sign on
-# primitive arguments.
-t_alg = alg.curvature_tensor()
+# The algebra's curvature tensor vs the metric's, both (m, m, m, m) arrays:
+# equal up to sign on primitive arguments.
 u, v = e2 / np.sqrt(2.0), e3 / np.sqrt(2.0)
-print("\nR_alg(u,v,v,u) =", t_alg.evaluate(u, v, v, u))
-print("riemann tensor  =", riemann_tensor(P).evaluate(u, v, v, u), " (opposite sign)")
+quad = "ijkl,i,j,k,l->"
+print("\nR_alg(u,v,v,u) =", np.einsum(quad, alg.curvature_tensor(), u, v, v, u))
+print("riemann tensor  =", np.einsum(quad, riemann_tensor(P), u, v, v, u), " (opposite sign)")
 
-# Kulkarni-Nomizu decomposition over a g-orthonormal basis.
+# Kulkarni-Nomizu decomposition over the g-orthonormal columns of P.frame.
 forms = alg.bilinear_forms()
-print("\nKN data: forms shape", forms.forms.shape,
+print("\nKN data: forms shape", forms.shape,
       "reconstruction residual", f"{alg.kn_reconstruction_residual():.2e}")
 
 # Constant sectional curvature test.  R_alg is -n/4 on every plane through

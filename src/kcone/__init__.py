@@ -11,14 +11,12 @@ formula is cross-checked by an independent finite-difference oracle.
 
 from .algebra import (
     AlgebraAtPoint,
-    BilinearFormSet,
     ConstantCurvatureFit,
     algebra_at,
     kn_product,
 )
 from .catalog import CATALOG, catalog_names, default_omega, default_point, get_form
 from .curvature import (
-    CurvatureTensor,
     DerivedCurvatures,
     christoffel,
     derived_curvatures,

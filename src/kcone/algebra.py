@@ -27,7 +27,6 @@ from typing import List
 
 import numpy as np
 
-from .curvature import CurvatureTensor
 from .errors import KConeError
 from .intersection import CohClass
 from .metric import ConePoint
@@ -35,7 +34,6 @@ from .metric import ConePoint
 __all__ = [
     "AlgebraAtPoint",
     "algebra_at",
-    "BilinearFormSet",
     "kn_product",
     "ConstantCurvatureFit",
     "derivation_defects",
@@ -49,18 +47,6 @@ def kn_product(b) -> np.ndarray:
     """Kulkarni-Nomizu square (b ^ b)(x,y,z,w) = b(x,z)b(y,w) - b(x,w)b(y,z)."""
     b = np.asarray(b, dtype=float)
     return np.einsum("ik,jl->ijkl", b, b) - np.einsum("il,jk->ijkl", b, b)
-
-
-@dataclass
-class BilinearFormSet:
-    """Forms b_l(x, y) = <x.y, x_l> over a g-orthonormal basis x_l.
-
-    They reconstruct the product, x.y = sum_l b_l(x,y) x_l, and give the
-    Kulkarni-Nomizu decomposition R_alg = -sum_l (b_l ^ b_l).
-    """
-
-    forms: np.ndarray   # shape (m, m, m); forms[l] is b_l on the standard basis
-    basis: np.ndarray   # orthonormal vectors as columns
 
 
 @dataclass
@@ -85,19 +71,18 @@ class AlgebraAtPoint:
         """u . v = 1/2 Lam(u cup v); commutative and bilinear."""
         return 0.5 * self.base.lambda_class(u, v)
 
-    def curvature_tensor(self) -> CurvatureTensor:
-        """R_alg(x,y,z,w) = <x.w, y.z> - <x.z, y.w> on the basis."""
+    def curvature_tensor(self) -> np.ndarray:
+        """R_alg(x,y,z,w) = <x.w, y.z> - <x.z, y.w> on the basis, shape (m,) * 4."""
         s = self.structure
         ip = np.einsum("ija,ab,klb->ijkl", s, self.base.gram, s, optimize=True)
-        entries = np.einsum("iljk->ijkl", ip) - np.einsum("ikjl->ijkl", ip)
-        return CurvatureTensor(entries=entries, base_point=self.base)
+        return np.einsum("iljk->ijkl", ip) - np.einsum("ikjl->ijkl", ip)
 
-    def bilinear_forms(self) -> BilinearFormSet:
-        """Kulkarni-Nomizu data: b_l(x,y) = <x.y, x_l> over the columns x_l
-        of ConePoint.frame."""
-        basis = self.base.frame
-        forms = np.einsum("ijc,cd,dl->lij", self.structure, self.base.gram, basis, optimize=True)
-        return BilinearFormSet(forms=forms, basis=basis)
+    def bilinear_forms(self) -> np.ndarray:
+        """Kulkarni-Nomizu forms on the basis, shape (m, m, m): [l] is b_l(x,y)
+        = <x.y, x_l> for the g-orthonormal column x_l of ConePoint.frame, so
+        that x.y = sum_l b_l(x,y) x_l and R_alg = -sum_l (b_l ^ b_l)."""
+        return np.einsum("ijc,cd,dl->lij", self.structure, self.base.gram, self.base.frame,
+                         optimize=True)
 
     def kn_reconstruction_residual(self) -> float:
         """Max deviation of R_alg + sum_l (b_l ^ b_l) from zero.
@@ -106,7 +91,7 @@ class AlgebraAtPoint:
         sum is D[i,k,j,l] - D[i,l,j,k] with D = F^T F - S G S^T (F the forms
         as (m, m^2), S the structure as (m^2, m)), built one i at a time."""
         m = self.base.rank_m
-        f, s = self.bilinear_forms().forms, self.structure
+        f, s = self.bilinear_forms(), self.structure
         fmat = f.reshape(m, m * m)
         gst = self.base.gram @ s.reshape(m * m, m).T
         worst = 0.0

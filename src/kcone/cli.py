@@ -155,8 +155,7 @@ def _cmd_metric(args):
 
 def _cmd_curvature(args):
     P = _point(args)
-    tensor = riemann_tensor(P)
-    outputs = {"tensor": tensor.entries}
+    outputs = {"tensor": riemann_tensor(P)}
     inputs = {"at": P.omega}
     if args.sectional or args.ricci or args.scalar:
         dc = derived_curvatures(P)
@@ -214,10 +213,9 @@ def _cmd_algebra(args):
         ders = alg.derivations()
         outputs["derivations"] = {"dimension": len(ders), "basis": ders}
     if args.kn:
-        fs = alg.bilinear_forms()
         outputs["kulkarni_nomizu"] = {
-            "forms": fs.forms,
-            "orthonormal_basis": fs.basis,
+            "forms": alg.bilinear_forms(),
+            "orthonormal_basis": P.frame,
             "reconstruction_residual": alg.kn_reconstruction_residual(),
         }
     if args.constant_curvature:

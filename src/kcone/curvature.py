@@ -25,7 +25,6 @@ O(m) cone points per check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -43,7 +42,6 @@ __all__ = [
     "riemann",
     "riemann_alt",
     "inner22",
-    "CurvatureTensor",
     "riemann_tensor",
     "DerivedCurvatures",
     "derived_curvatures",
@@ -145,42 +143,7 @@ def riemann_alt(P: ConePoint, u, v, z, w) -> float:
     return float((metric_part + cup_part) / 4)
 
 
-@dataclass
-class CurvatureTensor:
-    """Dense rank-4 curvature array over the basis, plus its base point."""
-
-    entries: np.ndarray
-    base_point: ConePoint
-
-    def symmetry_report(self) -> dict:
-        """Max deviations from the algebraic curvature tensor identities."""
-        r = self.entries
-        bianchi = r + np.einsum("jkil->ijkl", r) + np.einsum("kijl->ijkl", r)
-        return {
-            "antisym_first_pair": float(np.abs(r + np.einsum("jikl->ijkl", r)).max()),
-            "antisym_second_pair": float(np.abs(r + np.einsum("ijlk->ijkl", r)).max()),
-            "pair_symmetry": float(np.abs(r - np.einsum("klij->ijkl", r)).max()),
-            "first_bianchi": float(np.abs(bianchi).max()),
-        }
-
-    def max_symmetry_deviation(self) -> float:
-        return max(self.symmetry_report().values())
-
-    def omega_slot_deviation(self) -> float:
-        """Max entry after inserting omega in any slot (metric tensor only)."""
-        omega = self.base_point.omega
-        return max(
-            float(np.abs(np.tensordot(self.entries, omega, axes=([a], [0]))).max())
-            for a in range(4)
-        )
-
-    def evaluate(self, u, v, z, w) -> float:
-        return float(
-            np.einsum("ijkl,i,j,k,l->", self.entries, u, v, z, w, optimize=True)
-        )
-
-
-def riemann_tensor(P: ConePoint) -> CurvatureTensor:
+def riemann_tensor(P: ConePoint) -> np.ndarray:
     """R on the basis as a dense m^4 array: R(i,j,k,l) = ip(i,k,j,l) -
     ip(i,l,j,k), ip(i,j,k,l) = <C_ij, C_kl> + h_ij h_kl / n, with the cubic
     C = c(F, F, .) and h = F F^T pulled back through F."""
@@ -188,8 +151,7 @@ def riemann_tensor(P: ConePoint) -> CurvatureTensor:
     pulled = np.concatenate([f @ (f @ P.cubic.reshape(k, k * k)).reshape(m, k, k),
                              (f @ f.T)[:, :, None] / np.sqrt(P.dim_n)], axis=2)
     ip = (pulled.reshape(m * m, m) @ pulled.reshape(m * m, m).T).reshape(m, m, m, m)
-    entries = np.einsum("ikjl->ijkl", ip) - np.einsum("iljk->ijkl", ip)
-    return CurvatureTensor(entries=entries, base_point=P)
+    return np.einsum("ikjl->ijkl", ip) - np.einsum("iljk->ijkl", ip)
 
 
 class DerivedCurvatures(NamedTuple):

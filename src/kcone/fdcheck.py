@@ -163,7 +163,7 @@ def check_curvature(P: ConePoint) -> FDReport:
     over u < v.  The Christoffel tensor is differentiated whole, once per
     basis direction.
     """
-    tensor = riemann_tensor(P).entries
+    tensor = riemann_tensor(P)
     scale = max(1.0, float(np.abs(tensor).max()))
     gamma = christoffel_tensor(P)
     # d_gamma[u, v, z] = d_u Gamma(v, z)

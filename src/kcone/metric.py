@@ -56,7 +56,7 @@ def lefschetz(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lef
     later ones are batched matrix-vector products.  The one owner of why a
     row cannot be contracted: for the first row whose volume is not a finite
     positive number it raises ValueError if the row has a non-finite entry or
-    its volume overflows double precision, and NonPositiveVolume otherwise.
+    its volume over- or underflows double precision, and NonPositiveVolume otherwise.
     """
     X = np.asarray(X, dtype=float)
     n, m = form.dim_n, form.rank_m
@@ -74,6 +74,10 @@ def lefschetz(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lef
             raise ValueError(f"{what} {b} at {X[b].tolist()} has non-finite entries")
         if not vol[b] <= 0.0:   # +inf, or nan from inf - inf
             raise ValueError(f"volume of {what} {b} at {X[b].tolist()} overflows double precision")
+        # Vol is homogeneous: if it is positive once a power of two takes the
+        # largest entry to [1/2, 1), it underflowed
+        if form.volume(np.ldexp(X[b], -np.frexp(np.abs(X[b]).max())[1])) > 0.0:
+            raise ValueError(f"volume of {what} {b} at {X[b].tolist()} underflows double precision")
         raise NonPositiveVolume(
             f"{what} {b} at {X[b].tolist()}: volume {float(vol[b])!r} is not positive"
         )
@@ -122,6 +126,7 @@ class ConePoint:
         omega = form._check_class(omega)
         self.form = form
         self.omega = omega
+        self.dim_n, self.rank_m = form.dim_n, form.rank_m
         data = admit(form, omega[None], "point")
         self.vol = float(data.vol[0])
         self._lam = data.lam[0]
@@ -129,14 +134,6 @@ class ConePoint:
         self._stages = [stage[0] for stage in data.stages]
         self.gram = data.gram[0]
         self.gram_inv = np.linalg.inv(self.gram)
-
-    @property
-    def dim_n(self) -> int:
-        return self.form.dim_n
-
-    @property
-    def rank_m(self) -> int:
-        return self.form.rank_m
 
     def __repr__(self):
         return (

@@ -136,6 +136,19 @@ def test_overflowing_metric_is_usage_error(capsys):
         assert f"point 0 at {point} overflows double precision" in err
 
 
+def test_underflowing_volume_is_usage_error(capsys):
+    # the volume underflows to 0 although the scaled point is admissible; the
+    # wall points, also of volume 0, stay inadmissible
+    for form, at in (("P1XP1", "1e-200,1e-200"), ("P3", "1e-110")):
+        code, out, err = run_cli(capsys, "metric", form, "--at", at)
+        assert code == 1 and out == ""
+        assert "underflows double precision" in err
+    for at in ("1,0", "1e-200,-1e-200", "0,0"):
+        code, out, _ = run_cli(capsys, "metric", "P1XP1", "--at", at)
+        assert code == 2
+        assert json.loads(out)["error"] == "NonPositiveVolume"
+
+
 def test_geodesic_overflow_is_input_error(capsys):
     # the radial ray of P3 stays in the cone; near t = 710 its volume
     # overflows, which is an input error, not a LeftCone
@@ -634,7 +647,7 @@ def test_streamed_report_holds_bounded_scratch():
     P = ConePoint(IntersectionForm("SYN16", 3, m, coeffs), np.eye(m)[0])
     dc = derived_curvatures(P)
     report = {"command": "curvature", "form": "SYN16", "inputs": {"at": P.omega},
-              "outputs": {"tensor": riemann_tensor(P).entries, "ricci": dc.ricci,
+              "outputs": {"tensor": riemann_tensor(P), "ricci": dc.ricci,
                           "scalar": dc.scalar}, "checks": []}
     written = [0]
 

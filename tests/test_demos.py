@@ -35,6 +35,7 @@ def test_readme_python_examples_run(capsys):
         exec(compile(block, "README.md", "exec"), ns)
     assert ns["dc"].sectional(ns["e2"], ns["e3"]) == pytest.approx(-0.5, abs=1e-12)
     assert ns["dc"].scalar == pytest.approx(-1.0, abs=1e-12)
+    assert ns["R"][1, 2, 2, 1] == pytest.approx(-2.0, abs=1e-12)
     assert ns["path"].speed_drift < 1e-12
     assert ns["rep"].classification == "DIVERGENT"
     assert ns["rep"].ts[-1] == 2**-10

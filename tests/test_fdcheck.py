@@ -104,7 +104,7 @@ def _connection_per_triple(P):
 def _curvature_per_triple(P):
     """Reference for check_curvature: FD probes per triple (u < v, z)."""
     form, m, eye = P.form, P.rank_m, np.eye(P.rank_m)
-    tensor = riemann_tensor(P).entries
+    tensor = riemann_tensor(P)
     scale = max(1.0, float(np.abs(tensor).max()))
     max_dev = 0.0
     for iu, iv, iz in itertools.product(range(m), repeat=3):

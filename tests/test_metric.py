@@ -83,6 +83,21 @@ def test_overflowing_metric_is_input_error():
         ConePoint(form, np.array([1e200, 1e200]))
 
 
+def test_underflowing_volume_is_input_error():
+    # Vol = xy underflows to 0 at (1e-200, 1e-200) and is positive once the
+    # row is scaled by a power of two; at (1e-200, -1e-200) it stays negative
+    form = CATALOG["P1XP1"]
+    with pytest.raises(ValueError, match=r"point 0 at \[1e-200, 1e-200\] underflows double"):
+        ConePoint(form, np.array([1e-200, 1e-200]))
+    with pytest.raises(ValueError, match="sample 1 .* underflows double precision"):
+        admit(form, np.array([[1.0, 1.0], [1e-200, 1e-200]]), "sample")
+    with pytest.raises(ValueError, match=r"point 0 at \[1e-110\] underflows double"):
+        ConePoint(CATALOG["P3"], np.array([1e-110]))
+    for wall in ([1e-200, -1e-200], [1.0, 0.0], [0.0, 0.0]):
+        with pytest.raises(NonPositiveVolume):
+            ConePoint(form, np.array(wall))
+
+
 def test_cone_point_caches_consistent():
     for name in catalog_names():
         P = default_point(name)

@@ -8,10 +8,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
 
 from kcone import verify
+from kcone.algebra import algebra_at
 from kcone.catalog import ENTRIES, catalog_names, default_point
 from kcone.cli import main
+from kcone.curvature import riemann_tensor
 from kcone.errors import LeftCone
 from kcone.verify import run_verification
 
@@ -56,6 +62,42 @@ def test_left_cone_in_a_worker_exits_2(capsys, monkeypatch):
 def test_probe_with_the_wrong_classification_scores_inf():
     probe = dataclasses.replace(ENTRIES["BLP2"].probe, expect="DIVERGENT")
     assert verify.probe_deviation(default_point("BLP2"), probe) == float("inf")
+
+
+def test_symmetry_check_detects_one_bent_entry():
+    # one entry off by d breaks an identity by at least d, less the roundoff
+    # the unbent tensor carries
+    rng = np.random.default_rng(6)
+    for name in catalog_names():
+        P = default_point(name)
+        for r in (riemann_tensor(P), algebra_at(P).curvature_tensor()):
+            bent = r.copy()
+            bent[tuple(rng.integers(P.rank_m, size=4))] += 1e-6
+            assert verify.symmetry_deviation(r) <= 1e-12, name
+            assert verify.symmetry_deviation(bent) >= 1e-6 - verify.symmetry_deviation(r), name
+
+
+def test_omega_slot_check_holds_for_the_metric_tensor_only():
+    # R_alg is -n/4 on every plane through omega: in the g-orthonormal frame,
+    # whose column 0 is the unit radial class omega / sqrt(n), it reads n/4
+    P = default_point("LOR3")
+    x, unit_radial = P.frame, SimpleNamespace(omega=np.eye(P.rank_m)[0])
+    r, ralg = riemann_tensor(P), algebra_at(P).curvature_tensor()
+    r_frame, ralg_frame = (np.einsum("abcd,ai,bj,ck,dl->ijkl", t, x, x, x, x) for t in (r, ralg))
+    assert verify.omega_slot_deviation(P, r) <= 1e-12
+    assert verify.omega_slot_deviation(unit_radial, r_frame) <= 1e-12
+    assert verify.omega_slot_deviation(unit_radial, ralg_frame) == pytest.approx(P.dim_n / 4)
+    assert verify.omega_slot_deviation(P, ralg) > 1.0
+
+
+def test_sign_relation_fails_for_the_flipped_algebra_tensor(quartic_points, hyperbolic_point):
+    # points whose curvature tensor is not zero
+    for P in (default_point("LOR3"), quartic_points["QUARTIC3"], hyperbolic_point(3, 4)):
+        r, ralg = riemann_tensor(P), algebra_at(P).curvature_tensor()
+        assert verify.sign_relation_deviation(P, r, ralg) <= 1e-10
+        flipped = verify.sign_relation_deviation(P, r, -ralg)
+        assert flipped > 1e-10
+        assert flipped == pytest.approx(2 * np.abs(r).max())
 
 
 def test_importing_the_cli_loads_no_process_pool():
