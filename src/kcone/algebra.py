@@ -27,7 +27,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import KConeError
+from .curvature import derived_curvatures
 from .intersection import CohClass
 from .metric import ConePoint
 
@@ -36,7 +36,6 @@ __all__ = [
     "algebra_at",
     "kn_product",
     "ConstantCurvatureFit",
-    "derivation_defects",
 ]
 
 # Derivation singular values below NULL_TOL * max(sv_0, 1), an absolute scale, are zero.
@@ -111,8 +110,7 @@ class AlgebraAtPoint:
         n, m, k, c = self.base.dim_n, self.base.rank_m, self.base.rank_m - 1, self.base.cubic
         flat, trace = c.reshape(k * k, k), np.einsum("aae->e", c)
         tr_sq = float(trace @ trace)
-        scalar = float(np.vdot(c, c)) - tr_sq - k * (k - 1) / n   # as in derived_curvatures
-        lam = scalar / (m * m - m) + n / (2 * m) if m > 1 else 0.0
+        lam = derived_curvatures(self.base).scalar / (m * m - m) + n / (2 * m) if m > 1 else 0.0
         # 4k entries -n/4 + lam through omega, then |R + lam R1|^2 one slab at
         # a time, summed directly: its expansion would cancel when the fit passes
         shift, b, res_sq = lam + 1.0 / n, np.arange(k), 4 * k * (lam - n / 4) ** 2
@@ -131,15 +129,16 @@ class AlgebraAtPoint:
     def derivations(self) -> List[np.ndarray]:
         """Basis of the derivation algebra: maps D with D(x.y) = Dx.y + x.Dy.
 
-        Each D meets derivation_defects (checked on the result), so on the
-        primitive columns X = frame[:, 1:] it lies in so(m - 1) and solves
+        On the primitive columns X = frame[:, 1:] each D lies in so(m - 1) and solves
         D.c = 0: one row per a <= b <= f of sum_e D_ea c_ebf + D_eb c_aef +
         D_ef c_abe, built in blocks of about 2^16 (k, k) coefficient entries into
         one (rows, k(k - 1)/2) system, reduced by QR, then the SVD of R.  Its
         cutoff NULL_TOL max(sv_0, 1) is absolute: the g-orthonormal frame keeps
         the omega parts of the product of order one, while c, unchanged by omega
         -> t omega and kappa -> s kappa, can be roundoff.  D maps back as X D F^T,
-        F = coframe.
+        F = coframe with F^T omega = 0, so D omega = 0, its image is primitive
+        and it is g-antisymmetric by construction, up to roundoff of order
+        cond(G) eps; verify.derivation_deviation measures the three.
         """
         if self.base.dim_n < 2:
             # n = 1: the product vanishes and every linear map is a derivation;
@@ -162,23 +161,7 @@ class AlgebraAtPoint:
         gens = np.zeros((len(null), k, k))
         gens[:, p, q] = null
         gens -= gens.transpose(0, 2, 1)
-        out = list(P.frame[:, 1:] @ gens @ P.coframe.T)
-        for d in out:
-            for message, dev in derivation_defects(P, d).items():
-                if dev > 1e-8:
-                    raise KConeError(message)
-        return out
-
-
-def derivation_defects(P: ConePoint, d: np.ndarray) -> dict:
-    """The structural consequences every derivation D at P satisfies, each
-    as its deviation keyed by the message of its failure: D omega = 0,
-    Lam(D x) = 0 for every x, and g-antisymmetry of D."""
-    return {
-        "derivation fails D omega = 0": P.norm(d @ P.omega),
-        "derivation image is not primitive": float(np.abs(P._lam @ d).max()),
-        "derivation is not g-antisymmetric": float(np.linalg.norm(P.gram_inv @ d.T @ P.gram + d)),
-    }
+        return list(P.frame[:, 1:] @ gens @ P.coframe.T)
 
 
 def algebra_at(P: ConePoint) -> AlgebraAtPoint:

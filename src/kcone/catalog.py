@@ -44,13 +44,12 @@ class CurvatureValues:
 @dataclass(frozen=True)
 class Probe:
     """A boundary probe along alpha + t omega from the default point omega,
-    at t = 2^-j for j = 0..halvings, with its expected classification and
-    the tolerance on its score."""
+    at t = 2^-j for j = 0..halvings, with its expected classification; the
+    classification sets the tolerance on its score."""
 
     alpha: tuple
     halvings: int
     expect: str   # "DIVERGENT" or "CONVERGENT"
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ ENTRIES = {
                 name="P1XP1", dim_n=2, rank_m=2, coeffs={(1, 2): 1.0}, labels=("h1", "h2")
             ),
             omega=(1.0, 1.0),
-            probe=Probe(alpha=(1.0, 0.0), halvings=10, expect="DIVERGENT", tol=0.0),
+            probe=Probe(alpha=(1.0, 0.0), halvings=10, expect="DIVERGENT"),
             derivation_dim=0,
         ),
         CatalogEntry(
@@ -97,7 +96,7 @@ ENTRIES = {
                 labels=("H", "E"),
             ),
             omega=(2.0, -1.0),
-            probe=Probe(alpha=(1.0, 0.0), halvings=14, expect="CONVERGENT", tol=1e-3),
+            probe=Probe(alpha=(1.0, 0.0), halvings=14, expect="CONVERGENT"),
         ),
         CatalogEntry(
             IntersectionForm(

@@ -249,7 +249,7 @@ def _cmd_verify(args):
     for token in args.forms:   # nargs="*" gives [] when no form is named
         if token.upper() not in CATALOG:
             raise _UsageError(f"verify only runs on catalog forms, not {token!r}")
-    names = [token.upper() for token in args.forms] or list(CATALOG)
+    names = list(dict.fromkeys(token.upper() for token in args.forms)) or list(CATALOG)
     checks, all_pass = run_verification(names)
     outputs = {"all_pass": all_pass, "checks_run": len(checks)}
     return ",".join(names), {"forms": names}, outputs, checks

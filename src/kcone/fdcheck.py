@@ -187,4 +187,4 @@ def check_primitive_field(P: ConePoint) -> FDReport:
     d_pi = _fd_basis(P, lambda Q: Q.primitive_projector)
     gamma_pi = np.einsum("ui,zuk->zki", P.primitive_projector, christoffel_tensor(P))
     max_dev = float(np.abs(P._lam @ (d_pi + gamma_pi)).max())
-    return FDReport("primitive_field_stays_primitive", max_dev, TOL_PRIMITIVE)
+    return FDReport("primitive_field_covariant", max_dev, TOL_PRIMITIVE)

@@ -17,6 +17,14 @@ from kcone.curvature import derived_curvatures  # noqa: E402
 from kcone.errors import DegeneratePlane, ManifoldFormatError  # noqa: E402
 from kcone.intersection import IntersectionForm  # noqa: E402
 from kcone.metric import ConePoint, _divisor  # noqa: E402
+from kcone.verify import run_verification  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def suite():
+    """One shared run of the whole verification suite: its records by name."""
+    checks, _ = run_verification()
+    return {c["name"]: c for c in checks}
 
 
 @pytest.fixture(scope="session")

@@ -1,27 +1,18 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 1-13 assert against a single shared run of the verification
-suite (kcone.verify.run_verification), which pins every tolerance;
+suite (the `suite` fixture of conftest.py), which pins every tolerance;
 criterion 14 runs the CLI `verify` twice and compares bytes.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
-import pytest
-
 from kcone.catalog import catalog_names
 from kcone.cli import main
-from kcone.verify import run_verification
 
 FORMS = catalog_names()
 SURFACE_LIKE = ["BLP2", "LOR3", "CY3GEN"]
 RANK_ONE = ["P3", "QUINTIC"]
-
-
-@pytest.fixture(scope="module")
-def suite():
-    checks, _ = run_verification()
-    return {c["name"]: c for c in checks}
 
 
 def _run(suite, num, title, names):

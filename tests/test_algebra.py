@@ -11,7 +11,6 @@ from kcone import algebra
 from kcone.algebra import algebra_at, kn_product
 from kcone.catalog import catalog_names, default_point
 from kcone.curvature import riemann_tensor
-from kcone.errors import KConeError
 from kcone.intersection import IntersectionForm
 from kcone.metric import ConePoint
 from kcone.verify import symmetry_deviation
@@ -328,12 +327,6 @@ def test_derivation_lor3_generator_is_primitive_rotation():
             lhs = d @ alg.product(eye[i], eye[j])
             rhs = alg.product(d @ eye[i], eye[j]) + alg.product(eye[i], d @ eye[j])
             assert np.abs(lhs - rhs).max() <= 1e-10
-
-
-def test_derivation_defect_is_an_error(monkeypatch):
-    monkeypatch.setattr(algebra, "derivation_defects", lambda P, d: {"defect too large": 2e-8})
-    with pytest.raises(KConeError, match="defect too large"):
-        algebra_at(default_point("LOR3")).derivations()
 
 
 def test_derivation_conclusions_hold():

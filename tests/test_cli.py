@@ -462,6 +462,20 @@ def test_verify_subset(capsys):
     assert "P3:hessian_vs_gram" in names and "pullback:identity" in names
 
 
+def test_verify_runs_a_repeated_form_once(capsys):
+    _, once, _ = run_cli(capsys, "verify", "P3")
+    code, repeated, _ = run_cli(capsys, "verify", "P3", "p3")
+    assert code == 0
+    assert repeated == once
+
+
+def test_near_wall_derivations(capsys):
+    # cond G = 4e8 here: the derivations hold only up to roundoff of that order
+    code, out, err = run_cli(capsys, "algebra", "LOR3", "--at", "1,0.9999,0", "--derivations")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outputs"]["derivations"]["dimension"] == 1
+
+
 def test_report_determinism(capsys):
     _, out1, _ = run_cli(capsys, "curvature", "LOR3", "--ricci", "--scalar")
     _, out2, _ = run_cli(capsys, "curvature", "LOR3", "--ricci", "--scalar")

@@ -19,6 +19,8 @@ from kcone.catalog import ENTRIES, catalog_names, default_point
 from kcone.cli import main
 from kcone.curvature import riemann_tensor
 from kcone.errors import LeftCone
+from kcone.fdcheck import check_connection, check_curvature, check_primitive_field
+from kcone.paths import PROBE_CONV_TOL
 from kcone.verify import run_verification
 
 
@@ -62,6 +64,32 @@ def test_left_cone_in_a_worker_exits_2(capsys, monkeypatch):
 def test_probe_with_the_wrong_classification_scores_inf():
     probe = dataclasses.replace(ENTRIES["BLP2"].probe, expect="DIVERGENT")
     assert verify.probe_deviation(default_point("BLP2"), probe) == float("inf")
+
+
+def test_probe_tolerance_follows_the_classification(suite):
+    # a matching DIVERGENT probe scores 0.0; a matching CONVERGENT one scores
+    # its last increment, below the classifier's own threshold
+    assert suite["P1XP1:boundary_divergent"]["tol"] == 0.0
+    assert suite["BLP2:boundary_convergent"]["tol"] == PROBE_CONV_TOL
+
+
+def test_fd_reports_carry_their_verify_names(suite):
+    for name in catalog_names():
+        P = default_point(name)
+        reports = (verify.hessian_deviation(P), verify.lambda_rule_deviation(P),
+                   check_connection(P), check_primitive_field(P), check_curvature(P))
+        for report in reports:
+            record = suite[f"{name}:{report.name}"]
+            assert (record["max_dev"], record["tol"]) == (report.max_dev, report.tol)
+
+
+def test_derivation_check_detects_a_bent_derivation():
+    # D + eps I moves omega by eps |omega| and has symmetric part eps I
+    P = default_point("LOR3")
+    (d,) = algebra_at(P).derivations()
+    assert verify.derivation_deviation(P, []) == 0.0
+    assert verify.derivation_deviation(P, [d]) <= 1e-8
+    assert verify.derivation_deviation(P, [d, d + 1e-6 * np.eye(3)]) >= 1e-6
 
 
 def test_symmetry_check_detects_one_bent_entry():
