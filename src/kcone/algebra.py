@@ -29,7 +29,7 @@ import numpy as np
 
 from .curvature import derived_curvatures
 from .intersection import CohClass
-from .metric import ConePoint
+from .metric import ConePoint, _finite
 
 __all__ = [
     "AlgebraAtPoint",
@@ -88,16 +88,18 @@ class AlgebraAtPoint:
 
         Both terms antisymmetrize Gram matrices of the products e_i.e_k: the
         sum is D[i,k,j,l] - D[i,l,j,k] with D = F^T F - S G S^T (F the forms
-        as (m, m^2), S the structure as (m^2, m)), built one i at a time."""
+        as (m, m^2), S the structure as (m^2, m)), built one i at a time;
+        a ValueError if it overflows."""
         m = self.base.rank_m
-        f, s = self.bilinear_forms(), self.structure
-        fmat = f.reshape(m, m * m)
-        gst = self.base.gram @ s.reshape(m * m, m).T
-        worst = 0.0
-        for i in range(m):
-            d = (f[:, i].T @ fmat - s[i] @ gst).reshape(m, m, m)   # [k, j, l] = D[i, k, j, l]
-            worst = max(worst, float(np.abs(d - d.transpose(2, 1, 0)).max()))
-        return worst
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, s = self.bilinear_forms(), self.structure
+            fmat = f.reshape(m, m * m)
+            gst = self.base.gram @ s.reshape(m * m, m).T
+            slab_max = np.empty(m)
+            for i in range(m):
+                d = (f[:, i].T @ fmat - s[i] @ gst).reshape(m, m, m)   # [k, j, l] = D[i, k, j, l]
+                slab_max[i] = np.abs(d - d.transpose(2, 1, 0)).max()
+        return float(_finite(slab_max.max(), f"KN residual at {self.base.omega.tolist()}"))
 
     def constant_curvature_test(self) -> ConstantCurvatureFit:
         """Best multiple of the induced S^2 inner product inside <x.y, z.w>.

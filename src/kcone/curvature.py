@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DegeneratePlane
 from .intersection import CohClass
-from .metric import ConePoint
+from .metric import ConePoint, _finite
 
 __all__ = [
     "christoffel_tensor",
@@ -66,9 +66,7 @@ def christoffel(P: ConePoint, z: CohClass, u: CohClass) -> CohClass:
     z, u = P.form._check_class(z), P.form._check_class(u)
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = z @ (u @ christoffel_tensor(P))
-    if not np.isfinite(gamma).all():
-        raise ValueError(f"Gamma(z, u) overflows double precision at z = {z.tolist()}")
-    return gamma
+    return _finite(gamma, f"Gamma(z, u) at z = {z.tolist()}")
 
 
 def riemann(P: ConePoint, u, v, z, w) -> float:
@@ -146,12 +144,15 @@ def riemann_alt(P: ConePoint, u, v, z, w) -> float:
 def riemann_tensor(P: ConePoint) -> np.ndarray:
     """R on the basis as a dense m^4 array: R(i,j,k,l) = ip(i,k,j,l) -
     ip(i,l,j,k), ip(i,j,k,l) = <C_ij, C_kl> + h_ij h_kl / n, with the cubic
-    C = c(F, F, .) and h = F F^T pulled back through F."""
+    C = c(F, F, .) and h = F F^T pulled back through F; a ValueError if it
+    overflows, as near a wall of the cone (R has degree -4 in omega)."""
     m, k, f = P.rank_m, P.rank_m - 1, P.coframe
-    pulled = np.concatenate([f @ (f @ P.cubic.reshape(k, k * k)).reshape(m, k, k),
-                             (f @ f.T)[:, :, None] / np.sqrt(P.dim_n)], axis=2)
-    ip = (pulled.reshape(m * m, m) @ pulled.reshape(m * m, m).T).reshape(m, m, m, m)
-    return np.einsum("ikjl->ijkl", ip) - np.einsum("iljk->ijkl", ip)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pulled = np.concatenate([f @ (f @ P.cubic.reshape(k, k * k)).reshape(m, k, k),
+                                 (f @ f.T)[:, :, None] / np.sqrt(P.dim_n)], axis=2)
+        ip = (pulled.reshape(m * m, m) @ pulled.reshape(m * m, m).T).reshape(m, m, m, m)
+        r = np.einsum("ikjl->ijkl", ip) - np.einsum("iljk->ijkl", ip)
+    return _finite(r, f"curvature tensor at {P.omega.tolist()}")
 
 
 class DerivedCurvatures(NamedTuple):

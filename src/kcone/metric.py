@@ -44,6 +44,13 @@ class Lefschetz(NamedTuple):
     stages: list         # stages[0..n]
 
 
+def _finite(a, what: str):
+    """a, if every entry is finite; else ValueError: what overflows double precision."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} overflows double precision")
+    return a
+
+
 def _divisor(n: int, k: int, vol):
     """(n - k)! Vol, the divided-power factor of Lam^k; Vol = stages[0] / n!."""
     return factorial(n - k) * vol
@@ -103,8 +110,7 @@ def admit(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefsche
     ok = eig[:, 0] > POSDEF_TOL * eig[:, -1]
     if not ok.all():
         b = int(np.argmin(ok))
-        if not np.isfinite(data.gram[b]).all():
-            raise ValueError(f"metric of {what} {b} at {X[b].tolist()} overflows double precision")
+        _finite(data.gram[b], f"metric of {what} {b} at {X[b].tolist()}")
         raise IndefiniteMetric(
             f"Gram matrix of {what} {b} at {X[b].tolist()} is not positive definite "
             f"(eigenvalues {eig[b].tolist()})"
@@ -133,13 +139,16 @@ class ConePoint:
         self._lam2 = data.lam2[0]
         self._stages = [stage[0] for stage in data.stages]
         self.gram = data.gram[0]
-        self.gram_inv = np.linalg.inv(self.gram)
 
     def __repr__(self):
         return (
             f"ConePoint({self.form.name}, omega={self.omega.tolist()}, "
             f"vol={self.vol!r})"
         )
+
+    @cached_property
+    def gram_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.gram)
 
     # -- Lefschetz contractions -------------------------------------------
 

@@ -147,13 +147,17 @@ def integrate_geodesic(
     return integrate_geodesics(P0, np.asarray(v0, dtype=float)[None, :], T, steps)[0]
 
 
-def _chord_lengths(form: IntersectionForm, pts: np.ndarray) -> np.ndarray:
-    """sqrt(g_mid(delta, delta)) of each segment of the polyline pts, with
-    g_mid the Gram matrix at the segment midpoint, which must be admissible."""
-    grams = admit(form, 0.5 * (pts[:-1] + pts[1:]), "segment midpoint").gram
+def _polyline(form: IntersectionForm, pts: np.ndarray, what: str):
+    """(volumes of the samples pts, sqrt(g_mid(delta, delta)) of each segment),
+    g_mid the Gram matrix at the segment midpoint.  Samples and midpoints are
+    admitted in one call, interleaved: row 2j is sample j, row 2j + 1 the
+    midpoint after it."""
+    rows = np.empty((2 * len(pts) - 1, pts.shape[1]))
+    rows[0::2], rows[1::2] = pts, 0.5 * (pts[:-1] + pts[1:])
+    data = admit(form, rows, what)
     deltas = pts[1:] - pts[:-1]
-    sq = np.einsum("bi,bij,bj->b", deltas, grams, deltas)
-    return np.sqrt(np.maximum(sq, 0.0))
+    sq = np.einsum("bi,bij,bj->b", deltas, data.gram[1::2], deltas)
+    return data.vol[0::2], np.sqrt(np.maximum(sq, 0.0))
 
 
 def path_length(form: IntersectionForm, samples: Sequence[CohClass]) -> float:
@@ -167,8 +171,7 @@ def path_length(form: IntersectionForm, samples: Sequence[CohClass]) -> float:
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or len(pts) < 2:
         raise ValueError("need at least two samples")
-    admit(form, pts, "sample")
-    return float(_chord_lengths(form, pts).sum())
+    return float(_polyline(form, pts, "path point")[1].sum())
 
 
 class LengthBound(NamedTuple):
@@ -183,25 +186,15 @@ def length_bound_check(
 ) -> LengthBound:
     """Length of the sampled path against the log-volume lower bound.
 
-    Raises KConeError if the (1/sqrt n) bound is violated beyond 1e-9,
-    which would indicate an inconsistency in the metric computation
-    (or sampling too coarse for a near-tight path).
+    Reports the bound without judging it: verify checks the slack.  A
+    length below lower_bound means an inconsistent metric computation, or
+    sampling too coarse for a near-tight path.
     """
-    length = path_length(form, samples)
-    n = form.dim_n
-    dlv = abs(
-        log(form.volume(np.asarray(samples[-1], float)))
-        - log(form.volume(np.asarray(samples[0], float)))
-    )
-    lower = dlv / sqrt(n)
-    if length < lower - 1e-9:
-        raise KConeError(f"length {length!r} violates the lower bound {lower!r}")
-    return LengthBound(
-        length=length,
-        lower_bound=lower,
-        sqrt2_bound=sqrt(2.0) * dlv / sqrt(n),
-        delta_log_vol=dlv,
-    )
+    length, n = path_length(form, samples), form.dim_n
+    dlv = abs(log(form.volume(np.asarray(samples[-1], float)))
+              - log(form.volume(np.asarray(samples[0], float))))
+    return LengthBound(length=length, lower_bound=dlv / sqrt(n),
+                       sqrt2_bound=sqrt(2.0) * dlv / sqrt(n), delta_log_vol=dlv)
 
 
 @dataclass
@@ -240,9 +233,9 @@ def boundary_probe(
     sub = np.linspace(ts[:-1], ts[1:], PROBE_SUBSTEPS, endpoint=False, axis=1)
     with np.errstate(invalid="ignore"):   # -inf + inf is a nan row the kernel names
         pts = alpha[None, :] + np.append(sub, ts[-1])[:, None] * omega[None, :]
-    # row 0 is omega itself, which must be a cone point
-    vols = admit(form, np.vstack([omega, pts]), "probe point").vol[1::PROBE_SUBSTEPS]
-    increments = _chord_lengths(form, pts).reshape(-1, PROBE_SUBSTEPS).sum(axis=1)
+    admit(form, omega[None], "probe point")   # omega itself must be a cone point
+    vols, chords = _polyline(form, pts, "probe point")
+    vols, increments = vols[::PROBE_SUBSTEPS], chords.reshape(-1, PROBE_SUBSTEPS).sum(axis=1)
     cumulative = np.concatenate([[0.0], np.cumsum(increments)])
     threshold = 0.9 * log(2.0) / sqrt(form.dim_n)
     if len(increments) >= 5 and np.all(increments[-5:] >= threshold):
@@ -350,7 +343,7 @@ class PullbackReport:
 
     @property
     def max_dev(self) -> float:
-        return max(self.max_vol_deviation, self.max_gram_deviation)
+        return float(np.max([self.max_vol_deviation, self.max_gram_deviation]))
 
 
 def pullback_isometry_check(

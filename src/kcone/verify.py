@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 from itertools import product as iter_product
 from math import log, sqrt
-from operator import attrgetter
 
 import numpy as np
 
@@ -55,23 +54,29 @@ __all__ = ["run_verification"]
 # -- criterion helpers ------------------------------------------------------
 
 
+def _worst(values) -> float:
+    """The largest of the deviations in values, 0.0 if there are none, and
+    NaN if any is NaN, so that a check scored on a NaN fails."""
+    return float(np.max(np.fromiter(values, float), initial=0.0))
+
+
 def hessian_deviation(P: ConePoint) -> FDReport:
     """Criterion 1: FD Hessian of -log Vol vs Gram at P and three seeded
-    admissible perturbations; the worst report."""
-    points = [P] + admissible_perturbations(P, seed=1)
-    return max((check_hessian_metric(Q) for Q in points), key=attrgetter("max_dev"))
+    admissible perturbations; the worst report, a NaN one first."""
+    reports = [check_hessian_metric(Q) for Q in [P] + admissible_perturbations(P, seed=1)]
+    return reports[int(np.argmax([r.max_dev for r in reports]))]
 
 
 def lambda_rule_deviation(P: ConePoint) -> FDReport:
     """Criterion 2: derivative rule for Lam^k, k in 1..n-1, 20 random tuples
-    each; the worst report."""
+    each; the worst report, a NaN one first."""
     m, n = P.rank_m, P.dim_n
     rng = np.random.default_rng(2)
-    reports = (   # k classes, then v, drawn in turn from one stream
+    reports = [   # k classes, then v, drawn in turn from one stream
         check_lambda_derivative(P, rng.uniform(-1.0, 1.0, (k, m)), rng.uniform(-1.0, 1.0, m))
         for k in range(1, n) for _ in range(20)
-    )
-    return max(reports, key=attrgetter("max_dev"))
+    ]
+    return reports[int(np.argmax([r.max_dev for r in reports]))]
 
 
 def torsion_deviation(P: ConePoint) -> float:
@@ -88,27 +93,23 @@ def parallel_kahler_deviation(P: ConePoint) -> float:
 
 def curvature_agreement_deviation(P: ConePoint) -> float:
     """Criterion 5a: the two closed forms of R over all basis quadruples."""
-    return max(
-        abs(riemann(P, *q) - riemann_alt(P, *q))
-        for q in iter_product(np.eye(P.rank_m), repeat=4)
-    )
+    return _worst(abs(riemann(P, *q) - riemann_alt(P, *q))
+                  for q in iter_product(np.eye(P.rank_m), repeat=4))
 
 
 def symmetry_deviation(r: np.ndarray) -> float:
     """Criterion 6: max deviation of the rank-4 array r from antisymmetry in
     each pair, pair symmetry and the first Bianchi identity."""
     bianchi = r + np.einsum("jkil->ijkl", r) + np.einsum("kijl->ijkl", r)
-    return max(float(np.abs(r + np.einsum("jikl->ijkl", r)).max()),
-               float(np.abs(r + np.einsum("ijlk->ijkl", r)).max()),
-               float(np.abs(r - np.einsum("klij->ijkl", r)).max()),
-               float(np.abs(bianchi).max()))
+    return _worst(np.abs(d).max() for d in (r + np.einsum("jikl->ijkl", r),
+                                            r + np.einsum("ijlk->ijkl", r),
+                                            r - np.einsum("klij->ijkl", r), bianchi))
 
 
 def omega_slot_deviation(P: ConePoint, r: np.ndarray) -> float:
     """Criterion 6, metric tensor only (R_alg is -n/4 on planes through
     omega): max entry of r = riemann_tensor(P) with omega in any slot."""
-    return max(float(np.abs(np.tensordot(r, P.omega, axes=([a], [0]))).max())
-               for a in range(4))
+    return _worst(np.abs(np.tensordot(r, P.omega, axes=([a], [0]))).max() for a in range(4))
 
 
 def sign_relation_deviation(P: ConePoint, r: np.ndarray, ralg: np.ndarray) -> float:
@@ -130,7 +131,7 @@ def geodesic_deviations(P: ConePoint):
         velocities.append(0.25 * vr / sqrt(P.inner(vr, vr)))
     radial, *rest = integrate_geodesics(P, np.array(velocities), 1.0, 1000)
     closed = np.exp(radial.ts[:, None] / n) * P.omega[None, :]
-    return float(np.abs(radial.points - closed).max()), max(p.speed_drift for p in rest)
+    return float(np.abs(radial.points - closed).max()), _worst(p.speed_drift for p in rest)
 
 
 def _random_piecewise_path(form, omega0, rng):
@@ -166,14 +167,10 @@ def length_bound_violation(P: ConePoint) -> float:
     length_bound_check over 50 seeded random piecewise-linear paths, each
     measured segment by segment as it is sampled (negative slack means
     satisfied)."""
-    form = P.form
-    rng = np.random.default_rng(5)
-    worst = -np.inf
-    for _ in range(50):
-        pts, lengths = _random_piecewise_path(form, P.omega, rng)
-        dlv = abs(log(form.volume(pts[-1])) - log(form.volume(pts[0])))
-        worst = max(worst, dlv / sqrt(form.dim_n) - sum(lengths))
-    return max(worst, 0.0)
+    form, rng = P.form, np.random.default_rng(5)
+    paths = (_random_piecewise_path(form, P.omega, rng) for _ in range(50))
+    return _worst(abs(log(form.volume(pts[-1])) - log(form.volume(pts[0]))) / sqrt(form.dim_n)
+                  - sum(lengths) for pts, lengths in paths)
 
 
 def radial_bound(P: ConePoint) -> LengthBound:
@@ -191,27 +188,25 @@ def probe_deviation(P: ConePoint, probe: Probe) -> float:
     if rep.classification != probe.expect:
         return float("inf")
     if probe.expect == "DIVERGENT":
-        return max(0.0, float((rep.growth_threshold - rep.increments[-5:]).max()))
+        return _worst(rep.growth_threshold - rep.increments[-5:])
     return float(rep.increments[-1])
 
 
 def algebra_identity_deviation(P: ConePoint) -> float:
-    """Criterion 12a: x.omega and omega.omega structural identities."""
-    alg = algebra_at(P)
+    """Criterion 12a: x.omega and omega.omega structural identities; row i
+    of omega @ structure is e_i.omega."""
     n, omega = P.dim_n, P.omega
-    dev = float(np.abs(alg.product(omega, omega) - (n - 1.0) * omega).max())
-    for e in np.eye(P.rank_m):
-        expect = 0.5 * P.lambda_scalar([e]) * omega + 0.5 * (n - 2.0) * e
-        dev = max(dev, float(np.abs(alg.product(e, omega) - expect).max()))
-    return dev
+    x_omega = omega @ algebra_at(P).structure
+    expect = 0.5 * np.outer(P._lam, omega) + 0.5 * (n - 2.0) * np.eye(P.rank_m)
+    return _worst(np.abs(d).max() for d in (omega @ x_omega - (n - 1.0) * omega, x_omega - expect))
 
 
 def derivation_deviation(P: ConePoint, derivations) -> float:
     """Criterion 12d: the worst of D omega = 0, Lam(D x) = 0 for every x and
     g-antisymmetry over the derivations D at P; 0.0 when there are none."""
-    return max((max(P.norm(d @ P.omega), float(np.abs(P._lam @ d).max()),
-                    float(np.linalg.norm(P.gram_inv @ d.T @ P.gram + d)))
-                for d in derivations), default=0.0)
+    return _worst(dev for d in derivations
+                  for dev in (P.norm(d @ P.omega), np.abs(P._lam @ d).max(),
+                              np.linalg.norm(P.gram_inv @ d.T @ P.gram + d)))
 
 
 # -- assembled suite --------------------------------------------------------
@@ -239,7 +234,7 @@ def _entry_checks(name):
     add_fd(check_curvature(P))
     tensor, alg = riemann_tensor(P), algebra_at(P)
     ralg = alg.curvature_tensor()
-    riemann_dev = max(symmetry_deviation(tensor), omega_slot_deviation(P, tensor))
+    riemann_dev = _worst((symmetry_deviation(tensor), omega_slot_deviation(P, tensor)))
     add("riemann_symmetries", riemann_dev, 1e-12)
     add("algebra_curvature_symmetries", symmetry_deviation(ralg), 1e-12)
     add("curvature_sign_relation", sign_relation_deviation(P, tensor, ralg), 1e-10)
@@ -249,9 +244,9 @@ def _entry_checks(name):
         ricci_devs = [abs(u @ dc.ricci @ u - pins.ricci) for u in np.array(pins.units)]
         radial_devs = [abs(dc.sectional(P.omega, u)) for u in pins.radial]
         add("primitive_sectional", abs(dc.sectional(*pins.plane) - pins.sectional), 1e-8)
-        add("primitive_ricci", max(ricci_devs), 1e-8)
+        add("primitive_ricci", _worst(ricci_devs), 1e-8)
         add("scalar_curvature", abs(dc.scalar - pins.scalar), 1e-7)
-        add("radial_plane_sectional", max(radial_devs), 1e-10)
+        add("radial_plane_sectional", _worst(radial_devs), 1e-10)
     if P.rank_m == 1:   # Criterion 8: a rank-one cone is a flat ray
         add("flat_curvature", np.abs(tensor).max(), 1e-14)
     radial_dev, drift_dev = geodesic_deviations(P)

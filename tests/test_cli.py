@@ -83,6 +83,19 @@ def test_connection_overflow_is_input_error(capsys):
     assert "overflows double precision" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # the basis curvature tensor has degree -4 in omega: about 1e320 here
+    ("curvature", "P1XP1", "--at", "1e-80,1e-80"),
+    ("curvature", "LOR3", "--at", "1e-80,0,0"),
+    # the KN residual of a point this close to a wall is inf - inf
+    ("algebra", "BLP2", "--at", "5.414736855943464e-150,-1.0390504829804963e-305", "--kn"),
+])
+def test_non_finite_output_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "overflows double precision" in err
+
+
 def test_geodesic_csv(capsys, tmp_path):
     csv = tmp_path / "path.csv"
     code, out, _ = run_cli(

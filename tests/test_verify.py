@@ -3,6 +3,7 @@ processes; these tests pin that the parallel run is the serial one, and
 how its checks score a failure."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -19,8 +20,8 @@ from kcone.catalog import ENTRIES, catalog_names, default_point
 from kcone.cli import main
 from kcone.curvature import riemann_tensor
 from kcone.errors import LeftCone
-from kcone.fdcheck import check_connection, check_curvature, check_primitive_field
-from kcone.paths import PROBE_CONV_TOL
+from kcone.fdcheck import FDReport, check_connection, check_curvature, check_primitive_field
+from kcone.paths import PROBE_CONV_TOL, PullbackReport
 from kcone.verify import run_verification
 
 
@@ -126,6 +127,71 @@ def test_sign_relation_fails_for_the_flipped_algebra_tensor(quartic_points, hype
         flipped = verify.sign_relation_deviation(P, r, -ralg)
         assert flipped > 1e-10
         assert flipped == pytest.approx(2 * np.abs(r).max())
+
+
+# A NaN deviation scores NaN, which no tolerance passes; the cases below put
+# it after a finite one, which a running Python max would keep instead.
+
+
+def test_hessian_check_picks_a_nan_report_on_a_perturbed_point(monkeypatch):
+    devs = iter([1e-9, np.nan, 1e-9, 1e-9])   # P, then its three perturbations
+    monkeypatch.setattr(verify, "check_hessian_metric",
+                        lambda Q: FDReport("hessian_metric", next(devs), 1e-6))
+    assert np.isnan(verify.hessian_deviation(default_point("P1XP1")).max_dev)
+
+
+def test_curvature_agreement_fails_on_a_nan_at_a_later_quadruple(monkeypatch):
+    alt = itertools.chain([0.0, np.nan], itertools.repeat(0.0))
+    monkeypatch.setattr(verify, "riemann", lambda P, *q: 0.0)
+    monkeypatch.setattr(verify, "riemann_alt", lambda P, *q: next(alt))
+    assert np.isnan(verify.curvature_agreement_deviation(default_point("P1XP1")))
+
+
+def test_geodesic_drift_fails_on_a_nan_on_a_later_geodesic(monkeypatch):
+    P = default_point("P1XP1")
+    radial = SimpleNamespace(ts=np.zeros(1), points=P.omega[None, :])
+    rest = [SimpleNamespace(speed_drift=s) for s in [1e-12, np.nan] + [1e-12] * 8]
+    monkeypatch.setattr(verify, "integrate_geodesics", lambda P0, V0, T, steps: [radial, *rest])
+    radial_dev, drift_dev = verify.geodesic_deviations(P)
+    assert radial_dev == 0.0 and np.isnan(drift_dev)
+
+
+def test_length_bound_fails_on_a_nan_slack_on_a_later_path(monkeypatch):
+    P = default_point("P1XP1")
+    still = np.repeat(P.omega[None, :], 5, axis=0)   # slack 0 - length
+    lengths = iter([[1.0], [np.nan]] + [[1.0]] * 48)
+    monkeypatch.setattr(verify, "_random_piecewise_path",
+                        lambda form, omega0, rng: (still, next(lengths)))
+    assert np.isnan(verify.length_bound_violation(P))
+
+
+def test_probe_fails_on_a_nan_increment(monkeypatch):
+    P, probe = default_point("P1XP1"), ENTRIES["P1XP1"].probe
+    rep = verify.boundary_probe(P.form, np.array(probe.alpha), P.omega, probe.halvings)
+    rep.increments[-2] = np.nan
+    monkeypatch.setattr(verify, "boundary_probe", lambda *args: rep)
+    assert np.isnan(verify.probe_deviation(P, probe))
+
+
+def test_kn_residual_refuses_a_nan_slab(monkeypatch):
+    alg = algebra_at(default_point("LOR3"))
+    forms = alg.bilinear_forms()
+    forms[2, 1, 0] = np.nan
+    monkeypatch.setattr(alg, "bilinear_forms", lambda: forms)
+    with pytest.raises(ValueError, match="overflows double precision"):
+        alg.kn_reconstruction_residual()
+
+
+def test_derivation_check_fails_on_a_nan_antisymmetry_defect():
+    P = default_point("LOR3")
+    (d,) = algebra_at(P).derivations()
+    P.gram_inv = np.full_like(P.gram, np.nan)   # D omega and Lam D stay finite
+    assert P.norm(d @ P.omega) <= 1e-8
+    assert np.isnan(verify.derivation_deviation(P, [d]))
+
+
+def test_pullback_report_fails_on_a_nan_gram_deviation():
+    assert np.isnan(PullbackReport(1e-12, np.nan, 4).max_dev)
 
 
 def test_importing_the_cli_loads_no_process_pool():
