@@ -10,7 +10,7 @@ tolerances stay data-driven.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import isfinite, log
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class FDReport:
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "max_dev": float(self.max_dev),
+            "max_dev": float(self.max_dev) if isfinite(self.max_dev) else repr(float(self.max_dev)),
             "tol": float(self.tol),
             "pass": bool(self.passed),
         }

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import IndefiniteMetric, KConeError, LeftCone, NonPositiveVolume
 from .intersection import CohClass, IntersectionForm
-from .metric import ConePoint, _divisor, admit, lefschetz
+from .metric import ConePoint, admit, lefschetz
 
 __all__ = [
     "GeodesicPath",
@@ -50,24 +50,58 @@ PROBE_SUBSTEPS = 64    # chords per boundary-probe interval
 PROBE_CONV_TOL = 1e-3  # a probe whose final increment is below this is CONVERGENT
 PERTURBATIONS = 3      # points admissible_perturbations draws around its centre
 PULLBACK_TOL = 1e-10   # the max_dev a pullback isometry check passes under
+ADMIT_BLOCK = 2**16    # Gram entries in one batch of recorded geodesic samples admitted
+_STEP_ERRORS = (NonPositiveVolume, IndefiniteMetric, ValueError)   # LinAlgError is a ValueError
 
 
-def _acceleration(data, x: np.ndarray, v: np.ndarray):
-    """-Gamma_x(v, v) = Lam(v) v - 1/2 Lam(v cup v) for each row of (x, v),
-    from the kernel result `data` at the rows x, where Lam(v cup v) =
-    Lam2(v cup v) x - G^-1 Lam3(v cup v cup .) (see ConePoint.lambda_pairs).
+def _flow(form: IntersectionForm, y: np.ndarray) -> np.ndarray:
+    """f(y) = (v, Lam(v) v - 1/2 Lam2(v, v) x + 1/2 G^-1 Lam3(v, v, .)), the geodesic
+    equation, at each (x, v) row of the (B, 2, m) state y; no solve for n < 3.  With
+    s = kappa(x^n), Lam^k = n!/(n-k)! kappa(x^{n-k} ..) / s.  x gets only the kernel's
+    volume check (and the solve's zero-pivot check); the kernel words a failure."""
+    n, m, B = form.dim_n, form.rank_m, len(y)
+    # the first slot filled by x and by v in one matmul, then each next slot, keeping the x row
+    qs = [(y @ form._dense.reshape(m, -1))[:, :, None]]
+    for _ in range(n - 1):
+        qs.append(y[:, None] @ qs[-1][:, :, 0].reshape(B, 2, m, -1))
+    g = qs[-1].reshape(B, 2, -1).swapaxes(1, 2)   # kappa(x^(n-2) y_a y_b); row a = x alone if n = 1
+    s = g[:, 0, 0]
+    if not (s.min() > 0.0 and s.max() < np.inf):
+        s = lefschetz(form, y[:, 0], "geodesic member").stages[0]   # raises, or has s > 0
+    r = n / s   # Lam(u) = r kappa(x^(n-1) u)
+    # (x, v) weighted by (-1/2 Lam2(v, v), Lam(v)); for n = 1, (0, 1) r kappa(v)
+    w = g[:, ::-1, 1] * (r[:, None] * ((1 - n) / 2, 1.0))
+    f = np.concatenate((y[:, 1:], w[:, None] @ y), axis=1)
+    if n >= 3:   # qs[-2][:, b, a] = kappa(x^(n-3) y_a y_b .)
+        lam = r[:, None] * qs[-2][:, 0, 0]
+        lam2 = ((n - 1) * r)[:, None, None] * qs[-3][:, 0, 0].reshape(B, m, m)
+        half_lam3 = ((n - 1) * (n - 2) // 2 * r)[:, None, None] * qs[-2][:, 1, 1, :, None]
+        f[:, 1] += np.linalg.solve(lam[:, :, None] * lam[:, None, :] - lam2, half_lam3)[..., 0]
+    return f
 
-    Hot path of the integrator: a stage point gets only the kernel's volume
-    check, and for n >= 3 the solve's, which raises only on an exactly zero
-    pivot; recorded samples get the full admission.
-    """
-    n, m = len(data.stages) - 1, v.shape[1]
-    vc = v[:, :, None]
-    acc = (data.lam[:, None, :] @ vc) * vc - 0.5 * (v[:, None, :] @ data.lam2 @ vc) * x[:, :, None]
-    if n >= 3:
-        t3vv = (data.stages[3].reshape(-1, m * m, m) @ vc).reshape(-1, m, m) @ vc
-        acc += 0.5 * np.linalg.solve(data.gram, t3vv / _divisor(n, 3, data.vol)[:, None, None])
-    return acc[:, :, 0]
+
+def _step_error(t, exc: Exception) -> Exception:
+    """exc from the geodesic step from t: LeftCone outside the cone, else ValueError."""
+    if isinstance(exc, (NonPositiveVolume, IndefiniteMetric, np.linalg.LinAlgError)):
+        return LeftCone(t, f"step from t={float(t)!r} failed: {exc}")
+    return ValueError(f"step from t={float(t)!r}: {exc}")
+
+
+def _admit_samples(form: IntersectionForm, ts, ys, speeds) -> None:
+    """Admit the samples x of ys, shape (K, B, 2, m), as one batch, and write g(v, v)
+    into speeds; else one step at a time: the first failing step raises."""
+    xs, vs = ys[:, :, 0], ys[:, :, 1, None]
+    try:
+        grams = admit(form, xs.reshape(-1, xs.shape[-1]), "geodesic member").gram
+    except _STEP_ERRORS:
+        grams = []
+        for t, x in zip(ts, xs):
+            try:
+                grams.append(admit(form, x, "geodesic member").gram)
+            except _STEP_ERRORS as exc:
+                raise _step_error(t, exc) from exc
+    grams = np.reshape(grams, vs.shape[:2] + 2 * vs.shape[-1:])
+    speeds[:] = (vs @ grams @ vs.swapaxes(2, 3))[..., 0, 0]
 
 
 @dataclass
@@ -84,17 +118,15 @@ class GeodesicPath:
 def integrate_geodesics(
     P0: ConePoint, V0: np.ndarray, T: float, steps: int
 ) -> list[GeodesicPath]:
-    """Classic fixed-step RK4 on (gamma, gamma') from P0, one geodesic per
+    """Classic fixed-step RK4 on y = (gamma, gamma') from P0, one geodesic per
     row of the (B, m) initial velocities V0, all advanced together.
 
-    Every recorded sample of every member passes the full cone admission
-    checks; the Gram matrix of that check is reused for the next step and
-    for the speed.  A stage point gets only the kernel's volume check (for
-    n >= 3 also the solve's zero-pivot check; a surface cone makes no
-    solve).  A member that fails a check raises LeftCone with the start t
-    of the earliest step that failed in the batch, and the message names
-    that t and the member.  Whatever the kernel rejects as an input error
-    (a non-finite or overflowing point) is a ValueError naming the step.
+    Every recorded sample passes the full cone admission checks, in batches of
+    about ADMIT_BLOCK Gram entries that also give the speeds; a stage point gets
+    only the volume check of _flow.  A member that fails a check raises LeftCone
+    with the start t of the earliest failed step, named with the member in the
+    message.  What the kernel rejects as an input error (a non-finite or
+    overflowing point) is a ValueError naming the step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -105,39 +137,31 @@ def integrate_geodesics(
         raise ValueError(f"velocities have shape {V0.shape}, expected (B, {P0.rank_m})")
     if not np.all(np.any(V0, axis=1)):
         raise ValueError("initial velocity must be nonzero")
-    form = P0.form
+    form, (B, m) = P0.form, V0.shape
     h = float(T) / steps
-    x = np.repeat(P0.omega[None, :], len(V0), axis=0)
-    v = V0.copy()
     ts = np.linspace(0.0, float(T), steps + 1)
-    points = np.empty((steps + 1,) + V0.shape)
-    velocities = np.empty_like(points)
-    speeds = np.empty((steps + 1, len(V0)))
+    ys = np.empty((steps + 1, B, 2, m))
+    ys[0, :, 0], ys[0, :, 1] = P0.omega, V0
+    speeds = np.empty((steps + 1, B))
+    block, done = max(1, ADMIT_BLOCK // (B * m * m)), 0   # samples before done are admitted
     # a far-out point overflows the kernel: a ValueError below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(ts):
+        for i, t in enumerate(ts[:-1]):
+            if i - done == block:   # sample i stays pending, for a failure in step i
+                _admit_samples(form, ts[done:i], ys[done:i], speeds[done:i])
+                done = i
             try:
-                data = admit(form, x, "geodesic member")
-                points[i], velocities[i] = x, v
-                speeds[i] = (v[:, None, :] @ data.gram @ v[:, :, None])[:, 0, 0]
-                if i == steps:
-                    break
-                kx, kv = [v], [_acceleration(data, x, v)]
+                ks = [_flow(form, ys[i])]
                 for c in (0.5, 0.5, 1.0):   # the stage points of classic RK4
-                    xs, vs = x + c * h * kx[-1], v + c * h * kv[-1]
-                    kx.append(vs)
-                    kv.append(_acceleration(lefschetz(form, xs, "geodesic member"), xs, vs))
-            except (NonPositiveVolume, IndefiniteMetric, np.linalg.LinAlgError) as exc:
-                raise LeftCone(t, f"step from t={float(t)!r} failed: {exc}") from exc
-            except ValueError as exc:
-                raise ValueError(f"step from t={float(t)!r}: {exc}") from exc
-            x = x + (h / 6.0) * (kx[0] + 2.0 * kx[1] + 2.0 * kx[2] + kx[3])
-            v = v + (h / 6.0) * (kv[0] + 2.0 * kv[1] + 2.0 * kv[2] + kv[3])
+                    ks.append(_flow(form, ys[i] + c * h * ks[-1]))
+            except _STEP_ERRORS as exc:   # a failing sample up to step i has the earlier t
+                _admit_samples(form, ts[done:i + 1], ys[done:i + 1], speeds[done:i + 1])
+                raise _step_error(t, exc) from exc
+            ys[i + 1] = ys[i] + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+        _admit_samples(form, ts[done:], ys[done:], speeds[done:])
     drift = np.abs(speeds - speeds[0]).max(axis=0)
-    return [
-        GeodesicPath(ts, points[:, b], velocities[:, b], speeds[:, b], float(drift[b]))
-        for b in range(len(V0))
-    ]
+    return [GeodesicPath(ts, ys[:, b, 0], ys[:, b, 1], speeds[:, b], float(drift[b]))
+            for b in range(B)]
 
 
 def integrate_geodesic(

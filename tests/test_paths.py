@@ -130,17 +130,98 @@ def test_geodesic_failures_need_no_second_volume(monkeypatch):
 
 
 def test_acceleration_matches_the_single_solve_route(acceleration_by_solve, hyperbolic_point):
-    # G x = Lam at every row x, so only the Lam3 term needs the solve
+    # G x = Lam at every row x, so only the Lam3 term needs the solve; the flow
+    # on the stacked state (x, v) is (v, that acceleration) for every n >= 1
     points = [default_point(name) for name in catalog_names()]
-    points += [hyperbolic_point(3, m) for m in (6, 12)] + [hyperbolic_point(4, 5)]
+    points += [hyperbolic_point(3, m) for m in (6, 12)]
+    points += [hyperbolic_point(1, 1), hyperbolic_point(4, 5), hyperbolic_point(5, 3)]
     rng = np.random.default_rng(11)
     for P in points:
         X = P.omega + 1e-2 * rng.standard_normal((5, P.rank_m))
         V = rng.standard_normal((5, P.rank_m))
-        data = lefschetz(P.form, X)
-        ref = acceleration_by_solve(data, V)
-        acc = paths._acceleration(data, X, V)
-        assert np.all(np.abs(acc - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1)), P
+        ref = acceleration_by_solve(lefschetz(P.form, X), V)
+        f = paths._flow(P.form, np.stack((X, V), axis=1))
+        assert np.array_equal(f[:, 0], V), P
+        assert np.all(np.abs(f[:, 1] - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1)), P
+
+
+def test_flow_failure_is_worded_by_the_kernel():
+    # a stage point outside the cone raises what lefschetz raises for it
+    P = default_point("CY3GEN")
+    X = np.array([P.omega, [-1.0, 3.0]])
+    y = np.stack((X, np.ones_like(X)), axis=1)
+    with pytest.raises(NonPositiveVolume) as err:
+        lefschetz(P.form, X, "geodesic member")
+    with pytest.raises(NonPositiveVolume, match="geodesic member 1 at") as flow_err:
+        paths._flow(P.form, y)
+    assert str(flow_err.value) == str(err.value)
+
+
+def _block_admissions(monkeypatch, steps_per_block, B, m):
+    """Shrink the admission batches to steps_per_block steps of B members of
+    rank m; returns the row counts of every later admit call in paths."""
+    monkeypatch.setattr(paths, "ADMIT_BLOCK", steps_per_block * B * m * m)
+    rows = []
+
+    def counting_admit(form, X, what="point"):
+        rows.append(len(X))
+        return admit(form, X, what)
+
+    monkeypatch.setattr(paths, "admit", counting_admit)
+    return rows
+
+
+def test_block_admission_keeps_the_failing_t(monkeypatch):
+    # CY3GEN (0, -2) leaves the cone at the sample from t = 0.645 (step 258),
+    # in the 37th block of 7 steps; the blocks before it pass
+    rows = _block_admissions(monkeypatch, 7, 1, 2)
+    P = default_point("CY3GEN")
+    failure = "step from t=0.645 failed: Gram matrix of geodesic member 0 "
+    with pytest.raises(LeftCone, match=failure) as err:
+        integrate_geodesic(P, np.array([0.0, -2.0]), 1.0, 400)
+    assert err.value.t == 0.645
+    assert rows[:36] == [7] * 36 and rows[36] == 7   # the failing block
+    assert rows[37:] == [1] * (258 % 7 + 1)            # then its steps one at a time
+
+
+def test_block_admission_names_the_member_that_fails_first(monkeypatch):
+    _block_admissions(monkeypatch, 5, 2, 2)
+    P = default_point("CY3GEN")
+    V0 = np.array([[0.1, 0.05], [0.0, -2.0]])
+    failure = "step from t=0.645 failed: Gram matrix of geodesic member 1 "
+    with pytest.raises(LeftCone, match=failure) as err:
+        integrate_geodesics(P, V0, 1.0, 400)
+    assert err.value.t == 0.645
+
+
+def test_stage_failure_reports_an_earlier_inadmissible_sample(monkeypatch):
+    # CY3GEN (1, -3): with the recorded samples left unchecked a stage point of
+    # the step from t = 0.2525 has no positive volume; the sample from
+    # t = 0.245 before it is already outside the cone, and its t is reported
+    P, v0 = default_point("CY3GEN"), np.array([1.0, -3.0])
+    with monkeypatch.context() as patch:
+        patch.setattr(paths, "_admit_samples", lambda *args: None)
+        stage_failure = "step from t=0.2525 failed: geodesic member 0 at "
+        with pytest.raises(LeftCone, match=stage_failure) as err:
+            integrate_geodesic(P, v0, 1.0, 400)
+    assert isinstance(err.value.__cause__, NonPositiveVolume)
+    failure = "step from t=0.245 failed: Gram matrix of geodesic member 0 "
+    with pytest.raises(LeftCone, match=failure) as err:
+        integrate_geodesic(P, v0, 1.0, 400)
+    assert err.value.t == 0.245
+
+
+@pytest.mark.parametrize("steps_per_block", [3, 1000])
+def test_speeds_are_those_of_the_admitted_samples(monkeypatch, steps_per_block):
+    P = default_point("LOR3")
+    V0 = np.array([P.omega / 2, [0.1, -0.2, 0.05]])
+    rows = _block_admissions(monkeypatch, steps_per_block, len(V0), P.rank_m)
+    batch = integrate_geodesics(P, V0, 1.0, 20)
+    assert sum(rows) == 21 * len(V0) and len(rows) == -(-21 // steps_per_block)
+    for path in batch:
+        grams = admit(P.form, path.points, "geodesic member").gram
+        speeds = np.einsum("ti,tij,tj->t", path.velocities, grams, path.velocities)
+        assert np.abs(path.speeds - speeds).max() <= 1e-15 * np.abs(speeds).max()
 
 
 @pytest.mark.parametrize("name", ["P1XP1", "BLP2", "LOR3"])

@@ -62,6 +62,24 @@ def test_left_cone_in_a_worker_exits_2(capsys, monkeypatch):
     assert report["error"] == "LeftCone" and report["message"].endswith("t=0.25")
 
 
+def test_non_finite_scores_keep_the_report_strict_json(capsys, monkeypatch):
+    # a NaN or inf max_dev fails its check and is written as a string
+    def reject(constant):
+        raise AssertionError(f"bare {constant} in the report")
+
+    monkeypatch.setattr(verify, "torsion_deviation", lambda P: float("nan"))
+    monkeypatch.setattr(verify, "probe_deviation", lambda P, probe: float("inf"))
+    assert main(["verify", "P1XP1"]) == 3
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["P1XP1:torsion_symmetry"] == {"name": "P1XP1:torsion_symmetry",
+                                                "max_dev": "nan", "tol": 0.0, "pass": False}
+    assert checks["P1XP1:boundary_divergent"]["max_dev"] == "inf"
+    assert not checks["P1XP1:boundary_divergent"]["pass"]
+    assert FDReport("x", float("-inf"), 1.0).as_dict()["max_dev"] == "-inf"
+    assert report["outputs"]["all_pass"] is False
+
+
 def test_probe_with_the_wrong_classification_scores_inf():
     probe = dataclasses.replace(ENTRIES["BLP2"].probe, expect="DIVERGENT")
     assert verify.probe_deviation(default_point("BLP2"), probe) == float("inf")
