@@ -64,7 +64,8 @@ class AlgebraAtPoint:
 
     def __init__(self, base: ConePoint):
         self.base = base
-        self.structure = 0.5 * base.lambda_pairs
+        with np.errstate(over="ignore", invalid="ignore"):   # Lam3 / Vol overflows near Vol = 0
+            self.structure = _finite(0.5 * base.lambda_pairs, "the product table")
 
     def product(self, u: CohClass, v: CohClass) -> CohClass:
         """u . v = 1/2 Lam(u cup v); commutative and bilinear."""

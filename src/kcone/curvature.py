@@ -175,9 +175,9 @@ def derived_curvatures(P: ConePoint) -> DerivedCurvatures:
         u, v = (np.ldexp(a, -np.frexp(np.abs(a).max())[1]) for a in
                 (P.form._check_class(u), P.form._check_class(v)))
         guu, gvv, guv = P.inner(u, u), P.inner(v, v), P.inner(u, v)
-        den = guu * gvv - guv * guv
+        den = _finite(guu * gvv - guv * guv, "|u^v|^2 of the plane")
         if den <= 1e-12 * guu * gvv or den <= 0.0:
             raise DegeneratePlane(f"degenerate plane: |u^v|^2 = {den!r}")
-        return riemann(P, u, v, v, u) / den
+        return _finite(riemann(P, u, v, v, u) / den, "the sectional curvature")
 
     return DerivedCurvatures(sectional=sectional, ricci=ricci, scalar=scalar)

@@ -56,38 +56,40 @@ def _divisor(n: int, k: int, vol):
     return factorial(n - k) * vol
 
 
-def lefschetz(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefschetz:
-    """Contract the dense form with each row of X and normalize by divided powers.
-
-    The first contraction is one matrix product over the whole batch, the
-    later ones are batched matrix-vector products.  The one owner of why a
-    row cannot be contracted: for the first row whose volume is not a finite
-    positive number it raises ValueError if the row has a non-finite entry or
-    its volume over- or underflows double precision, and NonPositiveVolume otherwise.
-    """
-    X = np.asarray(X, dtype=float)
-    n, m = form.dim_n, form.rank_m
-    B = len(X)
-    # filled[j]: the form with j slots filled by x_b, batch axis first
-    filled = [form._dense[None], X @ form._dense.reshape(-1, m).T]
+def _contract(form: IntersectionForm, Y: np.ndarray, what: str = "point"):
+    """filled, for each stack Y[b] = (x, y_1, ..) of the (B, r, m) rows Y (r = 1 for cone
+    points, 2 for the geodesic state (x, v)), one matmul per slot: filled[j][b, a, c] =
+    kappa(y_a x^(j-1) y_c ..) (c = 0 alone at j = 0).  The one owner of why x cannot be
+    contracted: for the first x whose volume is not finite and positive, ValueError if x is not
+    finite or its volume over- or underflows double precision, else NonPositiveVolume."""
+    n, m, (B, r) = form.dim_n, form.rank_m, Y.shape[:2]
+    filled = [(Y.reshape(-1, m) @ form._dense.reshape(m, -1)).reshape(B, r, 1, -1)]
     for _ in range(n - 1):
-        filled.append(filled[-1].reshape(B, -1, m) @ X[:, :, None])
-    # stages[k]: filled[n - k] with its k free slots as axes (filled[0] has them)
-    stages = [filled[n - k].reshape((-1,) + (m,) * k) for k in range(n)] + [filled[0]]
-    vol = stages[0] / factorial(n)
-    if not (vol.min() > 0.0 and vol.max() < np.inf):
+        filled.append(Y[:, None] @ filled[-1][:, :, 0].reshape(B, r, m, -1))
+    s = filled[-1][:, 0, 0, 0]   # n! Vol: rounding is monotone, so min(Vol) = min(s) / n!
+    if not (s.min() / factorial(n) > 0.0 and s.max() < np.inf):
+        vol = s / factorial(n)
         b = int(np.argmin((vol > 0.0) & (vol < np.inf)))
-        if not np.isfinite(X[b]).all():
-            raise ValueError(f"{what} {b} at {X[b].tolist()} has non-finite entries")
+        x = Y[b, 0]
+        if not np.isfinite(x).all():
+            raise ValueError(f"{what} {b} at {x.tolist()} has non-finite entries")
         if not vol[b] <= 0.0:   # +inf, or nan from inf - inf
-            raise ValueError(f"volume of {what} {b} at {X[b].tolist()} overflows double precision")
-        # Vol is homogeneous: if it is positive once a power of two takes the
-        # largest entry to [1/2, 1), it underflowed
-        if form.volume(np.ldexp(X[b], -np.frexp(np.abs(X[b]).max())[1])) > 0.0:
-            raise ValueError(f"volume of {what} {b} at {X[b].tolist()} underflows double precision")
-        raise NonPositiveVolume(
-            f"{what} {b} at {X[b].tolist()}: volume {float(vol[b])!r} is not positive"
-        )
+            raise ValueError(f"volume of {what} {b} at {x.tolist()} overflows double precision")
+        # Vol is homogeneous: it underflowed if positive with x scaled by 2^k into [1/2, 1)
+        if form.volume(np.ldexp(x, -np.frexp(np.abs(x).max())[1])) > 0.0:
+            raise ValueError(f"volume of {what} {b} at {x.tolist()} underflows double precision")
+        raise NonPositiveVolume(f"{what} {b} at {x.tolist()}: volume {float(vol[b])!r} "
+                                "is not positive")
+    return filled
+
+
+def lefschetz(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefschetz:
+    """_contract on each row of X, normalized by divided powers; raises what it raises."""
+    n, m, B = form.dim_n, form.rank_m, len(X)
+    filled = _contract(form, np.asarray(X, dtype=float)[:, None], what)
+    stages = [filled[n - 1 - k][:, 0, 0].reshape((B,) + (m,) * k) for k in range(n)]
+    stages.append(form._dense[None])
+    vol = stages[0] / factorial(n)
     lam = stages[1] / _divisor(n, 1, vol)[:, None]
     lam2 = stages[2] / _divisor(n, 2, vol)[:, None, None] if n >= 2 else np.zeros((B, m, m))
     gram = lam[:, :, None] * lam[:, None, :] - lam2
@@ -129,16 +131,12 @@ class ConePoint:
     """
 
     def __init__(self, form: IntersectionForm, omega: CohClass):
-        omega = form._check_class(omega)
-        self.form = form
-        self.omega = omega
+        self.form, self.omega = form, form._check_class(omega)
         self.dim_n, self.rank_m = form.dim_n, form.rank_m
-        data = admit(form, omega[None], "point")
+        data = admit(form, self.omega[None], "point")
         self.vol = float(data.vol[0])
-        self._lam = data.lam[0]
-        self._lam2 = data.lam2[0]
+        self._lam, self._lam2, self.gram = data.lam[0], data.lam2[0], data.gram[0]
         self._stages = [stage[0] for stage in data.stages]
-        self.gram = data.gram[0]
 
     def __repr__(self):
         return (

@@ -14,6 +14,7 @@ bound fails on radial rays; length_bound_check reports both.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite, log, sqrt
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import IndefiniteMetric, KConeError, LeftCone, NonPositiveVolume
 from .intersection import CohClass, IntersectionForm
-from .metric import ConePoint, admit, lefschetz
+from .metric import ConePoint, _contract, admit
 
 __all__ = [
     "GeodesicPath",
@@ -57,17 +58,12 @@ _STEP_ERRORS = (NonPositiveVolume, IndefiniteMetric, ValueError)   # LinAlgError
 def _flow(form: IntersectionForm, y: np.ndarray) -> np.ndarray:
     """f(y) = (v, Lam(v) v - 1/2 Lam2(v, v) x + 1/2 G^-1 Lam3(v, v, .)), the geodesic
     equation, at each (x, v) row of the (B, 2, m) state y; no solve for n < 3.  With
-    s = kappa(x^n), Lam^k = n!/(n-k)! kappa(x^{n-k} ..) / s.  x gets only the kernel's
-    volume check (and the solve's zero-pivot check); the kernel words a failure."""
+    s = kappa(x^n), Lam^k = n!/(n-k)! kappa(x^{n-k} ..) / s, each kappa from the kernel
+    _contract, which judges and words x by its volume; the solve adds its zero-pivot check."""
     n, m, B = form.dim_n, form.rank_m, len(y)
-    # the first slot filled by x and by v in one matmul, then each next slot, keeping the x row
-    qs = [(y @ form._dense.reshape(m, -1))[:, :, None]]
-    for _ in range(n - 1):
-        qs.append(y[:, None] @ qs[-1][:, :, 0].reshape(B, 2, m, -1))
+    qs = _contract(form, y, "geodesic member")
     g = qs[-1].reshape(B, 2, -1).swapaxes(1, 2)   # kappa(x^(n-2) y_a y_b); row a = x alone if n = 1
     s = g[:, 0, 0]
-    if not (s.min() > 0.0 and s.max() < np.inf):
-        s = lefschetz(form, y[:, 0], "geodesic member").stages[0]   # raises, or has s > 0
     r = n / s   # Lam(u) = r kappa(x^(n-1) u)
     # (x, v) weighted by (-1/2 Lam2(v, v), Lam(v)); for n = 1, (0, 1) r kappa(v)
     w = g[:, ::-1, 1] * (r[:, None] * ((1 - n) / 2, 1.0))
@@ -88,20 +84,22 @@ def _step_error(t, exc: Exception) -> Exception:
 
 
 def _admit_samples(form: IntersectionForm, ts, ys, speeds) -> None:
-    """Admit the samples x of ys, shape (K, B, 2, m), as one batch, and write g(v, v)
-    into speeds; else one step at a time: the first failing step raises."""
-    xs, vs = ys[:, :, 0], ys[:, :, 1, None]
-    try:
-        grams = admit(form, xs.reshape(-1, xs.shape[-1]), "geodesic member").gram
-    except _STEP_ERRORS:
-        grams = []
-        for t, x in zip(ts, xs):
-            try:
-                grams.append(admit(form, x, "geodesic member").gram)
-            except _STEP_ERRORS as exc:
-                raise _step_error(t, exc) from exc
-    grams = np.reshape(grams, vs.shape[:2] + 2 * vs.shape[-1:])
-    speeds[:] = (vs @ grams @ vs.swapaxes(2, 3))[..., 0, 0]
+    """Admit the samples x of ys, shape (K, B, 2, m), and write g(v, v) into speeds in one
+    batch, else step by step: the first failing step raises (ValueError on a non-finite speed)."""
+    xs, vs, m = ys[:, :, 0], ys[:, :, 1, None], ys.shape[-1]
+    with suppress(*_STEP_ERRORS):
+        grams = admit(form, xs.reshape(-1, m), "geodesic member").gram.reshape(*vs.shape[:2], m, m)
+        speeds[:] = (vs @ grams @ vs.swapaxes(2, 3))[..., 0, 0]
+        if np.isfinite(speeds).all():
+            return
+    for t, x, v, speed in zip(ts, xs, vs, speeds):
+        try:
+            speed[:] = (v @ admit(form, x, "geodesic member").gram @ v.swapaxes(1, 2))[:, 0, 0]
+            b = int(np.argmin(np.isfinite(speed)))   # the first member whose speed is not finite
+            if not np.isfinite(speed[b]):
+                raise ValueError(f"geodesic member {b} at {x[b].tolist()} has a non-finite speed")
+        except _STEP_ERRORS as exc:
+            raise _step_error(t, exc) from exc
 
 
 @dataclass
@@ -123,10 +121,11 @@ def integrate_geodesics(
 
     Every recorded sample passes the full cone admission checks, in batches of
     about ADMIT_BLOCK Gram entries that also give the speeds; a stage point gets
-    only the volume check of _flow.  A member that fails a check raises LeftCone
+    only the kernel's volume check.  A member that fails a check raises LeftCone
     with the start t of the earliest failed step, named with the member in the
     message.  What the kernel rejects as an input error (a non-finite or
-    overflowing point) is a ValueError naming the step.
+    overflowing point), and a sample whose speed is not finite, is a ValueError
+    naming the step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -177,7 +176,7 @@ def _polyline(form: IntersectionForm, pts: np.ndarray, what: str):
     admitted in one call, interleaved: row 2j is sample j, row 2j + 1 the
     midpoint after it."""
     rows = np.empty((2 * len(pts) - 1, pts.shape[1]))
-    rows[0::2], rows[1::2] = pts, 0.5 * (pts[:-1] + pts[1:])
+    rows[0::2], rows[1::2] = pts, 0.5 * pts[:-1] + 0.5 * pts[1:]   # the sum may overflow
     data = admit(form, rows, what)
     deltas = pts[1:] - pts[:-1]
     sq = np.einsum("bi,bij,bj->b", deltas, data.gram[1::2], deltas)
@@ -255,7 +254,7 @@ def boundary_probe(
     alpha, omega = form._check_class(alpha), form._check_class(omega)
     # each interval is cut into PROBE_SUBSTEPS chords; neighbours share their end sample
     sub = np.linspace(ts[:-1], ts[1:], PROBE_SUBSTEPS, endpoint=False, axis=1)
-    with np.errstate(invalid="ignore"):   # -inf + inf is a nan row the kernel names
+    with np.errstate(over="ignore", invalid="ignore"):   # the kernel names an inf or nan row
         pts = alpha[None, :] + np.append(sub, ts[-1])[:, None] * omega[None, :]
     admit(form, omega[None], "probe point")   # omega itself must be a cone point
     vols, chords = _polyline(form, pts, "probe point")

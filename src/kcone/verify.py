@@ -203,7 +203,8 @@ def algebra_identity_deviation(P: ConePoint) -> float:
 
 def derivation_deviation(P: ConePoint, derivations) -> float:
     """Criterion 12d: the worst of D omega = 0, Lam(D x) = 0 for every x and
-    g-antisymmetry over the derivations D at P; 0.0 when there are none."""
+    g-antisymmetry over the derivations D at P; 0.0 when there are none.  They vanish to
+    roundoff of order cond(G) eps: at LOR3 (1, 0.9999, 0), cond G = 4.0e8, this reads 2.4e-6."""
     return _worst(dev for d in derivations
                   for dev in (P.norm(d @ P.omega), np.abs(P._lam @ d).max(),
                               np.linalg.norm(P.gram_inv @ d.T @ P.gram + d)))

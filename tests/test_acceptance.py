@@ -7,6 +7,8 @@ criterion 14 runs the CLI `verify` twice and compares bytes.
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import pytest
+
 from kcone.catalog import catalog_names
 from kcone.cli import main
 
@@ -19,12 +21,25 @@ def _run(suite, num, title, names):
     rows = [suite[n] for n in names]
     failed = [r for r in rows if not r["pass"]]
     status = "PASS" if not failed else "FAIL"
-    worst = max(rows, key=lambda r: r["max_dev"])
+    # a failed row first: a non-finite max_dev ("nan", "inf") compares with nothing
+    worst = max(rows, key=lambda r: (not r["pass"], float(r["max_dev"])))
     print(
         f"criterion {num:2d} [{status}] {title}: "
-        f"worst dev {worst['max_dev']:.3e} (tol {worst['tol']:.1e}, {worst['name']})"
+        f"worst dev {float(worst['max_dev']):.3e} (tol {worst['tol']:.1e}, {worst['name']})"
     )
     assert not failed, [(r["name"], r["max_dev"], r["tol"]) for r in failed]
+
+
+def test_non_finite_score_prints_the_fail_line(capsys):
+    suite = {
+        "A:x": {"name": "A:x", "max_dev": 1e-12, "tol": 1e-10, "pass": True},
+        "A:y": {"name": "A:y", "max_dev": "nan", "tol": 1e-10, "pass": False},
+    }
+    with pytest.raises(AssertionError):
+        _run(suite, 1, "title", ["A:x", "A:y"])
+    assert capsys.readouterr().out == (
+        "criterion  1 [FAIL] title: worst dev nan (tol 1.0e-10, A:y)\n"
+    )
 
 
 def test_criterion_01_hessian_identity(suite):

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -6,11 +7,15 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kcone.catalog import CATALOG, default_omega
 from kcone.cli import main
@@ -689,3 +694,86 @@ def test_streamed_report_holds_bounded_scratch():
         tracemalloc.stop()
     assert written[0] > 1.5e6
     assert peak <= written[0] / 8
+
+
+# the subcommands the fuzz below drives; each handles any catalog form
+FUZZED = ["metric", "curvature", "connection", "algebra", "split", "geodesic", "probe"]
+# argv the fuzz must exit with a known code, each run as an explicit example: the
+# kernel's two range verdicts and a non-positive volume; a curvature tensor that
+# overflows; and the range defects the fuzz found, each an error now (a geodesic
+# whose final velocity overflows, a probe whose path or its midpoints overflow, a
+# sectional curvature and the structure constants at a subnormal volume)
+PINNED_EXITS = {
+    ("metric", "P1XP1", "--at", "1e154,1e154"): 1,
+    ("metric", "P1XP1", "--at", "1e-200,1e-200"): 1,
+    ("metric", "BLP2", "--at", "1,2"): 2,
+    ("curvature", "P1XP1", "--at", "1e-80,1e-80"): 1,
+    ("geodesic", "BLP2", "--v=6.80564733841877e+38,0.0", "--T=1.0", "--steps=1"): 1,
+    ("probe", "P1XP1", "--alpha=0.0,8.98846567431158e+307",
+     "--omega=0.0,8.98846567431158e+307", "--halvings=1"): 2,
+    ("probe", "P3", "--alpha=8.98846567431158e+307", "--omega=1.0", "--halvings=1"): 1,
+    ("curvature", "P3", "--at=4.3180842775472223e-78", "--sectional", "1.0", "1.0"): 1,
+    ("algebra", "P3", "--at=2.2323972485981933e-103"): 1,
+}
+
+
+def _reject_constant(token):
+    raise ValueError(f"report holds {token}")
+
+
+@st.composite
+def cli_calls(draw):
+    """argv of one FUZZED call on a catalog form, every class entry 0 or +-2^k."""
+    power = st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k))
+    entry = st.one_of(st.just(0.0), power, power.map(lambda x: -x))
+    command, name = draw(st.sampled_from(FUZZED)), draw(st.sampled_from(list(CATALOG)))
+    m = CATALOG[name].rank_m
+
+    def vec():
+        return draw(st.lists(entry, min_size=m, max_size=m))
+
+    def cls(x):
+        return ",".join(map(repr, x))
+
+    argv = [command, name]
+    if command == "probe":
+        return argv + [f"--alpha={cls(vec())}", f"--omega={cls(vec())}",
+                       f"--halvings={draw(st.integers(1, 6))}"]
+    if draw(st.booleans()):
+        argv.append(f"--at={cls(vec())}")
+    if command == "curvature":
+        argv += [flag for flag in ("--ricci", "--scalar") if draw(st.booleans())]
+        if draw(st.booleans()):
+            # K(u, v) = K(-u, v): argparse reads a bare argument starting with "-" as a flag
+            argv += ["--sectional"] + [cls([math.copysign(1.0, u[0]) * x for x in u])
+                                       for u in (vec(), vec())]
+    elif command == "connection":
+        argv += [f"--z={cls(vec())}", f"--u={cls(vec())}"]
+    elif command == "algebra":
+        argv += [flag for flag in ("--derivations", "--kn", "--constant-curvature")
+                 if draw(st.booleans())]
+    elif command == "geodesic":
+        argv += [f"--v={cls(vec())}", f"--T={draw(entry)!r}", f"--steps={draw(st.integers(1, 4))}"]
+    return argv
+
+
+def _pinned_examples(test):
+    for argv in PINNED_EXITS:
+        test = example(list(argv))(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cli_calls())
+@_pinned_examples
+def test_fuzzed_cli_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    assert code == PINNED_EXITS.get(tuple(argv), code)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        assert isinstance(json.loads(out.getvalue(), parse_constant=_reject_constant), dict)

@@ -145,16 +145,25 @@ def test_acceleration_matches_the_single_solve_route(acceleration_by_solve, hype
         assert np.all(np.abs(f[:, 1] - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1)), P
 
 
-def test_flow_failure_is_worded_by_the_kernel():
-    # a stage point outside the cone raises what lefschetz raises for it
-    P = default_point("CY3GEN")
-    X = np.array([P.omega, [-1.0, 3.0]])
+@pytest.mark.parametrize("name, row, error, words", [
+    pytest.param("CY3GEN", [-1.0, 3.0], NonPositiveVolume, "is not positive", id="non_positive"),
+    pytest.param("P1XP1", [np.inf, 1.0], ValueError, "has non-finite entries", id="non_finite"),
+    pytest.param("P1XP1", [1e200, 1e200], ValueError, "overflows double precision", id="overflow"),
+    pytest.param("P1XP1", [1e-200, 1e-200], ValueError, "underflows double precision",
+                 id="underflow"),
+])
+def test_flow_failure_is_worded_by_the_kernel(name, row, error, words):
+    # a stage point the kernel rejects raises what lefschetz raises for it
+    P = default_point(name)
+    X = np.array([P.omega, row])
     y = np.stack((X, np.ones_like(X)), axis=1)
-    with pytest.raises(NonPositiveVolume) as err:
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as err:
         lefschetz(P.form, X, "geodesic member")
-    with pytest.raises(NonPositiveVolume, match="geodesic member 1 at") as flow_err:
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as flow_err:
         paths._flow(P.form, y)
+    assert type(flow_err.value) is type(err.value)
     assert str(flow_err.value) == str(err.value)
+    assert "geodesic member 1 at" in str(err.value) and words in str(err.value)
 
 
 def _block_admissions(monkeypatch, steps_per_block, B, m):
