@@ -9,64 +9,14 @@ algebra the Lefschetz contraction induces at each point.  Every closed
 formula is cross-checked by an independent finite-difference oracle.
 """
 
-from .algebra import (
-    AlgebraAtPoint,
-    ConstantCurvatureFit,
-    algebra_at,
-    kn_product,
-)
-from .catalog import CATALOG, catalog_names, default_omega, default_point, get_form
-from .curvature import (
-    DerivedCurvatures,
-    christoffel,
-    derived_curvatures,
-    inner22,
-    riemann,
-    riemann_alt,
-    riemann_tensor,
-)
-from .errors import (
-    DegeneratePlane,
-    IndefiniteMetric,
-    KConeError,
-    LeftCone,
-    ManifoldFormatError,
-    NonPositiveVolume,
-)
-from .fdcheck import (
-    FDReport,
-    check_connection,
-    check_curvature,
-    check_hessian_metric,
-    check_lambda_derivative,
-    check_primitive_field,
-    fd_directional,
-    fd_hessian,
-)
-from .intersection import (
-    CohClass,
-    IntersectionForm,
-    load_manifold,
-    parse_manifold,
-    serialize_manifold,
-)
-from .metric import POSDEF_TOL, ConePoint, Lefschetz, lefschetz
-from .paths import (
-    GeodesicPath,
-    LengthBound,
-    ProbeReport,
-    PullbackReport,
-    SplitReport,
-    boundary_probe,
-    integrate_geodesic,
-    integrate_geodesics,
-    length_bound_check,
-    path_length,
-    pullback_isometry_check,
-    split,
-    split_report,
-    unsplit,
-)
-from .verify import run_verification
+from .algebra import *
+from .catalog import *
+from .curvature import *
+from .errors import *
+from .fdcheck import *
+from .intersection import *
+from .metric import *
+from .paths import *
+from .verify import *
 
 __version__ = "0.1.0"

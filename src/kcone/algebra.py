@@ -100,7 +100,7 @@ class AlgebraAtPoint:
             for i in range(m):
                 d = (f[:, i].T @ fmat - s[i] @ gst).reshape(m, m, m)   # [k, j, l] = D[i, k, j, l]
                 slab_max[i] = np.abs(d - d.transpose(2, 1, 0)).max()
-        return float(_finite(slab_max.max(), f"KN residual at {self.base.omega.tolist()}"))
+        return float(_finite(slab_max.max(), "KN residual at", self.base.omega))
 
     def constant_curvature_test(self) -> ConstantCurvatureFit:
         """Best multiple of the induced S^2 inner product inside <x.y, z.w>.

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DegeneratePlane
 from .intersection import CohClass
-from .metric import ConePoint, _finite
+from .metric import ConePoint, _divisor, _finite
 
 __all__ = [
     "christoffel_tensor",
@@ -66,7 +65,7 @@ def christoffel(P: ConePoint, z: CohClass, u: CohClass) -> CohClass:
     z, u = P.form._check_class(z), P.form._check_class(u)
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = z @ (u @ christoffel_tensor(P))
-    return _finite(gamma, f"Gamma(z, u) at z = {z.tolist()}")
+    return _finite(gamma, "Gamma(z, u) at z =", z)
 
 
 def riemann(P: ConePoint, u, v, z, w) -> float:
@@ -93,7 +92,7 @@ def _exact(P: ConePoint):
         a[i] /= a[i, i]
         rest = np.arange(len(a)) != i
         a[rest] -= np.outer(a[rest, i], a[i])
-    lam_k = {k: (_fractions(P._stages[k]), factorial(P.dim_n - k) * Fraction(P.vol))
+    lam_k = {k: (_fractions(P._stages[k]), _divisor(P.dim_n, k, Fraction(P.vol)))
              for k in (2, 3, 4) if k <= P.dim_n}
     return a[:, P.rank_m:], gram, _fractions(P._lam), _fractions(P.omega), lam_k
 
@@ -152,7 +151,7 @@ def riemann_tensor(P: ConePoint) -> np.ndarray:
                                  (f @ f.T)[:, :, None] / np.sqrt(P.dim_n)], axis=2)
         ip = (pulled.reshape(m * m, m) @ pulled.reshape(m * m, m).T).reshape(m, m, m, m)
         r = np.einsum("ikjl->ijkl", ip) - np.einsum("iljk->ijkl", ip)
-    return _finite(r, f"curvature tensor at {P.omega.tolist()}")
+    return _finite(r, "curvature tensor at", P.omega)
 
 
 class DerivedCurvatures(NamedTuple):

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["KConeError", "ManifoldFormatError", "NonPositiveVolume", "IndefiniteMetric",
+           "LeftCone", "DegeneratePlane"]
+
 
 class KConeError(Exception):
     """Base class for all library errors."""

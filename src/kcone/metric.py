@@ -44,10 +44,12 @@ class Lefschetz(NamedTuple):
     stages: list         # stages[0..n]
 
 
-def _finite(a, what: str):
-    """a, if every entry is finite; else ValueError: what overflows double precision."""
+def _finite(a, what: str, at=None):
+    """a, if every entry is finite; else ValueError: what, then the point at if given,
+    overflows double precision.  The message is formatted only when it raises."""
     if not np.isfinite(a).all():
-        raise ValueError(f"{what} overflows double precision")
+        where = "" if at is None else f" {at.tolist()}"
+        raise ValueError(f"{what}{where} overflows double precision")
     return a
 
 
@@ -112,7 +114,7 @@ def admit(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefsche
     ok = eig[:, 0] > POSDEF_TOL * eig[:, -1]
     if not ok.all():
         b = int(np.argmin(ok))
-        _finite(data.gram[b], f"metric of {what} {b} at {X[b].tolist()}")
+        _finite(data.gram[b], f"metric of {what} {b} at", X[b])
         raise IndefiniteMetric(
             f"Gram matrix of {what} {b} at {X[b].tolist()} is not positive definite "
             f"(eigenvalues {eig[b].tolist()})"

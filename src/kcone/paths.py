@@ -85,7 +85,7 @@ def _step_error(t, exc: Exception) -> Exception:
 
 def _admit_samples(form: IntersectionForm, ts, ys, speeds) -> None:
     """Admit the samples x of ys, shape (K, B, 2, m), and write g(v, v) into speeds in one
-    batch, else step by step: the first failing step raises (ValueError on a non-finite speed)."""
+    batch, else step by step: the first failing step raises (ValueError on an overflowing speed)."""
     xs, vs, m = ys[:, :, 0], ys[:, :, 1, None], ys.shape[-1]
     with suppress(*_STEP_ERRORS):
         grams = admit(form, xs.reshape(-1, m), "geodesic member").gram.reshape(*vs.shape[:2], m, m)
@@ -97,7 +97,8 @@ def _admit_samples(form: IntersectionForm, ts, ys, speeds) -> None:
             speed[:] = (v @ admit(form, x, "geodesic member").gram @ v.swapaxes(1, 2))[:, 0, 0]
             b = int(np.argmin(np.isfinite(speed)))   # the first member whose speed is not finite
             if not np.isfinite(speed[b]):
-                raise ValueError(f"geodesic member {b} at {x[b].tolist()} has a non-finite speed")
+                raise ValueError(f"speed of geodesic member {b} at {x[b].tolist()} with velocity "
+                                 f"{v[b, 0].tolist()} overflows double precision")
         except _STEP_ERRORS as exc:
             raise _step_error(t, exc) from exc
 
@@ -124,8 +125,8 @@ def integrate_geodesics(
     only the kernel's volume check.  A member that fails a check raises LeftCone
     with the start t of the earliest failed step, named with the member in the
     message.  What the kernel rejects as an input error (a non-finite or
-    overflowing point), and a sample whose speed is not finite, is a ValueError
-    naming the step.
+    overflowing point), and a sample whose speed overflows, is a ValueError
+    naming the step.  A non-finite initial velocity is a ValueError up front.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -134,6 +135,11 @@ def integrate_geodesics(
     V0 = np.asarray(V0, dtype=float)
     if V0.ndim != 2 or V0.shape[1] != P0.rank_m or not len(V0):
         raise ValueError(f"velocities have shape {V0.shape}, expected (B, {P0.rank_m})")
+    finite = np.isfinite(V0).all(axis=1)
+    if not finite.all():
+        b = int(np.argmin(finite))
+        raise ValueError(f"initial velocity {V0[b].tolist()} of geodesic member {b} "
+                         "has non-finite entries")
     if not np.all(np.any(V0, axis=1)):
         raise ValueError("initial velocity must be nonzero")
     form, (B, m) = P0.form, V0.shape

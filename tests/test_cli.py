@@ -201,12 +201,14 @@ def test_small_scale_point_has_finite_connection(capsys):
 def test_geodesic_stage_point_overflow_is_input_error(capsys):
     # the first stage point (5e199, 1) is inside the cone of P1XP1, but the
     # acceleration Lam(v) v is about 1e400, so the next stage point is not
-    # finite: an input error, not a LeftCone from a singular solve
+    # finite: an input error, not a LeftCone from a singular solve.  The
+    # sample at t = 0 fails first: its speed g(v, v) = 1e400 overflows
     code, out, err = run_cli(
         capsys, "geodesic", "P1XP1", "--at", "1,1", "--v", "1e200,0", "--T", "1", "--steps", "2"
     )
     assert code == 1 and out == ""
-    assert err.startswith("error: step from t=0.0")
+    assert err == ("error: step from t=0.0: speed of geodesic member 0 at [1.0, 1.0] "
+                   "with velocity [1e+200, 0.0] overflows double precision\n")
 
 
 def test_algebra_kn_frame_starts_with_omega(capsys):

@@ -7,10 +7,11 @@ import pytest
 
 from kcone.algebra import algebra_at
 from kcone.catalog import CATALOG, catalog_names, default_point
-from kcone.curvature import christoffel_tensor
+from kcone.curvature import christoffel, christoffel_tensor, riemann_tensor
 from kcone.errors import IndefiniteMetric, NonPositiveVolume
 from kcone.fdcheck import check_lambda_derivative
-from kcone.metric import ConePoint, _divisor, admit
+from kcone.intersection import IntersectionForm
+from kcone.metric import ConePoint, _divisor, _finite, admit
 
 
 def test_cone_point_p1xp1():
@@ -67,6 +68,34 @@ def test_admit_names_the_failing_row():
         admit(CATALOG["P1XP1"], X)
     with pytest.raises(IndefiniteMetric, match="point 1"):
         admit(CATALOG["CY3GEN"], X)
+
+
+class _Unformattable(np.ndarray):
+    """A point that fails the test if it is formatted into a message."""
+
+    def tolist(self):
+        raise AssertionError("a range message was formatted for a finite result")
+
+
+def test_range_messages_are_formatted_only_on_failure(monkeypatch):
+    point = np.array([1.0, 2.0]).view(_Unformattable)
+    assert _finite(np.ones(2), "curvature tensor at", point) is not None
+    with pytest.raises(ValueError) as err:
+        _finite(np.array([1.0, np.inf]), "curvature tensor at", np.array([1.0, 2.0]))
+    assert str(err.value) == "curvature tensor at [1.0, 2.0] overflows double precision"
+    with pytest.raises(ValueError) as err:
+        _finite(np.array(np.nan), "the product table")
+    assert str(err.value) == "the product table overflows double precision"
+    # the callers pass the point, not its text: Gamma's z, R's and the KN residual's omega
+    P = default_point("LOR3")
+    P.cubic, P.coframe   # cached before omega is swapped
+    P.omega = P.omega.view(_Unformattable)
+    check_class = IntersectionForm._check_class
+    monkeypatch.setattr(IntersectionForm, "_check_class",
+                        lambda form, a: check_class(form, a).view(_Unformattable))
+    christoffel(P, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    riemann_tensor(P)
+    algebra_at(P).kn_reconstruction_residual()
 
 
 def test_overflowing_metric_is_input_error():

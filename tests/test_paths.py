@@ -246,6 +246,16 @@ def test_surface_cone_geodesic_makes_no_solve(monkeypatch, name):
         assert path.speed_drift <= 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_geodesic_rejects_non_finite_velocity(bad):
+    # named by the velocity up front, not by the finite point whose speed fails
+    P = default_point("P1XP1")
+    with pytest.raises(ValueError, match=r"^initial velocity \[.*\] of geodesic member 0 has non-"):
+        integrate_geodesic(P, [bad, 0.0], 1.0, 10)
+    with pytest.raises(ValueError, match=r"velocity \[1.0, .*\] of geodesic member 1 has non-"):
+        integrate_geodesics(P, np.array([[1.0, 0.0], [1.0, bad]]), 1.0, 10)
+
+
 def test_integrate_geodesics_rejects_bad_batches():
     P = default_point("P1XP1")
     with pytest.raises(ValueError, match="nonzero"):
