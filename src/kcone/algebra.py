@@ -21,9 +21,8 @@ exactly when every primitive plane has sectional curvature n/4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -48,8 +47,7 @@ def kn_product(b) -> np.ndarray:
     return np.einsum("ik,jl->ijkl", b, b) - np.einsum("il,jk->ijkl", b, b)
 
 
-@dataclass
-class ConstantCurvatureFit:
+class ConstantCurvatureFit(NamedTuple):
     lam: float
     residual: float
     tol: float

@@ -10,9 +10,8 @@ lists the pullback isometry cases the suite checks from entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -23,8 +22,7 @@ __all__ = ["CATALOG", "ENTRIES", "PULLBACKS", "CatalogEntry", "CurvatureValues",
            "Pullback", "catalog_names", "get_form", "default_omega", "default_point"]
 
 
-@dataclass(frozen=True)
-class CurvatureValues:
+class CurvatureValues(NamedTuple):
     """Curvature values pinned at an entry's default point.
 
     `plane` spans a primitive plane of sectional curvature `sectional`;
@@ -41,8 +39,7 @@ class CurvatureValues:
     radial: tuple
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(NamedTuple):
     """A boundary probe along alpha + t omega from the default point omega,
     at t = 2^-j for j = 0..halvings, with its expected classification; the
     classification sets the tolerance on its score."""
@@ -52,8 +49,7 @@ class Probe:
     expect: str   # "DIVERGENT" or "CONVERGENT"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A catalog form, its admissible default point and the values pinned
     there; None pins nothing."""
 
@@ -131,8 +127,7 @@ ENTRIES = {
 CATALOG = {name: entry.form for name, entry in ENTRIES.items()}
 
 
-@dataclass(frozen=True)
-class Pullback:
+class Pullback(NamedTuple):
     """A pullback isometry case: `matrix` maps the cone of the `source`
     entry, sampled around its default point, into the cone of `target`
     with volumes scaled by `degree`."""

@@ -16,7 +16,6 @@ degenerate sectional plane (the JSON "error" field carries the error name),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import os
@@ -202,7 +201,7 @@ def _cmd_probe(args):
     form = _resolve_form(args.form)
     rep = boundary_probe(form, args.alpha, args.omega, args.halvings)
     inputs = {key: getattr(args, key) for key in ("alpha", "omega", "halvings")}
-    return form.name, inputs, dataclasses.asdict(rep)
+    return form.name, inputs, rep._asdict()
 
 
 def _cmd_algebra(args):
@@ -227,7 +226,7 @@ def _cmd_algebra(args):
 
 def _cmd_split(args):
     P = _point(args)
-    return P.form.name, {"at": P.omega}, dataclasses.asdict(split_report(P))
+    return P.form.name, {"at": P.omega}, split_report(P)._asdict()
 
 
 def _cmd_pullback(args):
@@ -242,7 +241,7 @@ def _cmd_pullback(args):
         "degree": args.degree,
         "at": base,
     }
-    return form_y.name, inputs, dataclasses.asdict(rep), [check.as_dict()]
+    return form_y.name, inputs, rep._asdict(), [check.as_dict()]
 
 
 def _cmd_verify(args):

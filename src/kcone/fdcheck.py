@@ -9,8 +9,8 @@ tolerances stay data-driven.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite, log
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ TOL_CURVATURE = 1e-5
 TOL_PRIMITIVE = 1e-8
 
 
-@dataclass
-class FDReport:
+class FDReport(NamedTuple):
     name: str
     max_dev: float
     tol: float

@@ -75,8 +75,7 @@ def _contract(form: IntersectionForm, Y: np.ndarray, what: str = "point"):
         x = Y[b, 0]
         if not np.isfinite(x).all():
             raise ValueError(f"{what} {b} at {x.tolist()} has non-finite entries")
-        if not vol[b] <= 0.0:   # +inf, or nan from inf - inf
-            raise ValueError(f"volume of {what} {b} at {x.tolist()} overflows double precision")
+        _finite(np.maximum(vol[b], 0.0), f"volume of {what} {b} at", x)   # +inf, or inf - inf
         # Vol is homogeneous: it underflowed if positive with x scaled by 2^k into [1/2, 1)
         if form.volume(np.ldexp(x, -np.frexp(np.abs(x).max())[1])) > 0.0:
             raise ValueError(f"volume of {what} {b} at {x.tolist()} underflows double precision")

@@ -15,7 +15,6 @@ bound fails on radial rays; length_bound_check reports both.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import partial
 from math import isfinite, log, sqrt
 from typing import NamedTuple, Sequence
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import IndefiniteMetric, KConeError, LeftCone, NonPositiveVolume
 from .intersection import CohClass, IntersectionForm
-from .metric import ConePoint, _contract, admit
+from .metric import ConePoint, _contract, _finite, admit
 
 __all__ = [
     "GeodesicPath",
@@ -92,19 +91,16 @@ def _admit_samples(form: IntersectionForm, ts, ys, speeds) -> None:
         speeds[:] = (vs @ grams @ vs.swapaxes(2, 3))[..., 0, 0]
         if np.isfinite(speeds).all():
             return
-    for t, x, v, speed in zip(ts, xs, vs, speeds):
+    for t, x, v, row in zip(ts, xs, vs, speeds):
         try:
-            speed[:] = (v @ admit(form, x, "geodesic member").gram @ v.swapaxes(1, 2))[:, 0, 0]
-            b = int(np.argmin(np.isfinite(speed)))   # the first member whose speed is not finite
-            if not np.isfinite(speed[b]):
-                raise ValueError(f"speed of geodesic member {b} at {x[b].tolist()} with velocity "
-                                 f"{v[b, 0].tolist()} overflows double precision")
+            row[:] = (v @ admit(form, x, "geodesic member").gram @ v.swapaxes(1, 2))[:, 0, 0]
+            b = int(np.argmin(np.isfinite(row)))   # the first member whose speed is not finite
+            _finite(row, f"speed of geodesic member {b} at {x[b].tolist()} with velocity", v[b, 0])
         except _STEP_ERRORS as exc:
             raise _step_error(t, exc) from exc
 
 
-@dataclass
-class GeodesicPath:
+class GeodesicPath(NamedTuple):
     """Discretized geodesic with tangent data and per-step diagnostics."""
 
     ts: np.ndarray
@@ -226,8 +222,7 @@ def length_bound_check(
                        sqrt2_bound=sqrt(2.0) * dlv / sqrt(n), delta_log_vol=dlv)
 
 
-@dataclass
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Lengths accumulated along gamma(t) = alpha + t omega as t decreases."""
 
     classification: str             # DIVERGENT | CONVERGENT | INCONCLUSIVE
@@ -300,8 +295,7 @@ def unsplit(form: IntersectionForm, t: float, omega1: CohClass) -> CohClass:
     return np.exp(float(t) / form.dim_n) * omega1
 
 
-@dataclass
-class SplitReport:
+class SplitReport(NamedTuple):
     """Measured block structure of the metric in (t, primitive) coordinates.
 
     The radial coordinate field pushes forward to omega/n, so the measured
@@ -364,8 +358,7 @@ def admissible_perturbations(P: ConePoint, seed=0):
     return [draw_admissible(draw, check, "point") for _ in range(PERTURBATIONS)]
 
 
-@dataclass
-class PullbackReport:
+class PullbackReport(NamedTuple):
     max_vol_deviation: float
     max_gram_deviation: float
     points_checked: int

@@ -144,14 +144,14 @@ def test_probe_halvings_underflow_is_usage_error(capsys):
 def test_overflowing_metric_is_usage_error(capsys):
     # the Gram matrix overflows near a wall; the volume far out, where it
     # would read as an indefinite metric with eigenvalues [0.0, 0.0]
-    for command, at, point in (
-        ("metric", "1,1e-300", "[1.0, 1e-300]"),
-        ("metric", "1e200,1e200", "[1e+200, 1e+200]"),
-        ("algebra", "1e155,1e155", "[1e+155, 1e+155]"),
+    for command, at, what in (
+        ("metric", "1,1e-300", "metric of point 0 at [1.0, 1e-300]"),
+        ("metric", "1e200,1e200", "volume of point 0 at [1e+200, 1e+200]"),
+        ("algebra", "1e155,1e155", "volume of point 0 at [1e+155, 1e+155]"),
     ):
         code, out, err = run_cli(capsys, command, "P1XP1", "--at", at)
         assert code == 1 and out == ""
-        assert f"point 0 at {point} overflows double precision" in err
+        assert err == f"error: {what} overflows double precision\n"
 
 
 def test_underflowing_volume_is_usage_error(capsys):

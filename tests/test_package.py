@@ -9,6 +9,8 @@ from itertools import combinations
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import kcone
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -28,6 +30,13 @@ EARLIER_EXPORTS = {
     "pullback_isometry_check", "riemann", "riemann_alt", "riemann_tensor",
     "run_verification", "serialize_manifold", "split", "split_report", "unsplit",
 }
+
+# every result and catalog record the package declares
+RECORDS = (
+    "CatalogEntry", "ConstantCurvatureFit", "CurvatureValues", "DerivedCurvatures", "FDReport",
+    "GeodesicPath", "Lefschetz", "LengthBound", "Probe", "ProbeReport", "Pullback",
+    "PullbackReport", "SplitReport",
+)
 
 
 def _exporting_modules():
@@ -71,3 +80,13 @@ def test_import_leaves_out_the_cli():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["False", "False"]
+
+
+def test_every_record_is_an_immutable_named_tuple():
+    for name in RECORDS:
+        cls = getattr(kcone, name)
+        assert issubclass(cls, tuple) and cls._fields, name
+        record = cls._make(range(len(cls._fields)))
+        for field in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)

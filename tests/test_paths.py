@@ -149,6 +149,9 @@ def test_acceleration_matches_the_single_solve_route(acceleration_by_solve, hype
     pytest.param("CY3GEN", [-1.0, 3.0], NonPositiveVolume, "is not positive", id="non_positive"),
     pytest.param("P1XP1", [np.inf, 1.0], ValueError, "has non-finite entries", id="non_finite"),
     pytest.param("P1XP1", [1e200, 1e200], ValueError, "overflows double precision", id="overflow"),
+    # Vol = (x^2 - y^2)/2 overflows to -inf, a non-positive volume, not an overflow
+    pytest.param("BLP2", [1.0, 1e200], NonPositiveVolume, "volume -inf is not positive",
+                 id="minus_inf"),
     pytest.param("P1XP1", [1e-200, 1e-200], ValueError, "underflows double precision",
                  id="underflow"),
 ])

@@ -2,7 +2,6 @@
 processes; these tests pin that the parallel run is the serial one, and
 how its checks score a failure."""
 
-import dataclasses
 import itertools
 import json
 import os
@@ -81,7 +80,7 @@ def test_non_finite_scores_keep_the_report_strict_json(capsys, monkeypatch):
 
 
 def test_probe_with_the_wrong_classification_scores_inf():
-    probe = dataclasses.replace(ENTRIES["BLP2"].probe, expect="DIVERGENT")
+    probe = ENTRIES["BLP2"].probe._replace(expect="DIVERGENT")
     assert verify.probe_deviation(default_point("BLP2"), probe) == float("inf")
 
 
