@@ -86,9 +86,11 @@ class AlgebraAtPoint:
         """Max deviation of R_alg + sum_l (b_l ^ b_l) from zero.
 
         Both terms antisymmetrize Gram matrices of the products e_i.e_k: the
-        sum is D[i,k,j,l] - D[i,l,j,k] with D = F^T F - S G S^T (F the forms
-        as (m, m^2), S the structure as (m^2, m)), built one i at a time;
-        a ValueError if it overflows."""
+        sum is E[i,k,j,l] = D[i,k,j,l] - D[i,l,j,k] with D = F^T F - S G S^T
+        (F the forms as (m, m^2), S the structure as (m^2, m)) symmetric, so
+        E[i,k,j,l] = E[j,l,i,k] and slab i, built one i at a time, needs only
+        j >= i.  E is antisymmetric in (k, l), so its max is max |E|; a
+        ValueError if it overflows."""
         m = self.base.rank_m
         with np.errstate(over="ignore", invalid="ignore"):
             f, s = self.bilinear_forms(), self.structure
@@ -96,8 +98,10 @@ class AlgebraAtPoint:
             gst = self.base.gram @ s.reshape(m * m, m).T
             slab_max = np.empty(m)
             for i in range(m):
-                d = (f[:, i].T @ fmat - s[i] @ gst).reshape(m, m, m)   # [k, j, l] = D[i, k, j, l]
-                slab_max[i] = np.abs(d - d.transpose(2, 1, 0)).max()
+                d = f[:, i].T @ fmat[:, i * m:]
+                d -= s[i] @ gst[:, i * m:]
+                d = d.reshape(m, m - i, m)   # [k, j - i, l] = D[i, k, j, l]
+                slab_max[i] = (d - d.transpose(2, 1, 0)).max()
         return float(_finite(slab_max.max(), "KN residual at", self.base.omega))
 
     def constant_curvature_test(self) -> ConstantCurvatureFit:
@@ -107,20 +111,21 @@ class AlgebraAtPoint:
         curvature -lam iff T - 2 lam S is fully symmetric, 2 S = d_ac d_bd + d_ad d_bc.
         R_alg is -n/4 on planes through omega and -R on primitive ones, so the
         least-squares lam = scalar/(m^2 - m) + n/(2m), the residual is
-        |R_alg - lam R1|/sqrt(3) with R1 = d_ac d_bd - d_ad d_bc, and tol 1e-8 |T|."""
+        |R_alg - lam R1|/sqrt(3) with R1 = d_ac d_bd - d_ad d_bc, and tol 1e-8 |T|.
+        Slab a of R + lam R1 is antisymmetric in (a, e) and zero at e = a: twice its e > a rows."""
         n, m, k, c = self.base.dim_n, self.base.rank_m, self.base.rank_m - 1, self.base.cubic
         flat, trace = c.reshape(k * k, k), np.einsum("aae->e", c)
         tr_sq = float(trace @ trace)
         lam = derived_curvatures(self.base).scalar / (m * m - m) + n / (2 * m) if m > 1 else 0.0
-        # 4k entries -n/4 + lam through omega, then |R + lam R1|^2 one slab at
-        # a time, summed directly: its expansion would cancel when the fit passes
+        # 4k entries -n/4 + lam through omega, then |R + lam R1|^2 one slab at a time
+        # from ip = <c_ab, c_ed>, summed directly: its expansion would cancel when the fit passes
         shift, b, res_sq = lam + 1.0 / n, np.arange(k), 4 * k * (lam - n / 4) ** 2
         for a in range(k):
-            ip = (c[a] @ flat.T).reshape(k, k, k)   # [b, e, d] = <c_ab, c_ed>
+            ip = (c[a] @ flat[(a + 1) * k:].T).reshape(k, k - a - 1, k)   # [b, e - a - 1, d]
             r = ip.transpose(1, 0, 2) - ip.transpose(1, 2, 0)
-            r[b, a, b] += shift
-            r[b, b, a] -= shift
-            res_sq += float(np.vdot(r, r))
+            r[b[:k - a - 1], a, b[a + 1:]] += shift
+            r[b[:k - a - 1], b[a + 1:], a] -= shift
+            res_sq += 2 * float(np.vdot(r, r))
         # |T| is that of the m x m Gram matrix of the products: omega entry, row, primitive block
         gram = flat.T @ flat + (n - 2) ** 2 / (2 * n) * np.eye(k)
         t_sq = ((n - 1) ** 2 + k) ** 2 / n**2 + 2 * tr_sq / n + float(np.vdot(gram, gram))

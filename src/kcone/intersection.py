@@ -118,7 +118,7 @@ class IntersectionForm:
             raise ValueError(f"expected {self.dim_n} classes, got {len(classes)}")
         t = self._dense
         for a in classes:
-            t = np.tensordot(t, self._check_class(a), axes=([t.ndim - 1], [0]))
+            t = t @ self._check_class(a)
         return float(t)
 
     def volume(self, omega: CohClass) -> float:

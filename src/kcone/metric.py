@@ -85,15 +85,17 @@ def _contract(form: IntersectionForm, Y: np.ndarray, what: str = "point"):
 
 
 def lefschetz(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefschetz:
-    """_contract on each row of X, normalized by divided powers; raises what it raises."""
+    """_contract on each row of X, normalized by divided powers; raises what it raises.
+    Overflow is its verdict, not a warning; a row whose Gram matrix overflows fails admit."""
     n, m, B = form.dim_n, form.rank_m, len(X)
-    filled = _contract(form, np.asarray(X, dtype=float)[:, None], what)
-    stages = [filled[n - 1 - k][:, 0, 0].reshape((B,) + (m,) * k) for k in range(n)]
-    stages.append(form._dense[None])
-    vol = stages[0] / factorial(n)
-    lam = stages[1] / _divisor(n, 1, vol)[:, None]
-    lam2 = stages[2] / _divisor(n, 2, vol)[:, None, None] if n >= 2 else np.zeros((B, m, m))
-    gram = lam[:, :, None] * lam[:, None, :] - lam2
+    with np.errstate(over="ignore", invalid="ignore"):
+        filled = _contract(form, np.asarray(X, dtype=float)[:, None], what)
+        stages = [filled[n - 1 - k][:, 0, 0].reshape((B,) + (m,) * k) for k in range(n)]
+        stages.append(form._dense[None])
+        vol = stages[0] / factorial(n)
+        lam = stages[1] / _divisor(n, 1, vol)[:, None]
+        lam2 = stages[2] / _divisor(n, 2, vol)[:, None, None] if n >= 2 else np.zeros((B, m, m))
+        gram = lam[:, :, None] * lam[:, None, :] - lam2
     return Lefschetz(vol, lam, lam2, gram, stages)
 
 
@@ -105,9 +107,7 @@ def admit(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefsche
     precision (near a Vol = 0 wall the Gram matrix grows like 1/t^2).
     """
     X = np.asarray(X, dtype=float)
-    # a row whose Gram matrix overflows fails the rule below
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = lefschetz(form, X, what)
+    data = lefschetz(form, X, what)
     eig = np.linalg.eigvalsh(data.gram)
     # also rejects eig_max <= 0, since then eig_min <= eig_max <= POSDEF_TOL * eig_max
     ok = eig[:, 0] > POSDEF_TOL * eig[:, -1]

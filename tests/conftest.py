@@ -94,6 +94,58 @@ def acceleration_by_solve():
     return _acceleration_by_solve
 
 
+def _kn_residual_full_slabs(alg):
+    """AlgebraAtPoint.kn_reconstruction_residual with every slab i contracted
+    over all j, not only j >= i: the reference for its use of the symmetry
+    E[i,k,j,l] = E[j,l,i,k]."""
+    m = alg.base.rank_m
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, s = alg.bilinear_forms(), alg.structure
+        fmat = f.reshape(m, m * m)
+        gst = alg.base.gram @ s.reshape(m * m, m).T
+        slab_max = np.empty(m)
+        for i in range(m):
+            d = (f[:, i].T @ fmat - s[i] @ gst).reshape(m, m, m)   # [k, j, l] = D[i, k, j, l]
+            slab_max[i] = np.abs(d - d.transpose(2, 1, 0)).max()
+    return float(slab_max.max())
+
+
+def _constant_curvature_residual_full_slabs(alg):
+    """The residual of AlgebraAtPoint.constant_curvature_test with every slab
+    a summed over all rows e, not twice over e > a: the reference for its use
+    of the antisymmetry of a slab in (a, e)."""
+    n, m, k, c = alg.base.dim_n, alg.base.rank_m, alg.base.rank_m - 1, alg.base.cubic
+    flat = c.reshape(k * k, k)
+    lam = derived_curvatures(alg.base).scalar / (m * m - m) + n / (2 * m) if m > 1 else 0.0
+    shift, b, res_sq = lam + 1.0 / n, np.arange(k), 4 * k * (lam - n / 4) ** 2
+    for a in range(k):
+        ip = (c[a] @ flat.T).reshape(k, k, k)   # [b, e, d] = <c_ab, c_ed>
+        r = ip.transpose(1, 0, 2) - ip.transpose(1, 2, 0)
+        r[b, a, b] += shift
+        r[b, b, a] -= shift
+        res_sq += float(np.vdot(r, r))
+    return float(np.sqrt(res_sq / 3))
+
+
+def _assert_halved_slabs_match_full(alg):
+    """The KN residual to 1e-15 max(1, ref) and the constant-curvature
+    residual to 1e-12 relative of their full-slab references."""
+    ref = _kn_residual_full_slabs(alg)
+    assert abs(alg.kn_reconstruction_residual() - ref) <= 1e-15 * max(1.0, ref), alg.base
+    ref = _constant_curvature_residual_full_slabs(alg)
+    assert abs(alg.constant_curvature_test().residual - ref) <= 1e-12 * ref, alg.base
+
+
+@pytest.fixture(scope="session")
+def kn_residual_full_slabs():
+    return _kn_residual_full_slabs
+
+
+@pytest.fixture(scope="session")
+def halved_slabs_match_full():
+    return _assert_halved_slabs_match_full
+
+
 def _check_against_dense_curvature(P, planes):
     """derived_curvatures (cubic route) against contractions of a dense m^4
     reference built here from the Pi-projected pair tensor L,

@@ -141,9 +141,12 @@ def test_kn_residual_matches_sum_of_kn_squares():
         assert abs(alg.kn_reconstruction_residual() - expect) <= 1e-14
 
 
-def test_kn_residual_matches_sum_of_kn_squares_away_from_zero(monkeypatch, quartic_points):
+def test_kn_residual_matches_sum_of_kn_squares_away_from_zero(
+    monkeypatch, quartic_points, kn_residual_full_slabs
+):
     # perturbed forms no longer cancel R_alg, so the residual is far from
     # roundoff and must still equal the dense sum of Kulkarni-Nomizu squares
+    # and, within 1e-15 max(1, ref), the residual over every slab entry
     rng = np.random.default_rng(5)
     points = [default_point(name) for name in ("BLP2", "LOR3", "CY3GEN")]
     for P in points + list(quartic_points.values()):
@@ -155,6 +158,8 @@ def test_kn_residual_matches_sum_of_kn_squares_away_from_zero(monkeypatch, quart
         expect = float(np.abs(alg.curvature_tensor() + total).max())
         assert expect > 1e-3
         assert abs(alg.kn_reconstruction_residual() - expect) <= 1e-12 * expect
+        ref = kn_residual_full_slabs(alg)
+        assert abs(alg.kn_reconstruction_residual() - ref) <= 1e-15 * max(1.0, ref)
 
 
 def test_constant_curvature_rank_one_trivial():
@@ -207,6 +212,23 @@ def test_constant_curvature_matches_24_permutations_on_random_cubics(
     fit_matches_24_permutations, m, seed
 ):
     fit_matches_24_permutations(_cubic_point(m, seed=seed))
+
+
+def test_halved_slabs_match_full_slabs(quartic_points, halved_slabs_match_full):
+    # the KN residual contracts slab i over j >= i only, and the fit sums
+    # twice the e > a rows of slab a: both against every slab entry
+    points = [default_point(name) for name in catalog_names()]
+    points += list(quartic_points.values()) + [_cubic_point(m) for m in (6, 12, 16)]
+    for P in points:
+        halved_slabs_match_full(algebra_at(P))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(3, 4), st.integers(2, 9), st.integers(0, 2**32 - 1))
+def test_halved_slabs_match_full_slabs_on_random_forms(
+    hyperbolic_point, halved_slabs_match_full, n, m, seed
+):
+    halved_slabs_match_full(algebra_at(hyperbolic_point(n, m, seed)))
 
 
 def test_constant_curvature_holds_no_m4_array():

@@ -1,5 +1,8 @@
 import itertools
 import json
+from collections import Counter
+from fractions import Fraction
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcone import cli
-from kcone.catalog import CATALOG, get_form
+from kcone.catalog import CATALOG, catalog_names, default_omega, get_form
 from kcone.errors import ManifoldFormatError
 from kcone.intersection import (
     IntersectionForm,
@@ -184,6 +187,57 @@ def test_volume_homogeneity():
             assert form.volume(t * omega) == pytest.approx(
                 t**form.dim_n * base, rel=1e-12
             )
+
+
+def _expand(form, classes):
+    """evaluate by the multinomial sum over the stored sorted rows, without
+    _dense: each row idx with value v adds v prod_s classes[s][p_s] for every
+    distinct arrangement p of idx.  Returns the sum and the sum of |terms|."""
+    terms = [v * prod(a[i - 1] for a, i in zip(classes, p))
+             for idx, v in zip(form.index.tolist(), form.values.tolist())
+             for p in set(itertools.permutations(idx))]
+    return sum(terms), sum(map(abs, terms))
+
+
+def _expand_volume(form, omega, number=float):
+    """volume by the multinomial count: each row idx with value v adds
+    v prod omega[idx] / prod_j mult_j!, its n!/prod mult_j! arrangements over n!."""
+    terms = [number(v) * prod(number(float(omega[i - 1])) for i in idx)
+             / prod(factorial(c) for c in Counter(idx).values())
+             for idx, v in zip(form.index.tolist(), form.values.tolist())]
+    return sum(terms), sum(map(abs, terms))
+
+
+def _assert_matches_expansion(form, classes):
+    got, (ref, scale) = form.evaluate(*classes), _expand(form, classes)
+    assert abs(got - ref) <= 1e-13 * scale, (form, classes)
+    got, (ref, scale) = form.volume(classes[0]), _expand_volume(form, classes[0])
+    assert abs(got - ref) <= 1e-13 * scale, (form, classes[0])
+
+
+def test_evaluate_matches_multinomial_expansion_on_catalog():
+    rng = np.random.default_rng(6)
+    for name in catalog_names():
+        form, omega = get_form(name), default_omega(name)
+        _assert_matches_expansion(form, [omega] * form.dim_n)
+        for _ in range(5):
+            _assert_matches_expansion(form, list(rng.uniform(-2, 2, (form.dim_n, form.rank_m))))
+        # the FD Hessian oracle differentiates volume: at every default point it
+        # is the correctly rounded exact sum
+        exact = _expand_volume(form, omega, Fraction)[0]
+        assert form.volume(omega) == float(exact), name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_evaluate_matches_multinomial_expansion_on_random_forms(n, m, seed):
+    rng = np.random.default_rng(seed)
+    indices = list(itertools.combinations_with_replacement(range(1, m + 1), n))
+    keep = rng.random(len(indices)) < 0.6
+    keep[rng.integers(len(indices))] = True
+    form = IntersectionForm("RANDOM", n, m, {idx: rng.standard_normal()
+                                             for idx, k in zip(indices, keep) if k})
+    _assert_matches_expansion(form, list(rng.standard_normal((n, m))))
 
 
 def test_pullback_identity():

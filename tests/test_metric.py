@@ -11,7 +11,7 @@ from kcone.curvature import christoffel, christoffel_tensor, riemann_tensor
 from kcone.errors import IndefiniteMetric, NonPositiveVolume
 from kcone.fdcheck import check_lambda_derivative
 from kcone.intersection import IntersectionForm
-from kcone.metric import ConePoint, _divisor, _finite, admit
+from kcone.metric import ConePoint, _divisor, _finite, admit, lefschetz
 
 
 def test_cone_point_p1xp1():
@@ -110,6 +110,17 @@ def test_overflowing_metric_is_input_error():
     # Gram matrix come out as 0: an overflow, not an indefinite metric
     with pytest.raises(ValueError, match=r"point 0 at \[1e\+200, 1e\+200\] overflows double"):
         ConePoint(form, np.array([1e200, 1e200]))
+
+
+def test_lefschetz_words_overflow_without_a_warning():
+    # the public kernel owns its errstate: under the suite's error::RuntimeWarning
+    # an overflowing volume is its ValueError, not the matmul's warning, and a
+    # Gram matrix that overflows is returned for admit to judge
+    form = CATALOG["P1XP1"]
+    with pytest.raises(ValueError) as err:
+        lefschetz(form, np.array([[1e200, 1e200]]))
+    assert str(err.value) == "volume of point 0 at [1e+200, 1e+200] overflows double precision"
+    assert not np.isfinite(lefschetz(form, np.array([[1.0, 1e-300]])).gram).all()
 
 
 def test_underflowing_volume_is_input_error():
