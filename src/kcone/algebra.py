@@ -162,6 +162,9 @@ class AlgebraAtPoint:
             system[row, :, f] += c[a, b]
             np.subtract(system[:, p, q], system[:, q, p], out=out)
         r = np.linalg.qr(lhs, mode="r")
+        sv = np.linalg.svd(r, compute_uv=False)   # full rank with margin 2: no derivations
+        if np.all(sv > 2 * NULL_TOL * sv.max(initial=1.0)):
+            return []
         _, sv, vh = np.linalg.svd(r, full_matrices=False)
         null = vh[np.sum(sv > NULL_TOL * sv.max(initial=1.0)):]
         gens = np.zeros((len(null), k, k))

@@ -72,8 +72,8 @@ def riemann(P: ConePoint, u, v, z, w) -> float:
     """Curvature tensor entry R(u, v, z, w) at P from the cubic, with the
     frame coordinates of the four classes."""
     pu, pv, pz, pw = np.array([P.form._check_class(a) for a in (u, v, z, w)]) @ P.coframe
-    c = P.cubic
-    uz, vw, uw, vz = (a @ (b @ c) for a, b in ((pu, pz), (pv, pw), (pu, pw), (pv, pz)))
+    zc, wc = pz @ P.cubic, pw @ P.cubic
+    uz, vw, uw, vz = pu @ zc, pv @ wc, pu @ wc, pv @ zc
     space_form = (pu @ pz) * (pv @ pw) - (pu @ pw) * (pv @ pz)
     return float(uz @ vw - uw @ vz + space_form / P.dim_n)
 

@@ -108,16 +108,24 @@ def admit(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefsche
     """
     X = np.asarray(X, dtype=float)
     data = lefschetz(form, X, what)
-    eig = np.linalg.eigvalsh(data.gram)
-    # also rejects eig_max <= 0, since then eig_min <= eig_max <= POSDEF_TOL * eig_max
-    ok = eig[:, 0] > POSDEF_TOL * eig[:, -1]
-    if not ok.all():
-        b = int(np.argmin(ok))
-        _finite(data.gram[b], f"metric of {what} {b} at", X[b])
-        raise IndefiniteMetric(
-            f"Gram matrix of {what} {b} at {X[b].tolist()} is not positive definite "
-            f"(eigenvalues {eig[b].tolist()})"
-        )
+    # Gershgorin: eigenvalues lie in [lo, hi] = [min_i 2 G_ii - r_i, max_i r_i], r_i = sum_j |G_ij|;
+    # lo > 2 POSDEF_TOL hi passes the rule below far beyond roundoff; a non-finite row never does
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.abs(data.gram).sum(axis=2)
+        rest = ~((2.0 * np.diagonal(data.gram, axis1=1, axis2=2) - r).min(axis=1)
+                 > 2 * POSDEF_TOL * r.max(axis=1))
+    if rest.any():
+        eig = np.linalg.eigvalsh(data.gram[rest])
+        # also rejects eig_max <= 0, since then eig_min <= eig_max <= POSDEF_TOL * eig_max
+        ok = eig[:, 0] > POSDEF_TOL * eig[:, -1]
+        if not ok.all():
+            j = int(np.argmin(ok))
+            b = int(np.flatnonzero(rest)[j])
+            _finite(data.gram[b], f"metric of {what} {b} at", X[b])
+            raise IndefiniteMetric(
+                f"Gram matrix of {what} {b} at {X[b].tolist()} is not positive definite "
+                f"(eigenvalues {eig[j].tolist()})"
+            )
     return data
 
 
@@ -132,12 +140,23 @@ class ConePoint:
     """
 
     def __init__(self, form: IntersectionForm, omega: CohClass):
-        self.form, self.omega = form, form._check_class(omega)
+        X = form._check_class(omega)[None]
+        self._take(form, X, admit(form, X, "point"), 0)
+
+    def _take(self, form: IntersectionForm, X: np.ndarray, data: Lefschetz, b: int):
+        """self as the point X[b], from data = admit(form, X); stages[n] has one row."""
+        self.form, self.omega = form, X[b]
         self.dim_n, self.rank_m = form.dim_n, form.rank_m
-        data = admit(form, self.omega[None], "point")
-        self.vol = float(data.vol[0])
-        self._lam, self._lam2, self.gram = data.lam[0], data.lam2[0], data.gram[0]
-        self._stages = [stage[0] for stage in data.stages]
+        self.vol = float(data.vol[b])
+        self._lam, self._lam2, self.gram = data.lam[b], data.lam2[b], data.gram[b]
+        self._stages = [stage[min(b, len(stage) - 1)] for stage in data.stages]
+        return self
+
+    @classmethod
+    def _rows(cls, form: IntersectionForm, X: np.ndarray, what: str):
+        """A ConePoint per row of X, admitted in one batch and made one at a time."""
+        data = admit(form, X, what)
+        return (cls.__new__(cls)._take(form, X, data, b) for b in range(len(X)))
 
     def __repr__(self):
         return (

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 from itertools import combinations_with_replacement, permutations
 from math import factorial, isfinite
 from pathlib import Path
@@ -12,12 +13,29 @@ if str(SRC) not in sys.path:
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from kcone import metric  # noqa: E402
 from kcone.algebra import NULL_TOL, algebra_at  # noqa: E402
 from kcone.curvature import derived_curvatures  # noqa: E402
-from kcone.errors import DegeneratePlane, ManifoldFormatError  # noqa: E402
+from kcone.errors import DegeneratePlane, IndefiniteMetric, ManifoldFormatError  # noqa: E402
+from kcone.fdcheck import fd_directional  # noqa: E402
 from kcone.intersection import IntersectionForm  # noqa: E402
-from kcone.metric import ConePoint, _divisor  # noqa: E402
+from kcone.metric import POSDEF_TOL, ConePoint, _divisor, _finite  # noqa: E402
 from kcone.verify import run_verification  # noqa: E402
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """hypothesis's pytest plugin writes a patch for each failing example with libcst,
+    whose import warns a DeprecationWarning: under the suite's filterwarnings that ended
+    the session in INTERNALERROR, hiding the failure.  Import it first, the warning ignored."""
+    if call.when == "teardown" and hasattr(item, "_hypothesis_failing_examples"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:   # without libcst the plugin writes no patch
+                pass
+    yield
 
 
 @pytest.fixture(scope="session")
@@ -341,3 +359,111 @@ def _assert_fit_matches_24_permutations(P):
 @pytest.fixture(scope="session")
 def fit_matches_24_permutations():
     return _assert_fit_matches_24_permutations
+
+
+def _cubic_point(m=6, noise=0.05, seed=3):
+    """kappa_111 = 6, kappa_1jj = -1 plus seeded noise on every sorted triple,
+    admissible at e_1 and, with noise, far from constant curvature; without
+    noise (SYMm) O(m - 1) fixing e_1 acts by automorphisms."""
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for idx in combinations_with_replacement(range(1, m + 1), 3):
+        base = 6.0 if idx == (1, 1, 1) else (-1.0 if idx[0] == 1 and idx[1] == idx[2] else 0.0)
+        coeffs[idx] = base + noise * rng.standard_normal()
+    return ConePoint(IntersectionForm(name=f"CUBIC{m}", dim_n=3, rank_m=m, coeffs=coeffs),
+                     np.eye(m)[0])
+
+
+def _gl_symmetric_point(m, seed=11):
+    """SYMm written in the basis of a seeded GL(m) matrix Q diag(1..2), Q
+    orthogonal (condition number 2): its cubic is roundoff, not zero."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
+    a = q * np.linspace(1.0, 2.0, m)
+    P = _cubic_point(m, noise=0.0)
+    return ConePoint(P.form.pullback(a), np.linalg.solve(a, P.omega))
+
+
+@pytest.fixture(scope="session")
+def cubic_point():
+    return _cubic_point
+
+
+@pytest.fixture(scope="session")
+def gl_symmetric_point():
+    return _gl_symmetric_point
+
+
+def _admit_by_eigvalsh(form, X, what="point"):
+    """metric.admit with eigvalsh on every row, no Gershgorin discs: the
+    reference for the rows the discs admit without the eigensolver."""
+    X = np.asarray(X, dtype=float)
+    data = metric.lefschetz(form, X, what)
+    eig = np.linalg.eigvalsh(data.gram)
+    ok = eig[:, 0] > POSDEF_TOL * eig[:, -1]
+    if not ok.all():
+        b = int(np.argmin(ok))
+        _finite(data.gram[b], f"metric of {what} {b} at", X[b])
+        raise IndefiniteMetric(
+            f"Gram matrix of {what} {b} at {X[b].tolist()} is not positive definite "
+            f"(eigenvalues {eig[b].tolist()})"
+        )
+    return data
+
+
+@pytest.fixture(scope="session")
+def admit_by_eigvalsh():
+    return _admit_by_eigvalsh
+
+
+def _fd_per_point(P, quantity, z):
+    """fdcheck._fd_stencils with one ConePoint per stencil point, each admitted
+    on its own, through fd_directional: the reference for the batch."""
+    return np.array([fd_directional(lambda w: quantity(ConePoint(P.form, w)), P.omega, e)
+                     for e in z])
+
+
+@pytest.fixture(scope="session")
+def fd_per_point():
+    return _fd_per_point
+
+
+def _derivations_full_svd(alg):
+    """AlgebraAtPoint.derivations with the full SVD of R taken every time, no
+    values-only SVD first: the reference for its early exit."""
+    P, k, c = alg.base, alg.base.rank_m - 1, alg.base.cubic
+    abf = np.array(list(combinations_with_replacement(range(k), 3)), int).reshape(-1, 3)
+    p, q = np.triu_indices(k, 1)
+    lhs, blocks = np.empty((len(abf), p.size)), max(1, len(abf) * k * k >> 16)
+    for out, blk in zip(np.array_split(lhs, blocks), np.array_split(abf, blocks)):
+        (a, b, f), row, system = blk.T, np.arange(len(blk)), np.zeros((len(blk), k, k))
+        system[row, :, a] = c[:, b, f].T
+        system[row, :, b] += c[a, :, f]
+        system[row, :, f] += c[a, b]
+        np.subtract(system[:, p, q], system[:, q, p], out=out)
+    r = np.linalg.qr(lhs, mode="r")
+    _, sv, vh = np.linalg.svd(r, full_matrices=False)
+    null = vh[np.sum(sv > NULL_TOL * sv.max(initial=1.0)):]
+    gens = np.zeros((len(null), k, k))
+    gens[:, p, q] = null
+    gens -= gens.transpose(0, 2, 1)
+    return list(P.frame[:, 1:] @ gens @ P.coframe.T)
+
+
+@pytest.fixture(scope="session")
+def derivations_full_svd():
+    return _derivations_full_svd
+
+
+def _riemann_four_contractions(P, u, v, z, w):
+    """curvature.riemann with the cubic contracted once per product, four times,
+    not once per class of the second slot: the reference for its reuse."""
+    pu, pv, pz, pw = np.array([P.form._check_class(a) for a in (u, v, z, w)]) @ P.coframe
+    c = P.cubic
+    uz, vw, uw, vz = (a @ (b @ c) for a, b in ((pu, pz), (pv, pw), (pu, pw), (pv, pz)))
+    space_form = (pu @ pz) * (pv @ pw) - (pu @ pw) * (pv @ pz)
+    return float(uz @ vw - uw @ vz + space_form / P.dim_n)
+
+
+@pytest.fixture(scope="session")
+def riemann_four_contractions():
+    return _riemann_four_contractions

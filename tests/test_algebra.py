@@ -184,24 +184,11 @@ def test_constant_curvature_fails_on_lor3():
     assert fit.residual == pytest.approx(0.9428090415820634, abs=1e-9)
 
 
-def _cubic_point(m=6, noise=0.05, seed=3):
-    # kappa_111 = 6, kappa_1jj = -1 plus seeded noise on every sorted triple,
-    # admissible at e_1 and, with noise, far from constant curvature;
-    # without noise (SYMm) O(m - 1) fixing e_1 acts by automorphisms
-    rng = np.random.default_rng(seed)
-    coeffs = {}
-    for idx in itertools.combinations_with_replacement(range(1, m + 1), 3):
-        base = 6.0 if idx == (1, 1, 1) else (-1.0 if idx[0] == 1 and idx[1] == idx[2] else 0.0)
-        coeffs[idx] = base + noise * rng.standard_normal()
-    return ConePoint(IntersectionForm(name=f"CUBIC{m}", dim_n=3, rank_m=m, coeffs=coeffs),
-                     np.eye(m)[0])
-
-
 def test_constant_curvature_three_pairings_match_24_permutations(
-    quartic_points, fit_matches_24_permutations
+    quartic_points, fit_matches_24_permutations, cubic_point
 ):
     points = [default_point(name) for name in catalog_names()]
-    points += list(quartic_points.values()) + [_cubic_point(), _cubic_point(8)]
+    points += list(quartic_points.values()) + [cubic_point(), cubic_point(8)]
     for P in points:
         fit_matches_24_permutations(P)
 
@@ -209,16 +196,16 @@ def test_constant_curvature_three_pairings_match_24_permutations(
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_constant_curvature_matches_24_permutations_on_random_cubics(
-    fit_matches_24_permutations, m, seed
+    fit_matches_24_permutations, cubic_point, m, seed
 ):
-    fit_matches_24_permutations(_cubic_point(m, seed=seed))
+    fit_matches_24_permutations(cubic_point(m, seed=seed))
 
 
-def test_halved_slabs_match_full_slabs(quartic_points, halved_slabs_match_full):
+def test_halved_slabs_match_full_slabs(quartic_points, halved_slabs_match_full, cubic_point):
     # the KN residual contracts slab i over j >= i only, and the fit sums
     # twice the e > a rows of slab a: both against every slab entry
     points = [default_point(name) for name in catalog_names()]
-    points += list(quartic_points.values()) + [_cubic_point(m) for m in (6, 12, 16)]
+    points += list(quartic_points.values()) + [cubic_point(m) for m in (6, 12, 16)]
     for P in points:
         halved_slabs_match_full(algebra_at(P))
 
@@ -231,11 +218,11 @@ def test_halved_slabs_match_full_slabs_on_random_forms(
     halved_slabs_match_full(algebra_at(hyperbolic_point(n, m, seed)))
 
 
-def test_constant_curvature_holds_no_m4_array():
+def test_constant_curvature_holds_no_m4_array(cubic_point):
     # the fit works one first-index slab at a time: its traced peak stays
     # below the size of a single m^4 float64 array
     m = 16
-    alg = algebra_at(_cubic_point(m))
+    alg = algebra_at(cubic_point(m))
     tracemalloc.start()
     try:
         alg.constant_curvature_test()
@@ -245,24 +232,45 @@ def test_constant_curvature_holds_no_m4_array():
     assert peak < 8 * m**4
 
 
-def _gl_symmetric_point(m, seed=11):
-    # SYMm written in the basis of a seeded GL(m) matrix Q diag(1..2), Q
-    # orthogonal (condition number 2): its cubic is roundoff, not zero
-    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
-    a = q * np.linspace(1.0, 2.0, m)
-    P = _cubic_point(m, noise=0.0)
-    return ConePoint(P.form.pullback(a), np.linalg.solve(a, P.omega))
-
-
-def test_derivations_match_einsum_system(derivations_match_einsum):
-    gl_points = [_gl_symmetric_point(m) for m in (6, 12)]
+def test_derivations_match_einsum_system(
+    derivations_match_einsum, cubic_point, gl_symmetric_point
+):
+    gl_points = [gl_symmetric_point(m) for m in (6, 12)]
     # the cutoff pitfall: a cutoff relative to the largest singular value of
     # the so(m - 1) system would count this roundoff cubic as rank
     assert all(0.0 < np.abs(P.cubic).max() <= 1e-12 for P in gl_points)
     points = [default_point(name) for name in catalog_names()] + gl_points
-    points += [_cubic_point(m, noise=noise) for m in (5, 6, 8, 12) for noise in (0.05, 0.0)]
+    points += [cubic_point(m, noise=noise) for m in (5, 6, 8, 12) for noise in (0.05, 0.0)]
     for P in points:
         derivations_match_einsum(algebra_at(P))
+
+
+def test_derivations_equal_the_full_svd(derivations_full_svd, cubic_point, gl_symmetric_point):
+    # a values-only SVD first, the full one only when a value is within twice
+    # the cutoff: the derivations are bitwise those of the full SVD every time
+    points = [default_point(name) for name in catalog_names()]
+    points += [gl_symmetric_point(m) for m in (6, 12)]
+    points += [cubic_point(m, noise=noise) for m in (5, 6, 8, 12) for noise in (0.05, 0.0)]
+    for P in points:
+        alg = algebra_at(P)
+        got, ref = alg.derivations(), derivations_full_svd(alg)
+        assert len(got) == len(ref) and all(map(np.array_equal, got, ref)), P
+
+
+def test_derivations_judge_values_near_the_cutoff_by_the_full_svd(monkeypatch, cubic_point):
+    # the two SVD drivers round differently: values-only singular values raised to
+    # 1.5 times the cutoff still leave the verdict to the full SVD, so SYM5 keeps
+    # its (m - 1)(m - 2)/2 = 6 derivations
+    alg = algebra_at(cubic_point(5, noise=0.0))
+    alg.base.frame, alg.base.coframe
+    svd = np.linalg.svd
+
+    def raised(a, *args, compute_uv=True, **kwargs):
+        out = svd(a, *args, compute_uv=compute_uv, **kwargs)
+        return out if compute_uv else np.maximum(out, 1.5 * algebra.NULL_TOL * out.max(initial=1.0))
+
+    monkeypatch.setattr(algebra.np.linalg, "svd", raised)
+    assert len(alg.derivations()) == 6
 
 
 def _dense_derivation_system(c):
@@ -305,10 +313,10 @@ def test_blocked_derivation_system_equals_dense_builder(monkeypatch):
         assert captured[-1].shape == dense.shape and np.array_equal(captured[-1], dense), k
 
 
-def test_derivations_hold_bounded_scratch():
+def test_derivations_hold_bounded_scratch(cubic_point):
     # at m = 24 the (2,300, 23, 23) dense system and its gathered copies
     # peaked at 22.8 MB; row blocks keep the (2,300, 253) system and the QR
-    P = _cubic_point(24)
+    P = cubic_point(24)
     P.cubic, P.coframe
     tracemalloc.start()
     try:
@@ -319,10 +327,10 @@ def test_derivations_hold_bounded_scratch():
     assert peak <= 12 * 2**20
 
 
-def test_derivation_dimension_of_symmetric_cubic():
+def test_derivation_dimension_of_symmetric_cubic(cubic_point):
     # SYMm: the stabilizer O(m - 1) of e_1 has dimension (m - 1)(m - 2)/2
     for m in (5, 6):
-        assert len(algebra_at(_cubic_point(m, noise=0.0)).derivations()) == (m - 1) * (m - 2) // 2
+        assert len(algebra_at(cubic_point(m, noise=0.0)).derivations()) == (m - 1) * (m - 2) // 2
 
 
 def test_derivation_dimensions():

@@ -132,6 +132,23 @@ def test_probe_divergent(capsys):
     ]
 
 
+def test_probe_past_the_metric_wall_names_the_indefinite_sample(capsys):
+    # near the Vol = 0 wall one eigenvalue grows like 1/t^2, so the Gershgorin
+    # discs leave the samples to eigvalsh, whose eigenvalues word the first bad one
+    code, out, err = run_cli(
+        capsys,
+        "probe", "P1XP1", "--alpha", "1,0", "--omega", "1,1", "--halvings", "18",
+    )
+    assert code == 2 and err == ""
+    assert json.loads(out) == {
+        "command": "probe",
+        "error": "IndefiniteMetric",
+        "message": "Gram matrix of probe point 2137 at [1.0000099539756775, "
+                   "9.953975677490234e-06] is not positive definite "
+                   "(eigenvalues [0.9999800923458859, 10092688038.676756])",
+    }
+
+
 def test_probe_halvings_underflow_is_usage_error(capsys):
     code, out, err = run_cli(
         capsys,

@@ -264,3 +264,14 @@ def test_product_manifold_is_a_riemannian_product(x, y):
     np.testing.assert_allclose(PQ.gram, _block_sum(P.gram, Q.gram), **close)
     np.testing.assert_allclose(dpq.ricci, _block_sum(dp.ricci, dq.ricci), **close)
     np.testing.assert_allclose(dpq.scalar, dp.scalar + dq.scalar, **close)
+
+
+def test_riemann_equals_four_contractions(quartic_points, hyperbolic_point,
+                                          riemann_four_contractions):
+    # riemann contracts the cubic with z and w once each, bitwise as once per product
+    rng = np.random.default_rng(32)
+    points = [default_point(name) for name in catalog_names()] + list(quartic_points.values())
+    points += [hyperbolic_point(n, m) for n in (3, 4) for m in (6, 12)]
+    for P in points:
+        for quad in rng.standard_normal((20, 4, P.rank_m)):
+            assert riemann(P, *quad) == riemann_four_contractions(P, *quad), P

@@ -3,13 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from kcone.catalog import CATALOG, default_point
-from kcone.curvature import christoffel, riemann_tensor
+from kcone import fdcheck
+from kcone.catalog import CATALOG, catalog_names, default_point
+from kcone.curvature import christoffel, christoffel_tensor, riemann_tensor
+from kcone.errors import NonPositiveVolume
 from kcone.fdcheck import (
     _central_difference,
     check_connection,
     check_curvature,
     check_hessian_metric,
+    check_lambda_derivative,
     check_primitive_field,
     fd_directional,
     fd_hessian,
@@ -143,3 +146,66 @@ def test_whole_tensor_fd_checks_match_per_triple_loops(name, quartic_points):
     assert abs(check_connection(P).max_dev - _connection_per_triple(P)) <= 1e-9
     assert abs(check_curvature(P).max_dev - _curvature_per_triple(P)) <= 1e-9
     assert abs(check_primitive_field(P).max_dev - _primitive_field_per_pair(P)) <= 1e-9
+
+
+def _stencil_points(quartic_points, cubic_point):
+    points = [default_point(name) for name in catalog_names()] + list(quartic_points.values())
+    return points + [cubic_point(m) for m in (6, 12)]
+
+
+def _basis_reports(P):
+    return [check_connection(P), check_curvature(P), check_primitive_field(P)]
+
+
+def test_batched_stencils_equal_per_point_stencils(monkeypatch, quartic_points, cubic_point,
+                                                   fd_per_point):
+    # the stencil of every basis direction admitted in one batch, each point made
+    # from its row: on these points (omega = e_1, or a form of few integer terms)
+    # each stencil row's slot sums round alike in one batch and alone, so every FD
+    # quantity and report is bitwise that of one ConePoint per point
+    points = _stencil_points(quartic_points, cubic_point)
+    for P in points:
+        eye = np.eye(P.rank_m)
+        for quantity in (lambda Q: Q.gram, christoffel_tensor, lambda Q: Q.primitive_projector):
+            got = fdcheck._fd_stencils(P, quantity, eye)
+            assert np.array_equal(got, fd_per_point(P, quantity, eye)), P
+    got = [_basis_reports(P) for P in points]
+    monkeypatch.setattr(fdcheck, "_fd_stencils", fd_per_point)
+    assert [_basis_reports(P) for P in points] == got
+
+
+def test_batched_stencils_along_dense_directions_agree_to_roundoff(
+    monkeypatch, quartic_points, cubic_point, gl_symmetric_point, fd_per_point
+):
+    # along a dense direction, or at a dense point, the batch's one matmul and a
+    # single point's one-row matmul may sum a slot in different orders: the FD
+    # quotients then differ at roundoff over h, far below every FD tolerance
+    rng = np.random.default_rng(32)
+    points = _stencil_points(quartic_points, cubic_point) + [gl_symmetric_point(6)]
+    args = [(P, list(rng.uniform(-1.0, 1.0, (2, P.rank_m))), rng.uniform(-1.0, 1.0, (3, P.rank_m)))
+            for P in points]
+    for P, classes, z in args:
+        for quantity, dirs in ((lambda Q: Q.lambda_scalar(classes), z), (christoffel_tensor, z),
+                               (lambda Q: Q.gram, np.eye(P.rank_m))):
+            got, ref = fdcheck._fd_stencils(P, quantity, dirs), fd_per_point(P, quantity, dirs)
+            assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref))), P
+
+    def reports():
+        return [check_lambda_derivative(P, classes, z[0]) for P, classes, z in args] + \
+            _basis_reports(points[-1])
+
+    got = reports()
+    monkeypatch.setattr(fdcheck, "_fd_stencils", fd_per_point)
+    for a, b in zip(got, reports(), strict=True):
+        assert a.name == b.name and abs(a.max_dev - b.max_dev) <= 1e-9, (a, b)
+
+
+def test_inadmissible_stencil_point_names_its_row():
+    # P1XP1 at (1, 1e-5) with h = 1e-4 |omega|: rows 4..7 of the stencil step along
+    # e_2 by +h, -h, +h/2, -h/2, and row 5 is the first of negative volume
+    P = ConePoint(CATALOG["P1XP1"], np.array([1.0, 1e-5]))
+    h = fdcheck.STEP_SCALE * np.linalg.norm(P.omega)
+    row = (P.omega - h * np.eye(2)[1]).tolist()
+    with pytest.raises(NonPositiveVolume) as err:
+        check_connection(P)
+    assert str(err.value).startswith(f"stencil point 5 at {row}: volume -")

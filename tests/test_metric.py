@@ -4,14 +4,17 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kcone import metric
 from kcone.algebra import algebra_at
 from kcone.catalog import CATALOG, catalog_names, default_point
 from kcone.curvature import christoffel, christoffel_tensor, riemann_tensor
-from kcone.errors import IndefiniteMetric, NonPositiveVolume
+from kcone.errors import IndefiniteMetric, KConeError, NonPositiveVolume
 from kcone.fdcheck import check_lambda_derivative
 from kcone.intersection import IntersectionForm
-from kcone.metric import ConePoint, _divisor, _finite, admit, lefschetz
+from kcone.metric import POSDEF_TOL, ConePoint, Lefschetz, _divisor, _finite, admit, lefschetz
 
 
 def test_cone_point_p1xp1():
@@ -68,6 +71,75 @@ def test_admit_names_the_failing_row():
         admit(CATALOG["P1XP1"], X)
     with pytest.raises(IndefiniteMetric, match="point 1"):
         admit(CATALOG["CY3GEN"], X)
+
+
+def _outcome(fn, *args):
+    """None if fn(*args) returns, else the type and text of what it raised."""
+    try:
+        fn(*args)
+    except (KConeError, ValueError) as err:
+        return type(err), str(err)
+    return None
+
+
+def _gram_row(kind, m, rng):
+    """An (m, m) symmetric matrix of the kind: diagonally dominant, with a
+    negative eigenvalue, non-finite, or with lam_min / lam_max in [tau/2, 4 tau]."""
+    q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    scale = 10.0 ** rng.uniform(-3, 3)
+    if kind in ("dominant", "non-finite"):
+        d = scale * 10.0 ** rng.uniform(-3, 3, m)
+        a = rng.uniform(-1.0, 1.0, (m, m))
+        g = np.diag(d) + 0.99 / m * (a + a.T) / 2 * np.minimum.outer(d, d) * (1 - np.eye(m))
+        if kind == "non-finite":
+            i, j = rng.integers(m, size=2)
+            g[i, j] = g[j, i] = rng.choice([np.inf, -np.inf, np.nan])
+        return g
+    if kind == "indefinite":
+        lam = rng.uniform(-1.0, 1.0, m)
+        lam[0] = -abs(lam[0]) - 1e-3
+    else:
+        lam = rng.uniform(0.0, 1.0, m)
+        lam[0], lam[-1] = POSDEF_TOL * 2.0 ** rng.uniform(-1, 2), 1.0
+    if kind == "near, rotated":
+        return scale * (q * lam) @ q.T
+    g = np.diag(scale * lam[rng.permutation(m)])
+    if kind == "near, perturbed":
+        g += 1e-3 * POSDEF_TOL * scale * (1 - np.eye(m))
+    return g
+
+
+KINDS = ["dominant", "non-finite", "indefinite", "near", "near, rotated", "near, perturbed"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_disc_admission_matches_eigvalsh(admit_by_eigvalsh, m, kinds, seed):
+    # the rows the Gershgorin discs admit pass the eigenvalue rule; the others
+    # reach eigvalsh, so the verdict and the text of the first failing row are
+    # those of eigvalsh on every row
+    rng = np.random.default_rng(seed)
+    gram = np.array([_gram_row(kind, m, rng) for kind in kinds])
+    X = rng.uniform(0.5, 2.0, (len(kinds), m))
+    data = Lefschetz(np.ones(len(X)), X, gram, gram, [])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "lefschetz", lambda form, X, what: data)
+        assert _outcome(admit, None, X, "sample") == _outcome(admit_by_eigvalsh, None, X, "sample")
+
+
+def test_disc_admission_matches_eigvalsh_toward_the_walls(admit_by_eigvalsh):
+    # real Gram matrices: rows along rays to the walls of every catalog form,
+    # admissible, undecided by the discs and inadmissible, as one batch and one by one
+    rng = np.random.default_rng(32)
+    for name in catalog_names():
+        P = default_point(name)
+        alpha = rng.uniform(-1.0, 1.0, (8, P.rank_m))
+        ts = np.ldexp(1.0, -np.arange(0, 40, 3))
+        X = (alpha[:, None] + ts[:, None] * P.omega).reshape(-1, P.rank_m)
+        X = np.concatenate([P.omega * (1.0 + 0.01 * rng.standard_normal((16, 1))), X])
+        for rows in [X[:16], X] + [x[None] for x in X]:
+            assert _outcome(admit, P.form, rows) == _outcome(admit_by_eigvalsh, P.form, rows)
 
 
 class _Unformattable(np.ndarray):
