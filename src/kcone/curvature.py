@@ -83,35 +83,28 @@ _fractions = np.vectorize(Fraction, otypes=[object])
 
 @lru_cache(maxsize=1)   # callers such as verify's criterion 5a loop over one point
 def _exact(P: ConePoint):
-    """The float data of P as exact Fractions, which callers only read: G^-1
-    by Gauss-Jordan elimination (G is positive definite), Gram, Lam, omega and
-    the stages and divided-power factors of Lam^k, k = 2..min(n, 4)."""
+    """The float data of P as exact Fractions, which callers only read: G^-1 by
+    Gauss-Jordan elimination (G is positive definite), Gram, Lam, omega, Lam2, r_ij =
+    Lam2_ij Lam - Lam3_ij (None, n < 3) and Lam4 (None, n < 4), each divided once."""
+    n, m, vol, lam = P.dim_n, P.rank_m, Fraction(P.vol), _fractions(P._lam)
     gram = _fractions(P.gram)
-    a = np.column_stack([gram, np.eye(P.rank_m, dtype=int).astype(object)])
-    for i in range(len(a)):
+    a = np.column_stack([gram, np.eye(m, dtype=int).astype(object)])
+    for i in range(m):
         a[i] /= a[i, i]
-        rest = np.arange(len(a)) != i
-        a[rest] -= np.outer(a[rest, i], a[i])
-    lam_k = {k: (_fractions(P._stages[k]), _divisor(P.dim_n, k, Fraction(P.vol)))
-             for k in (2, 3, 4) if k <= P.dim_n}
-    return a[:, P.rank_m:], gram, _fractions(P._lam), _fractions(P.omega), lam_k
+        a -= np.outer(a[:, i] - (np.arange(m) == i), a[i])   # row i keeps a[i]
+    lam2, lam3, lam4 = (_fractions(P._stages[k]) / _divisor(n, k, vol) if k <= n
+                        else np.zeros((m, m), int) if k == 2 else None for k in (2, 3, 4))
+    r = None if lam3 is None else np.multiply.outer(lam2, lam) - lam3
+    return a[:, m:], gram, lam, _fractions(P.omega), lam2, r, lam4
 
 
 def _cup_inner(exact, u, w, v, z):
     """inner22 of Fraction classes on the data of _exact: <Lam(x), Lam(y)> =
     r_x G^-1 r_y with r_x = g(Lam(x), .) = -Lam3(x, .) + Lam2(x) Lam."""
-    gram_inv, _, lam, _, lam_k = exact
-
-    def lam_of(k, *classes):   # Lam^k with its first slots filled; 0 for k > n
-        if k not in lam_k:
-            return 0
-        t, divisor = lam_k[k]
-        for a in classes:
-            t = a @ t
-        return t / divisor
-
-    r_x, r_y = (lam_of(2, a, b) * lam - lam_of(3, a, b) for a, b in ((u, w), (v, z)))
-    return lam_of(4, u, w, v, z) + r_x @ gram_inv @ r_y - lam_of(2, u, w) * lam_of(2, v, z)
+    gram_inv, _, lam, _, lam2, r, lam4 = exact
+    x, y = lam2 @ w @ u, lam2 @ z @ v
+    r_x, r_y = (x * lam, y * lam) if r is None else (u @ (w @ r), v @ (z @ r))   # n < 3: O(m^2)
+    return r_x @ gram_inv @ r_y - x * y + (0 if lam4 is None else lam4 @ z @ v @ w @ u)
 
 
 def inner22(P: ConePoint, pair_x, pair_y) -> float:
@@ -133,7 +126,7 @@ def riemann_alt(P: ConePoint, u, v, z, w) -> float:
     matrix, Lam and stages of P, so the only rounding it carries is theirs.
     """
     exact = _exact(P)
-    _, gram, lam, omega, _ = exact
+    _, gram, lam, omega, *_ = exact
     pu, pv, pz, pw = (a - (lam @ a) / P.dim_n * omega for a in _fractions([u, v, z, w]))
     metric_part = (pu @ gram @ pz) * (pv @ gram @ pw) - (pu @ gram @ pw) * (pv @ gram @ pz)
     cup_part = _cup_inner(exact, pu, pz, pv, pw) - _cup_inner(exact, pu, pw, pv, pz)

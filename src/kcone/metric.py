@@ -115,7 +115,9 @@ def admit(form: IntersectionForm, X: np.ndarray, what: str = "point") -> Lefsche
         rest = ~((2.0 * np.diagonal(data.gram, axis1=1, axis2=2) - r).min(axis=1)
                  > 2 * POSDEF_TOL * r.max(axis=1))
     if rest.any():
-        eig = np.linalg.eigvalsh(data.gram[rest])
+        gram = data.gram[rest]   # a copy; a non-finite row, on which LAPACK need not converge,
+        gram[~np.isfinite(gram).all(axis=(1, 2))] = 0.0   # is zeroed and fails the rule below
+        eig = np.linalg.eigvalsh(gram)
         # also rejects eig_max <= 0, since then eig_min <= eig_max <= POSDEF_TOL * eig_max
         ok = eig[:, 0] > POSDEF_TOL * eig[:, -1]
         if not ok.all():

@@ -288,11 +288,11 @@ def split(P: ConePoint):
 
 def unsplit(form: IntersectionForm, t: float, omega1: CohClass) -> CohClass:
     """Inverse of split: e^{t/n} omega_1 for a unit-volume omega_1."""
-    omega1 = np.asarray(omega1, dtype=float)
+    omega1, t = np.asarray(omega1, dtype=float), float(t)
     vol1 = form.volume(omega1)
-    if abs(vol1 - 1.0) > 1e-10:
-        raise ValueError(f"normalization failure: Vol(omega1) = {vol1!r} != 1")
-    return np.exp(float(t) / form.dim_n) * omega1
+    if not (np.isfinite(t) and abs(vol1 - 1.0) <= 1e-10):   # a NaN volume fails too
+        raise ValueError(f"normalization needs a finite t and Vol(omega1) = 1, got {t!r}, {vol1!r}")
+    return np.exp(t / form.dim_n) * omega1
 
 
 class SplitReport(NamedTuple):

@@ -1,6 +1,7 @@
 import json
 import sys
 import warnings
+from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import factorial, isfinite
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest  # noqa: E402
 
 from kcone import metric  # noqa: E402
 from kcone.algebra import NULL_TOL, algebra_at  # noqa: E402
-from kcone.curvature import derived_curvatures  # noqa: E402
+from kcone.curvature import _exact, _fractions, derived_curvatures  # noqa: E402
 from kcone.errors import DegeneratePlane, IndefiniteMetric, ManifoldFormatError  # noqa: E402
 from kcone.fdcheck import fd_directional  # noqa: E402
 from kcone.intersection import IntersectionForm  # noqa: E402
@@ -394,11 +395,12 @@ def gl_symmetric_point():
 
 
 def _admit_by_eigvalsh(form, X, what="point"):
-    """metric.admit with eigvalsh on every row, no Gershgorin discs: the
+    """metric.admit with eigvalsh on every finite row, no Gershgorin discs: the
     reference for the rows the discs admit without the eigensolver."""
     X = np.asarray(X, dtype=float)
     data = metric.lefschetz(form, X, what)
-    eig = np.linalg.eigvalsh(data.gram)
+    finite = np.isfinite(data.gram).all(axis=(1, 2))   # non-finite rows fail, unsolved
+    eig = np.linalg.eigvalsh(np.where(finite[:, None, None], data.gram, 0.0))
     ok = eig[:, 0] > POSDEF_TOL * eig[:, -1]
     if not ok.all():
         b = int(np.argmin(ok))
@@ -467,3 +469,27 @@ def _riemann_four_contractions(P, u, v, z, w):
 @pytest.fixture(scope="session")
 def riemann_four_contractions():
     return _riemann_four_contractions
+
+
+def _cup_inner_by_stages(P, u, w, v, z):
+    """curvature._cup_inner with each Lam^k contracted from its stage and divided
+    on every call, 0 for k > n: the reference for the stages _exact divides once."""
+    gram_inv, _, lam, *_ = _exact(P)
+    lam_k = {k: (_fractions(P._stages[k]), _divisor(P.dim_n, k, Fraction(P.vol)))
+             for k in (2, 3, 4) if k <= P.dim_n}
+
+    def lam_of(k, *classes):
+        if k not in lam_k:
+            return 0
+        t, divisor = lam_k[k]
+        for a in classes:
+            t = a @ t
+        return t / divisor
+
+    r_x, r_y = (lam_of(2, a, b) * lam - lam_of(3, a, b) for a, b in ((u, w), (v, z)))
+    return lam_of(4, u, w, v, z) + r_x @ gram_inv @ r_y - lam_of(2, u, w) * lam_of(2, v, z)
+
+
+@pytest.fixture(scope="session")
+def cup_inner_by_stages():
+    return _cup_inner_by_stages

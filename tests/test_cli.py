@@ -171,6 +171,15 @@ def test_overflowing_metric_is_usage_error(capsys):
         assert err == f"error: {what} overflows double precision\n"
 
 
+def test_non_finite_metric_is_worded_not_solved(capsys):
+    # the Gram matrix at this LOR3 point is not finite; LAPACK does not converge
+    # on it, so admit zeroes it before eigvalsh and words the overflow
+    code, out, err = run_cli(capsys, "metric", "LOR3", "--at=1e-160,1e-200,1e-200")
+    assert code == 1 and out == ""
+    assert err == ("error: metric of point 0 at [1e-160, 1e-200, 1e-200] "
+                   "overflows double precision\n")
+
+
 def test_underflowing_volume_is_usage_error(capsys):
     # the volume underflows to 0 although the scaled point is admissible; the
     # wall points, also of volume 0, stay inadmissible
@@ -726,6 +735,7 @@ PINNED_EXITS = {
     ("metric", "P1XP1", "--at", "1e154,1e154"): 1,
     ("metric", "P1XP1", "--at", "1e-200,1e-200"): 1,
     ("metric", "BLP2", "--at", "1,2"): 2,
+    ("metric", "LOR3", "--at=1e-160,1e-200,1e-200"): 1,
     ("curvature", "P1XP1", "--at", "1e-80,1e-80"): 1,
     ("geodesic", "BLP2", "--v=6.80564733841877e+38,0.0", "--T=1.0", "--steps=1"): 1,
     ("probe", "P1XP1", "--alpha=0.0,8.98846567431158e+307",

@@ -5,6 +5,9 @@ import pytest
 
 from kcone.catalog import catalog_names, default_point
 from kcone.curvature import (
+    _cup_inner,
+    _exact,
+    _fractions,
     christoffel,
     christoffel_tensor,
     derived_curvatures,
@@ -140,6 +143,31 @@ def test_quartic_curvature_closed_forms_agree(quartic_points):
             r = riemann(P, *args)
             assert abs(r - riemann_alt(P, *args)) <= 1e-15, (P, idx)
             assert abs(r - entries[idx]) <= 1e-15, (P, idx)
+
+
+def test_exact_route_divides_each_stage_once(quartic_points, hyperbolic_point,
+                                             cup_inner_by_stages):
+    # _cup_inner on the Lam2, r and Lam4 that _exact divides once per point equals,
+    # as Fractions, the per-call contraction and division of each stage: on every
+    # basis quadruple and on seeded classes
+    points = [default_point(name) for name in catalog_names()] + list(quartic_points.values())
+    points += [hyperbolic_point(n, 3) for n in (3, 4)]
+    rng = np.random.default_rng(33)
+    for P in points:
+        eye = _fractions(np.eye(P.rank_m))
+        quads = [eye[list(q)] for q in itertools.product(range(P.rank_m), repeat=4)]
+        quads += list(_fractions(rng.uniform(-1.0, 1.0, (4, 4, P.rank_m))))
+        for q in quads:
+            assert _cup_inner(_exact(P), *q) == cup_inner_by_stages(P, *q), (P, q)
+
+
+def test_inner22_carries_lam4_on_general_classes(quartic_points, cup_inner_by_stages):
+    # n = 4: the Lam4 term of inner22 on classes that are not basis vectors
+    rng = np.random.default_rng(4)
+    for P in quartic_points.values():
+        for u, w, v, z in rng.uniform(-1.0, 1.0, (6, 4, P.rank_m)):
+            ref = float(cup_inner_by_stages(P, *_fractions([u, w, v, z])))
+            assert inner22(P, (u, w), (v, z)) == ref, P
 
 
 def test_christoffel_tensor_matches_formula(quartic_points):

@@ -17,10 +17,11 @@ def test_all_four_demos_found():
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env,
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert proc.stdout.strip()
 
 

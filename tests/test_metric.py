@@ -142,6 +142,23 @@ def test_disc_admission_matches_eigvalsh_toward_the_walls(admit_by_eigvalsh):
             assert _outcome(admit, P.form, rows) == _outcome(admit_by_eigvalsh, P.form, rows)
 
 
+def test_admit_words_the_first_failing_row_finite_or_not():
+    # a non-finite row is zeroed before eigvalsh and fails, so the first failing
+    # row in input order chooses the error: an indefinite one, or the overflow
+    indefinite, nan_diagonal = np.diag([1.0, -1.0, 2.0]), np.diag([np.nan, 1.0, 1.0])
+    X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    cases = [((indefinite, nan_diagonal), IndefiniteMetric, "Gram matrix of point 0 at "
+              "[1.0, 2.0, 3.0] is not positive definite (eigenvalues [-1.0, 1.0, 2.0])"),
+             ((nan_diagonal, indefinite), ValueError,
+              "metric of point 0 at [1.0, 2.0, 3.0] overflows double precision")]
+    for rows, error, text in cases:
+        gram = np.array(rows)
+        data = Lefschetz(np.ones(2), X, gram, gram, [])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "lefschetz", lambda form, X, what: data)
+            assert _outcome(admit, None, X) == (error, text)
+
+
 class _Unformattable(np.ndarray):
     """A point that fails the test if it is formatted into a message."""
 

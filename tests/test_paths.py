@@ -488,6 +488,20 @@ def test_unsplit_rejects_unnormalized():
         unsplit(form, 0.0, np.array([2.0]))
 
 
+def test_unsplit_rejects_a_non_finite_t():
+    form = CATALOG["P1XP1"]
+    with pytest.raises(ValueError, match=r"got nan, 1.0$"):
+        unsplit(form, float("nan"), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"got inf, 1.0$"):
+        unsplit(form, float("inf"), np.array([1.0, 1.0]))
+
+
+def test_unsplit_rejects_a_nan_volume():
+    # abs(nan - 1) > 1e-10 is false: a NaN volume must fail the check, not pass it
+    with pytest.raises(ValueError, match=r"got 0.0, nan$"):
+        unsplit(CATALOG["P1XP1"], 0.0, np.array([np.nan, 1.0]))
+
+
 def test_split_report_block_structure():
     for name in catalog_names():
         rep = split_report(default_point(name))

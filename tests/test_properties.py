@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kcone.algebra import algebra_at
-from kcone.curvature import derived_curvatures, riemann_alt
+from kcone.curvature import derived_curvatures, riemann, riemann_alt
 from kcone.errors import DegeneratePlane, IndefiniteMetric, NonPositiveVolume
 from kcone.intersection import IntersectionForm
 from kcone.metric import ConePoint, admit, lefschetz
@@ -55,6 +55,16 @@ def test_lambda_scalar_is_the_divided_power_contraction(P, seed):
         ref = form.evaluate(*us, *[omega] * (n - k)) / (factorial(n - k) * P.vol)
         scale = abs_form.evaluate(*np.abs(us), *[omega] * (n - k)) / (factorial(n - k) * P.vol)
         assert abs(P.lambda_scalar(us) - ref) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(points_at_e1(), st.integers(0, 2**32 - 1))
+def test_riemann_alt_matches_riemann_on_random_classes(P, seed):
+    # the exact route, with its Lam3 and (n >= 4) Lam4 terms, against the cubic
+    # route on random classes, to 1e-12 max(1, max|G|^2) |u| |v| |z| |w|
+    quad = np.random.default_rng(seed).uniform(-1.0, 1.0, (4, P.rank_m))
+    scale = max(1.0, np.abs(P.gram).max() ** 2) * np.prod(np.linalg.norm(quad, axis=1))
+    assert abs(riemann_alt(P, *quad) - riemann(P, *quad)) <= 1e-12 * scale
 
 
 @SETTINGS
