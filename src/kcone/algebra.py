@@ -138,7 +138,7 @@ class AlgebraAtPoint:
         On the primitive columns X = frame[:, 1:] each D lies in so(m - 1) and solves
         D.c = 0: one row per a <= b <= f of sum_e D_ea c_ebf + D_eb c_aef +
         D_ef c_abe, built in blocks of about 2^16 (k, k) coefficient entries into
-        one (rows, k(k - 1)/2) system, reduced by QR, then the SVD of R.  Its
+        one (rows, k(k - 1)/2) system, whose SVD LAPACK starts with a QR.  Its
         cutoff NULL_TOL max(sv_0, 1) is absolute: the g-orthonormal frame keeps
         the omega parts of the product of order one, while c, unchanged by omega
         -> t omega and kappa -> s kappa, can be roundoff.  D maps back as X D F^T,
@@ -161,11 +161,10 @@ class AlgebraAtPoint:
             system[row, :, b] += c[a, :, f]
             system[row, :, f] += c[a, b]
             np.subtract(system[:, p, q], system[:, q, p], out=out)
-        r = np.linalg.qr(lhs, mode="r")
-        sv = np.linalg.svd(r, compute_uv=False)   # full rank with margin 2: no derivations
+        sv = np.linalg.svd(lhs, compute_uv=False)   # full rank with margin 2: no derivations
         if np.all(sv > 2 * NULL_TOL * sv.max(initial=1.0)):
             return []
-        _, sv, vh = np.linalg.svd(r, full_matrices=False)
+        _, sv, vh = np.linalg.svd(lhs, full_matrices=False)
         null = vh[np.sum(sv > NULL_TOL * sv.max(initial=1.0)):]
         gens = np.zeros((len(null), k, k))
         gens[:, p, q] = null

@@ -292,7 +292,11 @@ def unsplit(form: IntersectionForm, t: float, omega1: CohClass) -> CohClass:
     vol1 = form.volume(omega1)
     if not (np.isfinite(t) and abs(vol1 - 1.0) <= 1e-10):   # a NaN volume fails too
         raise ValueError(f"normalization needs a finite t and Vol(omega1) = 1, got {t!r}, {vol1!r}")
-    return np.exp(t / form.dim_n) * omega1
+    with np.errstate(over="ignore"):
+        scale = np.exp(t / form.dim_n)
+        if scale < np.finfo(float).tiny:   # subnormal or zero: no cone point
+            raise ValueError(f"e^(t/n) at t = {t!r} underflows double precision")
+        return _finite(scale * omega1, "e^(t/n) omega1 at t =", np.float64(t))
 
 
 class SplitReport(NamedTuple):

@@ -278,23 +278,18 @@ def _usable_cpus():
 
 
 def _map_entries(names):
-    """_entry_checks over names, in order.  The entries run in forked worker
-    processes, one per usable CPU, so that a worker inherits the imported
-    package instead of importing it again; with one name or one CPU, or
-    without fork, they run in this process.  The pool modules are imported
-    on that path only, so importing the CLI does not pay for them."""
+    """_entry_checks over names, in order, in forked worker processes, one per
+    usable CPU, so that a worker inherits the imported package instead of
+    importing it again.  With one name or one CPU (multiprocessing is then not
+    imported), or without fork, they run in this process.  The first failing
+    entry in named order raises; no worker outlives the call."""
     workers = min(len(names), _usable_cpus())
     if workers > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                return list(pool.map(_entry_checks, names))
-            finally:   # after an error, drop the entries no worker has started
-                pool.shutdown(cancel_futures=True)
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                return list(pool.imap(_entry_checks, names))
     return list(map(_entry_checks, names))
 
 

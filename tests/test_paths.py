@@ -502,6 +502,17 @@ def test_unsplit_rejects_a_nan_volume():
         unsplit(CATALOG["P1XP1"], 0.0, np.array([np.nan, 1.0]))
 
 
+def test_unsplit_words_its_range_errors():
+    # e^{t/n} overflows to inf, or underflows to the zero class, which is no
+    # cone point; under the suite's error::RuntimeWarning neither may warn
+    with pytest.raises(ValueError, match=r"at t = 2000.0 overflows double precision$"):
+        unsplit(CATALOG["P1XP1"], 2000.0, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"at t = -2000.0 underflows double precision$"):
+        unsplit(CATALOG["P1XP1"], -2000.0, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"at t = -3000.0 underflows double precision$"):
+        unsplit(CATALOG["P3"], -3000.0, np.array([6 ** (1 / 3)]))
+
+
 def test_split_report_block_structure():
     for name in catalog_names():
         rep = split_report(default_point(name))

@@ -4,9 +4,11 @@ how its checks score a failure."""
 
 import itertools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -59,6 +61,27 @@ def test_left_cone_in_a_worker_exits_2(capsys, monkeypatch):
     assert out_all == out_one
     report = json.loads(out_all)
     assert report["error"] == "LeftCone" and report["message"].endswith("t=0.25")
+
+
+def test_first_failing_entry_in_named_order_decides(monkeypatch):
+    # QUINTIC fails while P3, named before it, still runs: the pool raises
+    # P3's error, as one process would, and leaves no worker behind
+    original = verify.hessian_deviation
+
+    def fail_p3_late_quintic_at_once(P):
+        if P.form.name == "P3":
+            time.sleep(0.3)
+            raise LeftCone(1.0)
+        if P.form.name == "QUINTIC":
+            raise LeftCone(2.0)
+        return original(P)
+
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "hessian_deviation", fail_p3_late_quintic_at_once)
+    with pytest.raises(LeftCone) as raised:
+        run_verification()
+    assert raised.value.t == 1.0
+    assert multiprocessing.active_children() == []
 
 
 def test_non_finite_scores_keep_the_report_strict_json(capsys, monkeypatch):
