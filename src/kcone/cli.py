@@ -19,7 +19,9 @@ import argparse
 import itertools
 import json
 import os
+import signal
 import sys
+import threading
 from fractions import Fraction
 from math import isfinite
 
@@ -249,7 +251,15 @@ def _cmd_verify(args):
         if token.upper() not in CATALOG:
             raise _UsageError(f"verify only runs on catalog forms, not {token!r}")
     names = list(dict.fromkeys(token.upper() for token in args.forms)) or list(CATALOG)
-    checks, all_pass = run_verification(names)
+    # SIGTERM exits 143 through the pool's `with`; its workers, forked under it, exit silently
+    on_main = threading.current_thread() is threading.main_thread()   # only it may set one
+    if on_main:
+        previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
+    try:
+        checks, all_pass = run_verification(names)
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
     outputs = {"all_pass": all_pass, "checks_run": len(checks)}
     return ",".join(names), {"forms": names}, outputs, checks
 

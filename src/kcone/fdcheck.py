@@ -56,9 +56,10 @@ class FDReport(NamedTuple):
         }
 
 
-def _central_difference(f, omega, z, h):
-    """Plain central difference (f(omega + h z) - f(omega - h z)) / 2h."""
-    return (f(omega + h * z) - f(omega - h * z)) / (2.0 * h)
+def _richardson(q, h):
+    """Richardson-refined central difference of q = f(omega + s z), s = h, -h, h/2, -h/2."""
+    d = (q[0] - q[1]) / (2.0 * h)
+    return (4.0 * ((q[2] - q[3]) / (2.0 * (h / 2.0))) - d) / 3.0
 
 
 def fd_directional(f, omega, z):
@@ -70,8 +71,7 @@ def fd_directional(f, omega, z):
     omega = np.asarray(omega, dtype=float)
     z = np.asarray(z, dtype=float)
     h = STEP_SCALE * max(np.linalg.norm(omega), 1e-12)
-    d = _central_difference(f, omega, z, h)
-    return (4.0 * _central_difference(f, omega, z, h / 2.0) - d) / 3.0
+    return _richardson([f(omega + s * z) for s in (h, -h, h / 2, -h / 2)], h)
 
 
 def fd_hessian(f, omega) -> np.ndarray:
@@ -103,12 +103,11 @@ def fd_hessian(f, omega) -> np.ndarray:
 def _fd_stencils(P: ConePoint, quantity, z) -> np.ndarray:
     """fd_directional of quantity(ConePoint) at P along each row of z, stacked: out[i] =
     d_{z_i} quantity.  The stencil points omega +- h z_i, omega +- (h/2) z_i of every row,
-    in fd_directional's order and arithmetic, are admitted in one batch."""
+    in fd_directional's order, are admitted in one batch and finished by _richardson."""
     h = STEP_SCALE * max(np.linalg.norm(P.omega), 1e-12)
     X = (P.omega + np.array([h, -h, h / 2, -h / 2])[:, None] * z[:, None]).reshape(-1, P.rank_m)
     q = np.array([quantity(Q) for Q in ConePoint._rows(P.form, X, "stencil point")])
-    d = (q[0::4] - q[1::4]) / (2.0 * h)
-    return (4.0 * ((q[2::4] - q[3::4]) / (2.0 * (h / 2.0))) - d) / 3.0
+    return _richardson([q[j::4] for j in range(4)], h)
 
 
 def check_hessian_metric(P: ConePoint) -> FDReport:

@@ -144,22 +144,22 @@ def integrate_geodesics(
     ys = np.empty((steps + 1, B, 2, m))
     ys[0, :, 0], ys[0, :, 1] = P0.omega, V0
     speeds = np.empty((steps + 1, B))
-    block, done = max(1, ADMIT_BLOCK // (B * m * m)), 0   # samples before done are admitted
+    block = max(1, ADMIT_BLOCK // (B * m * m))   # steps whose start samples are admitted together
     # a far-out point overflows the kernel: a ValueError below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(ts[:-1]):
-            if i - done == block:   # sample i stays pending, for a failure in step i
-                _admit_samples(form, ts[done:i], ys[done:i], speeds[done:i])
-                done = i
-            try:
-                ks = [_flow(form, ys[i])]
-                for c in (0.5, 0.5, 1.0):   # the stage points of classic RK4
-                    ks.append(_flow(form, ys[i] + c * h * ks[-1]))
-            except _STEP_ERRORS as exc:   # a failing sample up to step i has the earlier t
-                _admit_samples(form, ts[done:i + 1], ys[done:i + 1], speeds[done:i + 1])
-                raise _step_error(t, exc) from exc
-            ys[i + 1] = ys[i] + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
-        _admit_samples(form, ts[done:], ys[done:], speeds[done:])
+        for start in range(0, steps, block):
+            stop = min(start + block, steps)
+            for i in range(start, stop):
+                try:
+                    ks = [_flow(form, ys[i])]
+                    for c in (0.5, 0.5, 1.0):   # the stage points of classic RK4
+                        ks.append(_flow(form, ys[i] + c * h * ks[-1]))
+                except _STEP_ERRORS as exc:   # a failing sample up to step i has the earlier t
+                    _admit_samples(form, ts[start:i + 1], ys[start:i + 1], speeds[start:i + 1])
+                    raise _step_error(ts[i], exc) from exc
+                ys[i + 1] = ys[i] + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+            end = stop + 1 if stop == steps else stop   # the last block also takes the end sample
+            _admit_samples(form, ts[start:end], ys[start:end], speeds[start:end])
     drift = np.abs(speeds - speeds[0]).max(axis=0)
     return [GeodesicPath(ts, ys[:, b, 0], ys[:, b, 1], speeds[:, b], float(drift[b]))
             for b in range(B)]
@@ -216,8 +216,7 @@ def length_bound_check(
     sampling too coarse for a near-tight path.
     """
     length, n = path_length(form, samples), form.dim_n
-    dlv = abs(log(form.volume(np.asarray(samples[-1], float)))
-              - log(form.volume(np.asarray(samples[0], float))))
+    dlv = abs(log(form.volume(samples[-1])) - log(form.volume(samples[0])))
     return LengthBound(length=length, lower_bound=dlv / sqrt(n),
                        sqrt2_bound=sqrt(2.0) * dlv / sqrt(n), delta_log_vol=dlv)
 

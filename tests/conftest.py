@@ -429,6 +429,34 @@ def fd_per_point():
     return _fd_per_point
 
 
+def _exact_geodesic(form, x0, v0, ts):
+    """The geodesic from x0 with velocity v0 in closed form, one row per time in ts.
+
+    n = 2: Vol = x^T K x / 2 and the cone is R x H^{m-1}.  With lam = x0^T K v0 / Vol0,
+    u0 = x0 / sqrt(Vol0), u0' = v0 / sqrt(Vol0) - lam u0 / 2 and a^2 = -u0'^T K u0' / 2,
+    x(t) = sqrt(Vol0 e^{lam t}) (cosh(a t) u0 + sinh(a t) / a u0'), with t u0' for a = 0.
+    A product of P^1s (Vol proportional to x_1 .. x_m): g = sum dx_i^2 / x_i^2, so
+    x_i(t) = x_i0 exp(v_i0 t / x_i0)."""
+    x0, v0, ts = (np.asarray(a, dtype=float) for a in (x0, v0, ts))
+    if form.dim_n == 2:
+        K = form._dense
+        vol0 = x0 @ K @ x0 / 2
+        lam = x0 @ K @ v0 / vol0
+        u0 = x0 / np.sqrt(vol0)
+        du0 = v0 / np.sqrt(vol0) - lam / 2 * u0
+        a = np.sqrt(max(-(du0 @ K @ du0) / 2, 0.0))
+        along = ts if a == 0.0 else np.sinh(a * ts) / a
+        scale = np.sqrt(vol0 * np.exp(lam * ts))
+        return scale[:, None] * (np.cosh(a * ts)[:, None] * u0 + along[:, None] * du0)
+    assert len(form.index) == 1 and form.index[0].tolist() == list(range(1, form.rank_m + 1))
+    return x0 * np.exp(ts[:, None] * v0 / x0)
+
+
+@pytest.fixture(scope="session")
+def exact_geodesic():
+    return _exact_geodesic
+
+
 def _derivations_full_svd(alg):
     """AlgebraAtPoint.derivations with the full SVD of R taken every time, no
     values-only SVD first: the reference for its early exit."""

@@ -8,7 +8,6 @@ from kcone.catalog import CATALOG, catalog_names, default_point
 from kcone.curvature import christoffel, christoffel_tensor, riemann_tensor
 from kcone.errors import NonPositiveVolume
 from kcone.fdcheck import (
-    _central_difference,
     check_connection,
     check_curvature,
     check_hessian_metric,
@@ -51,7 +50,8 @@ def test_richardson_order_two_witness():
     analytic = P.lambda_scalar([z]) * P.vol
     e = []
     for h in (1e-2, 5e-3):
-        e.append(abs(_central_difference(P.form.volume, P.omega, z, h) - analytic))
+        plain = (P.form.volume(P.omega + h * z) - P.form.volume(P.omega - h * z)) / (2.0 * h)
+        e.append(abs(plain - analytic))
     ratio = e[0] / e[1]
     assert 3.5 <= ratio <= 4.5
 

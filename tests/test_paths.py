@@ -31,6 +31,46 @@ def test_radial_geodesic_matches_closed_form():
         assert path.speed_drift <= 1e-8
 
 
+def _rk4_errors(exact_geodesic, form, x0, v0):
+    """Max |RK4 - closed form| / max |x| over T = 1 at 100 and at 1,000 steps."""
+    P = ConePoint(form, np.asarray(x0, dtype=float))
+    errors = []
+    for steps in (100, 1000):
+        path = integrate_geodesic(P, np.asarray(v0, dtype=float), 1.0, steps)
+        exact = exact_geodesic(form, x0, v0, path.ts)
+        errors.append(np.abs(path.points - exact).max() / np.abs(exact).max())
+    return errors
+
+
+def _rotated_lorentzian(m, seed, speed):
+    """Q = R^T diag(1, -1, .., -1) R for a random rotation R, with the point R^T e_1
+    and a random velocity of g-speed `speed` there."""
+    rng = np.random.default_rng([m, seed])
+    rot = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    q = rot.T @ np.diag([1.0] + [-1.0] * (m - 1)) @ rot
+    form = IntersectionForm("LORENTZ", 2, m, {(i + 1, j + 1): q[i, j]
+                                             for i in range(m) for j in range(i, m)})
+    v0 = rng.standard_normal(m)
+    return form, rot[0], v0 * speed / np.sqrt(ConePoint(form, rot[0]).inner(v0, v0))
+
+
+@pytest.mark.parametrize("form, x0, v0, measured", [
+    (CATALOG["LOR3"], (1, 0.3, 0.2), (1, -1, 0.5), (1.4e-8, 1.5e-12)),
+    (CATALOG["P1XP1"], (1, 2), (2, -3), (2.6e-9, 2.7e-13)),
+    (IntersectionForm("P1X3", 3, 3, {(1, 2, 3): 1.0}), (1, 1, 1), (1.5, -0.7, 0.2),
+     (6.2e-10, 6.4e-14)),
+    (CATALOG["BLP2"], (2, -1), (0.3, 0.4), (5.7e-12, 2.5e-15)),
+    (*_rotated_lorentzian(4, 0, 2.0), (1.2e-9, 1.2e-13)),
+], ids=["LOR3", "P1XP1", "P1X3", "BLP2", "ROT4"])
+def test_geodesic_error_falls_as_h4_to_the_closed_form(exact_geodesic, form, x0, v0, measured):
+    # within 10x of the errors measured at 100 and 1,000 steps, and the tenfold
+    # step count cuts the error 10^4-fold, to within 10x.  ROT4 is a rotated
+    # Lorentzian quadratic at g-speed 2: at 0.5 its 1,000-step error is roundoff
+    errors = _rk4_errors(exact_geodesic, form, x0, v0)
+    assert errors[0] <= 10 * measured[0] and errors[1] <= 10 * measured[1]
+    assert errors[1] <= 10 * errors[0] * 1e-4
+
+
 def test_radial_curve_solves_geodesic_equation_pointwise():
     # gamma(t) = e^{t/n} omega has gamma'' = gamma/n^2 = -Gamma(gamma', gamma')
     from kcone.curvature import christoffel
@@ -223,13 +263,15 @@ def test_stage_failure_reports_an_earlier_inadmissible_sample(monkeypatch):
     assert err.value.t == 0.245
 
 
-@pytest.mark.parametrize("steps_per_block", [3, 1000])
+@pytest.mark.parametrize("steps_per_block", [3, 4, 1000])
 def test_speeds_are_those_of_the_admitted_samples(monkeypatch, steps_per_block):
+    # 21 samples over 20 steps: the last block also takes the end sample, so
+    # 4 steps per block admit [8, 8, 8, 8, 10] rows, not a sixth batch of 2
     P = default_point("LOR3")
     V0 = np.array([P.omega / 2, [0.1, -0.2, 0.05]])
     rows = _block_admissions(monkeypatch, steps_per_block, len(V0), P.rank_m)
     batch = integrate_geodesics(P, V0, 1.0, 20)
-    assert sum(rows) == 21 * len(V0) and len(rows) == -(-21 // steps_per_block)
+    assert sum(rows) == 21 * len(V0) and len(rows) == -(-20 // steps_per_block)
     for path in batch:
         grams = admit(P.form, path.points, "geodesic member").gram
         speeds = np.einsum("ti,tij,tj->t", path.velocities, grams, path.velocities)

@@ -19,7 +19,7 @@ from kcone.curvature import derived_curvatures, riemann, riemann_alt
 from kcone.errors import DegeneratePlane, IndefiniteMetric, NonPositiveVolume
 from kcone.intersection import IntersectionForm
 from kcone.metric import ConePoint, admit, lefschetz
-from kcone.paths import _flow
+from kcone.paths import _flow, integrate_geodesic
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -188,6 +188,19 @@ def test_surface_cone_has_constant_primitive_curvature(P, seed):
     residual = np.sqrt((4 * k * (lam - 0.5) ** 2 + 2 * k * (k - 1) * (lam + 0.5) ** 2) / 3)
     assert fit.residual == pytest.approx(residual, rel=1e-14, abs=1e-15)
     assert fit.is_constant == (m == 2)
+
+
+@settings(SETTINGS, max_examples=20)
+@given(lorentzian_points(), st.integers(0, 2**32 - 1))
+def test_surface_cone_geodesic_meets_its_closed_form(exact_geodesic, P, seed):
+    # RK4 at 100 steps from a random velocity of g-speed 0.5, against the
+    # closed form on R x H^{m-1}, relative to max |x|: within 10x of the largest
+    # error measured over 200 seeded draws of these forms, 6.6e-12
+    v0 = np.random.default_rng(seed).standard_normal(P.rank_m)
+    v0 *= 0.5 / np.sqrt(P.inner(v0, v0))
+    path = integrate_geodesic(P, v0, 1.0, 100)
+    exact = exact_geodesic(P.form, P.omega, v0, path.ts)
+    assert np.abs(path.points - exact).max() <= 6.6e-11 * np.abs(exact).max()
 
 
 @SETTINGS

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -82,6 +83,46 @@ def test_first_failing_entry_in_named_order_decides(monkeypatch):
         run_verification()
     assert raised.value.t == 1.0
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or verify._usable_cpus() < 2,
+                    reason="reads /proc for the forked workers; needs 2 CPUs to fork them")
+def test_sigterm_ends_verify_and_its_workers_without_output(tmp_path):
+    # each worker marks its first check, then sleeps in it; SIGTERM exits 143 at
+    # once, with no worker left to print a BrokenPipeError for its unsent result
+    src, marks = str(Path(__file__).resolve().parent.parent / "src"), tmp_path / "marks"
+    code = "\n".join(["import sys, time", "from kcone import cli, verify",
+                      "def mark_and_sleep(P):", f"    with open({str(marks)!r}, 'a') as fh:",
+                      "        fh.write('.')", "    time.sleep(5)",
+                      "verify.hessian_deviation = mark_and_sleep", "verify._usable_cpus = lambda: 2",
+                      "sys.exit(cli.main(['verify']))"])
+    proc = subprocess.Popen([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 30
+        while not (marks.exists() and len(marks.read_text()) == 2):
+            assert proc.poll() is None and time.monotonic() < deadline, "no two workers started"
+            time.sleep(0.01)
+        with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+            workers = fh.read().split()
+        assert len(workers) == 2
+        signalled = time.monotonic()
+        proc.terminate()
+        out, err = proc.communicate(timeout=10)
+        assert time.monotonic() - signalled < 4.0   # the workers sleep 5 s
+    finally:
+        proc.kill()
+    assert proc.returncode == 143 and out == b"" and err == b""
+    assert not [pid for pid in workers if os.path.exists(f"/proc/{pid}")]
+
+
+def test_verify_runs_off_the_main_thread(capsys):
+    # only the main thread may set the SIGTERM handler; another leaves it as it is
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(main(["verify", "P1XP1"])))
+    worker.start()
+    worker.join()
+    assert codes == [0] and json.loads(capsys.readouterr().out)["outputs"]["all_pass"]
 
 
 def test_non_finite_scores_keep_the_report_strict_json(capsys, monkeypatch):
