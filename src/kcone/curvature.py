@@ -85,7 +85,7 @@ _fractions = np.vectorize(Fraction, otypes=[object])
 def _exact(P: ConePoint):
     """The float data of P as exact Fractions, which callers only read: G^-1 by
     Gauss-Jordan elimination (G is positive definite), Gram, Lam, omega, Lam2, r_ij =
-    Lam2_ij Lam - Lam3_ij (None, n < 3) and Lam4 (None, n < 4), each divided once."""
+    Lam2_ij Lam - Lam3_ij (None, n < 3) and inner22's Lam4 (None, n < 4), each divided once."""
     n, m, vol, lam = P.dim_n, P.rank_m, Fraction(P.vol), _fractions(P._lam)
     gram = _fractions(P.gram)
     a = np.column_stack([gram, np.eye(m, dtype=int).astype(object)])
@@ -99,21 +99,23 @@ def _exact(P: ConePoint):
 
 
 def _cup_inner(exact, u, w, v, z):
-    """inner22 of Fraction classes on the data of _exact: <Lam(x), Lam(y)> =
-    r_x G^-1 r_y with r_x = g(Lam(x), .) = -Lam3(x, .) + Lam2(x) Lam."""
-    gram_inv, _, lam, _, lam2, r, lam4 = exact
+    """inner22 less its Lam4 term, on Fraction classes and the data of _exact:
+    r_x G^-1 r_y - Lam2(x) Lam2(y) with r_x = g(Lam(x), .) = -Lam3(x, .) + Lam2(x) Lam."""
+    gram_inv, _, lam, _, lam2, r, _ = exact
     x, y = lam2 @ w @ u, lam2 @ z @ v
     r_x, r_y = (x * lam, y * lam) if r is None else (u @ (w @ r), v @ (z @ r))   # n < 3: O(m^2)
-    return r_x @ gram_inv @ r_y - x * y + (0 if lam4 is None else lam4 @ z @ v @ w @ u)
+    return r_x @ gram_inv @ r_y - x * y
 
 
 def inner22(P: ConePoint, pair_x, pair_y) -> float:
     """Inner product of the (2,2)-classes u cup w and v cup z, no primitive
-    projection (the Lam4 term vanishes for n < 4):
+    projection; the one reader of the Lam4 term (it vanishes for n < 4):
 
         <x, y> = Lam4(x cup y) + <Lam(x), Lam(y)> - Lam2(x) Lam2(y).
     """
-    return float(_cup_inner(_exact(P), *_fractions([*pair_x, *pair_y])))
+    exact, (u, w, v, z) = _exact(P), _fractions([*pair_x, *pair_y])
+    lam4 = 0 if exact[-1] is None else exact[-1] @ z @ v @ w @ u
+    return float(_cup_inner(exact, u, w, v, z) + lam4)
 
 
 def riemann_alt(P: ConePoint, u, v, z, w) -> float:
@@ -122,9 +124,9 @@ def riemann_alt(P: ConePoint, u, v, z, w) -> float:
         R = -1/4 <u,w><v,z> + 1/4 <u,z><v,w>
             - 1/4 <u cup w, v cup z> + 1/4 <u cup z, v cup w>.
 
-    Like inner22 it runs in exact rational arithmetic on the float Gram
-    matrix, Lam and stages of P, so the only rounding it carries is theirs.
-    """
+    Like inner22 it runs in exact rational arithmetic on the float Gram matrix,
+    Lam and stages of P, so the only rounding it carries is theirs.  It reads no
+    Lam4: symmetric in all four classes, it cancels between the two cup terms."""
     exact = _exact(P)
     _, gram, lam, omega, *_ = exact
     pu, pv, pz, pw = (a - (lam @ a) / P.dim_n * omega for a in _fractions([u, v, z, w]))

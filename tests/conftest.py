@@ -16,6 +16,7 @@ import pytest  # noqa: E402
 
 from kcone import metric  # noqa: E402
 from kcone.algebra import NULL_TOL, algebra_at  # noqa: E402
+from kcone.catalog import default_point  # noqa: E402
 from kcone.curvature import _exact, _fractions, derived_curvatures  # noqa: E402
 from kcone.errors import DegeneratePlane, IndefiniteMetric, ManifoldFormatError  # noqa: E402
 from kcone.fdcheck import fd_directional  # noqa: E402
@@ -499,12 +500,13 @@ def riemann_four_contractions():
     return _riemann_four_contractions
 
 
-def _cup_inner_by_stages(P, u, w, v, z):
-    """curvature._cup_inner with each Lam^k contracted from its stage and divided
-    on every call, 0 for k > n: the reference for the stages _exact divides once."""
+def _cup_inner_by_stages(P, u, w, v, z, with_lam4=True):
+    """inner22 of Fraction classes with each Lam^k contracted from its stage and
+    divided on every call, 0 for k > n: the reference for the stages _exact divides
+    once.  With with_lam4=False it leaves out the Lam4 term, as curvature._cup_inner does."""
     gram_inv, _, lam, *_ = _exact(P)
     lam_k = {k: (_fractions(P._stages[k]), _divisor(P.dim_n, k, Fraction(P.vol)))
-             for k in (2, 3, 4) if k <= P.dim_n}
+             for k in (2, 3, 4) if k <= P.dim_n and (with_lam4 or k < 4)}
 
     def lam_of(k, *classes):
         if k not in lam_k:
@@ -521,3 +523,28 @@ def _cup_inner_by_stages(P, u, w, v, z):
 @pytest.fixture(scope="session")
 def cup_inner_by_stages():
     return _cup_inner_by_stages
+
+
+_P1 = IntersectionForm("P1", 1, 1, {(1,): 1.0})
+
+
+def _product_form(fx, fy):
+    """The form of X x Y on H^2(X) + H^2(Y), the classes of X first: nonzero only on
+    index sets with a = dim X entries from X, where it is kappa_X kappa_Y.  So
+    Vol = Vol_X Vol_Y, and the cone of X x Y is the Riemannian product of the two."""
+    coeffs = {ix + tuple(j + fx.rank_m for j in iy): kx * ky
+              for ix, kx in fx.coeffs.items() for iy, ky in fy.coeffs.items()}
+    return IntersectionForm(f"{fx.name}x{fy.name}", fx.dim_n + fy.dim_n,
+                            fx.rank_m + fy.rank_m, coeffs)
+
+
+def _product_point(x, y):
+    """(X x Y at (omega_X, omega_Y), the point of X, the point of Y) for two catalog
+    names or "P1", each factor at its default point (P1 at 1)."""
+    px, py = (ConePoint(_P1, np.ones(1)) if a == "P1" else default_point(a) for a in (x, y))
+    return ConePoint(_product_form(px.form, py.form), np.concatenate([px.omega, py.omega])), px, py
+
+
+@pytest.fixture(scope="session")
+def product_point():
+    return _product_point

@@ -147,9 +147,9 @@ def test_quartic_curvature_closed_forms_agree(quartic_points):
 
 def test_exact_route_divides_each_stage_once(quartic_points, hyperbolic_point,
                                              cup_inner_by_stages):
-    # _cup_inner on the Lam2, r and Lam4 that _exact divides once per point equals,
-    # as Fractions, the per-call contraction and division of each stage: on every
-    # basis quadruple and on seeded classes
+    # _cup_inner on the Lam2 and r that _exact divides once per point equals, as
+    # Fractions, the per-call contraction and division of each stage less the Lam4
+    # term, which inner22 alone adds: on every basis quadruple and on seeded classes
     points = [default_point(name) for name in catalog_names()] + list(quartic_points.values())
     points += [hyperbolic_point(n, 3) for n in (3, 4)]
     rng = np.random.default_rng(33)
@@ -158,7 +158,38 @@ def test_exact_route_divides_each_stage_once(quartic_points, hyperbolic_point,
         quads = [eye[list(q)] for q in itertools.product(range(P.rank_m), repeat=4)]
         quads += list(_fractions(rng.uniform(-1.0, 1.0, (4, 4, P.rank_m))))
         for q in quads:
-            assert _cup_inner(_exact(P), *q) == cup_inner_by_stages(P, *q), (P, q)
+            assert _cup_inner(_exact(P), *q) == cup_inner_by_stages(P, *q, with_lam4=False), (P, q)
+
+
+@pytest.mark.parametrize("name", ["P1^4", "QUARTIC3", "H4_3", "BLP2xBLP2", "CY3GENxP1XP1"])
+def test_riemann_alt_drops_lam4_bit_for_bit(name, quartic_points, hyperbolic_point,
+                                          product_point, cup_inner_by_stages):
+    # Lam4 is symmetric in all four classes, so its parts of riemann_alt's two cup terms
+    # cancel: leaving them out moves no bit against the formula with conftest's full cup
+    # product, on every basis quadruple (each cup value taken once) and on seeded classes
+    points = {**quartic_points, "H4_3": hyperbolic_point(4, 3)}
+    P = points[name] if name in points else product_point(*name.split("x"))[0]
+    m, (_, gram, lam, omega, *_) = P.rank_m, _exact(P)
+
+    def primitive(a):
+        return a - (lam @ a) / P.dim_n * omega
+
+    def with_lam4(pu, pv, pz, pw, cup_uz, cup_uw):
+        metric_part = (pu @ gram @ pz) * (pv @ gram @ pw) - (pu @ gram @ pw) * (pv @ gram @ pz)
+        return float((metric_part + cup_uz - cup_uw) / 4)
+
+    eye = np.eye(m)
+    prim = [primitive(a) for a in _fractions(eye)]
+    cup = {q: cup_inner_by_stages(P, *(prim[a] for a in q))
+           for q in itertools.product(range(m), repeat=4)}
+    for i, j, k, l in itertools.product(range(m), repeat=4):
+        ref = with_lam4(prim[i], prim[j], prim[k], prim[l], cup[i, k, j, l], cup[i, l, j, k])
+        assert riemann_alt(P, eye[i], eye[j], eye[k], eye[l]) == ref, (P, i, j, k, l)
+    for u, v, z, w in np.random.default_rng(36).uniform(-1.0, 1.0, (3, 4, m)):
+        pu, pv, pz, pw = (primitive(a) for a in _fractions([u, v, z, w]))
+        ref = with_lam4(pu, pv, pz, pw, cup_inner_by_stages(P, pu, pz, pv, pw),
+                        cup_inner_by_stages(P, pu, pw, pv, pz))
+        assert riemann_alt(P, u, v, z, w) == ref, (P, u, v, z, w)
 
 
 def test_inner22_carries_lam4_on_general_classes(quartic_points, cup_inner_by_stages):
