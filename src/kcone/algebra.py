@@ -21,6 +21,7 @@ exactly when every primitive plane has sectional curvature n/4.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import combinations_with_replacement
 from typing import List, NamedTuple
 
@@ -138,10 +139,13 @@ class AlgebraAtPoint:
         On the primitive columns X = frame[:, 1:] each D lies in so(m - 1) and solves
         D.c = 0: one row per a <= b <= f of sum_e D_ea c_ebf + D_eb c_aef +
         D_ef c_abe, built in blocks of about 2^16 (k, k) coefficient entries into
-        one (rows, k(k - 1)/2) system, whose SVD LAPACK starts with a QR.  Its
-        cutoff NULL_TOL max(sv_0, 1) is absolute: the g-orthonormal frame keeps
-        the omega parts of the product of order one, while c, unchanged by omega
-        -> t omega and kappa -> s kappa, can be roundoff.  D maps back as X D F^T,
+        one (rows, p) system A, p = k(k - 1)/2.  Its null cutoff NULL_TOL max(sv_0, 1)
+        is absolute: the g-orthonormal frame keeps the omega parts of the product
+        of order one, while c, unchanged by omega -> t omega and kappa -> s kappa,
+        can be roundoff.  A Cholesky factor of A^T A - s I certifies every singular
+        value above twice it, s = 4 NULL_TOL^2 max(|A|_F^2, 1) + (rows + p^2 + 1) eps
+        |A|_F^2 with the rounding of both steps (Demmel 1989; Higham 2002, ch. 10);
+        else the full SVD gives the count and the basis.  D maps back as X D F^T,
         F = coframe with F^T omega = 0, so D omega = 0, its image is primitive
         and it is g-antisymmetric by construction, up to roundoff of order
         cond(G) eps; verify.derivation_deviation measures the three.
@@ -161,9 +165,15 @@ class AlgebraAtPoint:
             system[row, :, b] += c[a, :, f]
             system[row, :, f] += c[a, b]
             np.subtract(system[:, p, q], system[:, q, p], out=out)
-        sv = np.linalg.svd(lhs, compute_uv=False)   # full rank with margin 2: no derivations
-        if np.all(sv > 2 * NULL_TOL * sv.max(initial=1.0)):
-            return []
+        # full rank with margin 2, no derivations, when A^T A - s I has a Cholesky factor
+        with np.errstate(over="ignore", invalid="ignore"), suppress(np.linalg.LinAlgError):
+            normal = lhs.T @ lhs
+            fro_sq = np.trace(normal)
+            rounding = (len(lhs) + p.size**2 + 1) * np.finfo(float).eps * fro_sq
+            normal.flat[::p.size + 1] -= 4 * NULL_TOL**2 * max(fro_sq, 1.0) + rounding
+            if np.isfinite(fro_sq):   # cholesky does not raise on NaN
+                np.linalg.cholesky(normal)
+                return []
         _, sv, vh = np.linalg.svd(lhs, full_matrices=False)
         null = vh[np.sum(sv > NULL_TOL * sv.max(initial=1.0)):]
         gens = np.zeros((len(null), k, k))

@@ -460,7 +460,7 @@ def exact_geodesic():
 
 def _derivations_full_svd(alg):
     """AlgebraAtPoint.derivations with the full SVD of R taken every time, no
-    values-only SVD first: the reference for its early exit."""
+    Cholesky certificate of the normal matrix first: the reference for its early exit."""
     P, k, c = alg.base, alg.base.rank_m - 1, alg.base.cubic
     abf = np.array(list(combinations_with_replacement(range(k), 3)), int).reshape(-1, 3)
     p, q = np.triu_indices(k, 1)

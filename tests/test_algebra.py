@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -246,8 +247,8 @@ def test_derivations_match_einsum_system(
 
 
 def test_derivations_equal_the_full_svd(derivations_full_svd, cubic_point, gl_symmetric_point):
-    # a values-only SVD first, the full one only when a value is within twice
-    # the cutoff: the derivations are bitwise those of the full SVD every time
+    # a Cholesky certificate first, the full SVD only when it fails: the
+    # derivations are bitwise those of the full SVD every time
     points = [default_point(name) for name in catalog_names()]
     points += [gl_symmetric_point(m) for m in (6, 12)]
     points += [cubic_point(m, noise=noise) for m in (5, 6, 8, 12) for noise in (0.05, 0.0)]
@@ -257,20 +258,48 @@ def test_derivations_equal_the_full_svd(derivations_full_svd, cubic_point, gl_sy
         assert len(got) == len(ref) and all(map(np.array_equal, got, ref)), P
 
 
-def test_derivations_judge_values_near_the_cutoff_by_the_full_svd(monkeypatch, cubic_point):
-    # the two SVD drivers round differently: values-only singular values raised to
-    # 1.5 times the cutoff still leave the verdict to the full SVD, so SYM5 keeps
-    # its (m - 1)(m - 2)/2 = 6 derivations
-    alg = algebra_at(cubic_point(5, noise=0.0))
-    alg.base.frame, alg.base.coframe
-    svd = np.linalg.svd
+def test_derivations_across_the_cutoff_equal_the_full_svd(
+    monkeypatch, derivations_full_svd, cubic_point
+):
+    # noise from 1e-11 to 1e-5 on SYMm takes the count from (m - 1)(m - 2)/2 through
+    # partial counts near 1e-8 (4 and 2 of 6 at m = 5, one per seed) to 0, where
+    # the certificate holds; every count and basis is bitwise that of the full SVD
+    certified, cholesky = [], np.linalg.cholesky
 
-    def raised(a, *args, compute_uv=True, **kwargs):
-        out = svd(a, *args, compute_uv=compute_uv, **kwargs)
-        return out if compute_uv else np.maximum(out, 1.5 * algebra.NULL_TOL * out.max(initial=1.0))
+    def spy(a):
+        out = cholesky(a)
+        certified.append(a.shape)
+        return out
 
-    monkeypatch.setattr(algebra.np.linalg, "svd", raised)
-    assert len(alg.derivations()) == 6
+    monkeypatch.setattr(algebra.np.linalg, "cholesky", spy)
+    counts = set()
+    for m, seed, noise in itertools.product((5, 6, 8), (3, 4), np.logspace(-11, -5, 13)):
+        alg = algebra_at(cubic_point(m, noise=noise, seed=seed))
+        got, ref = alg.derivations(), derivations_full_svd(alg)
+        assert len(got) == len(ref) and all(map(np.array_equal, got, ref)), (m, seed, noise)
+        counts.add(len(got) / ((m - 1) * (m - 2) // 2))
+    assert min(counts) == 0.0 and max(counts) == 1.0 and len(counts) > 2, counts
+    assert certified
+
+
+def test_derivations_of_a_huge_cubic_raise_no_overflow_warning(derivations_full_svd):
+    # at 1e160 and 1e200 the normal matrix overflows: the certificate is skipped
+    # (a Cholesky of NaN does not raise) and the full SVD of the system decides,
+    # as at scale 1: no derivations of a seeded cubic, and one, the rotations of
+    # e_4 and e_5, once its entries with an index past 3 are zeroed
+    c = np.random.default_rng(37).standard_normal((5, 5, 5))
+    c = sum(c.transpose(perm) for perm in itertools.permutations(range(3)))
+    d = np.zeros_like(c)
+    d[:3, :3, :3] = c[:3, :3, :3]
+    for cubic, count in ((c, 0), (d, 1)):
+        for scale in (1.0, 1e160, 1e200):
+            alg = SimpleNamespace(base=SimpleNamespace(
+                dim_n=3, rank_m=6, cubic=scale * cubic, frame=np.eye(6), coframe=np.eye(6)[:, 1:]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = algebra.AlgebraAtPoint.derivations(alg)
+            ref = derivations_full_svd(alg)
+            assert len(got) == len(ref) == count and all(map(np.array_equal, got, ref)), scale
 
 
 def _dense_derivation_system(c):
@@ -294,29 +323,37 @@ class _SystemBuilt(Exception):
 
 def test_blocked_derivation_system_equals_dense_builder(monkeypatch):
     # random symmetric cubics, k = 0..30: one block up to k = 12, then
-    # uneven blocks (k = 23: 2,300 rows in 18 blocks, k = 30: 4,960 in 68)
-    captured = []
+    # uneven blocks (k = 23: 2,300 rows in 18 blocks, k = 30: 4,960 in 68);
+    # the system is the one array derivations() allocates, read when its
+    # normal matrix reaches the Cholesky certificate
+    allocated, empty = [], np.empty
 
-    def svd(lhs, **kwargs):   # the first SVD of the built system
-        captured.append(lhs)
+    def record(*args, **kwargs):
+        allocated.append(empty(*args, **kwargs))
+        return allocated[-1]
+
+    def cholesky(normal):
         raise _SystemBuilt
 
-    monkeypatch.setattr(algebra.np.linalg, "svd", svd)
+    monkeypatch.setattr(algebra.np, "empty", record)
+    monkeypatch.setattr(algebra.np.linalg, "cholesky", cholesky)
     rng = np.random.default_rng(21)
     for k in range(31):
         c = rng.standard_normal((k, k, k))
         c = sum(c.transpose(perm) for perm in itertools.permutations(range(3)))
         base = SimpleNamespace(dim_n=3, rank_m=k + 1, cubic=c)
+        allocated.clear()
         with pytest.raises(_SystemBuilt):
             algebra.AlgebraAtPoint.derivations(SimpleNamespace(base=base))
-        dense = _dense_derivation_system(c)
-        assert captured[-1].shape == dense.shape and np.array_equal(captured[-1], dense), k
+        (lhs,), dense = allocated, _dense_derivation_system(c)
+        assert lhs.shape == dense.shape and np.array_equal(lhs, dense), k
 
 
 def test_derivations_hold_bounded_scratch(cubic_point):
     # at m = 24 the (2,300, 23, 23) dense system and its gathered copies
     # peaked at 22.8 MB, and a QR ahead of the SVD, which copies the system,
-    # at 10.2 MB; row blocks and the SVD alone keep the (2,300, 253) system
+    # at 10.2 MB; row blocks keep the (2,300, 253) system and its 253 x 253
+    # normal matrix (6.2 MiB traced)
     P = cubic_point(24)
     P.cubic, P.coframe
     tracemalloc.start()

@@ -1,10 +1,12 @@
 """Product forms as an exact oracle: the cone of X x Y is the Riemannian product
 of the cones of X and Y, so its metric, scalar curvature and geodesics follow
-from the factors' with no new formula and no finite differences."""
+from the factors' with no new formula and no finite differences, and its
+derivation count is the factors' sum in every case measured."""
 
 import numpy as np
 import pytest
 
+from kcone.algebra import algebra_at
 from kcone.curvature import derived_curvatures, riemann, riemann_alt
 from kcone.paths import integrate_geodesics
 
@@ -38,3 +40,19 @@ def test_product_geodesics_are_pairs_of_closed_forms(product_point, exact_geodes
         exact = np.concatenate([exact_geodesic(px.form, px.omega, v0[:a], path.ts),
                                 exact_geodesic(py.form, py.omega, v0[a:], path.ts)], axis=1)
         assert np.abs(path.points - exact).max() <= 1e-13 * np.abs(exact).max(), (P, v0)
+
+
+DERIVATION_COUNTS = [("LOR3", "P1", 1), ("BLP2", "P1", 0), ("BLP2", "BLP2", 0), ("LOR3", "BLP2", 1),
+                     ("CY3GEN", "P1XP1", 0), ("CY3GEN", "LOR3", 1), ("LOR3", "P3", 1),
+                     ("LOR3", "LOR3", 2)]
+
+
+@pytest.mark.parametrize("x, y, count", DERIVATION_COUNTS,
+                         ids=[f"{x}x{y}" for x, y, _ in DERIVATION_COUNTS])
+def test_product_derivation_count_is_the_factors_sum(product_point, x, y, count):
+    # LOR3's one rotation per LOR3 factor, none from the others; P1 (n = 1) has
+    # no derivation analysis and counts 0.  Counts 0 leave the full-rank system to
+    # the Cholesky certificate, the others to the full SVD, at n = 3 to 5
+    P, px, py = product_point(x, y)
+    factors = [len(algebra_at(Q).derivations()) if Q.dim_n > 1 else 0 for Q in (px, py)]
+    assert len(algebra_at(P).derivations()) == sum(factors) == count, (P, factors)
